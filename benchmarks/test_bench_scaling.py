@@ -11,9 +11,8 @@ suite under thread vs. process execution (the speedup line the ROADMAP's
 process-pool item asks for), a store-backed cold/warm restart (the warm run
 must perform zero backend evaluations), an iterative-ML comparison across
 all six backends, and the batched-sweep engine: per-scenario vs. one-call
-``predict_batch`` throughput over a dense static-backend grid, MVA grid
-warm-starting (fewer A2–A6 iterations, same totals), and scheduler-driven
-cold vs. warm sweep throughput.
+``predict_batch`` throughput over a dense static-backend grid, and
+scheduler-driven cold vs. warm sweep throughput.
 
 Set ``BENCH_SMOKE=1`` to run only the smallest scenario (used by CI on every
 push, where timing noise makes the larger scenarios uninformative).
@@ -32,11 +31,8 @@ import os
 import tempfile
 import time
 
-import pytest
-
-from repro.api import PredictionService, Scenario, ScenarioSuite, SweepScheduler, create_backend
+from repro.api import PredictionService, Scenario, ScenarioSuite, SweepScheduler
 from repro.core import EstimatorKind, Hadoop2PerformanceModel
-from repro.core.mva_solver import DEFAULT_EPSILON
 from repro.units import gigabytes, megabytes
 from repro.workloads import (
     model_input_from_profile,
@@ -239,8 +235,8 @@ def test_bench_iterative_compare():
     assert len(record["totals"]) == 6
 
 
-#: The three static backends of the batched-sweep benches.
-STATIC_BACKENDS = ["aria", "herodotou", "vianna"]
+#: The batch-capable closed-form backends of the batched-sweep benches.
+STATIC_BACKENDS = ["aria", "herodotou"]
 
 
 def _static_sweep_suite() -> ScenarioSuite:
@@ -302,12 +298,7 @@ def test_bench_batched_sweep():
     print()
     _emit(record)
     for name in STATIC_BACKENDS:
-        # abs term: warm-started vianna may sit up to ~10*epsilon from the
-        # cold fixed point (same bound as the mva_warm_start bench).
-        for scalar_value, batched_value in zip(scalar.series(name), batched.series(name)):
-            assert batched_value == pytest.approx(
-                scalar_value, rel=1e-9, abs=10 * DEFAULT_EPSILON
-            )
+        assert batched.series(name) == scalar.series(name)
     # The work-shape invariants the wall-clock ratio was a proxy for:
     # both paths evaluate each point exactly once, and the batched path
     # really is batched — one dispatch per backend covering every point.
@@ -316,55 +307,6 @@ def test_bench_batched_sweep():
     assert record["batch_calls"] == len(STATIC_BACKENDS)
     assert record["batch_points"] == points
     assert batched_stats.batch_fallbacks == 0
-
-
-def test_bench_mva_warm_start():
-    """Grid-ordered MVA warm starts: fewer A2–A6 iterations, same totals."""
-    base = Scenario(workload="wordcount", num_reduces=8, num_jobs=2, repetitions=1, seed=BENCH_SEED)
-    sizes = [1, 2, 3, 4, 6, 8, 12, 16] if not _smoke_mode() else [1, 2, 3, 4]
-    nodes = [2, 3, 4, 6] if not _smoke_mode() else [2, 3]
-    grid = [
-        base.with_updates(num_nodes=node_count, input_size_bytes=size * megabytes(256))
-        for node_count in nodes
-        for size in sizes
-    ]
-    record = {"bench": "mva_warm_start", "points": len(grid)}
-    print()
-    for name in ("mva-forkjoin", "mva-tripathi"):
-        backend = create_backend(name)
-        started = time.perf_counter()
-        cold = [backend.predict(scenario) for scenario in grid]
-        cold_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        warm = backend.predict_batch(grid)
-        warm_seconds = time.perf_counter() - started
-        cold_iterations = sum(result.metadata["iterations"] for result in cold)
-        warm_iterations = sum(result.metadata["iterations"] for result in warm)
-        max_diff = max(
-            abs(cold_result.total_seconds - warm_result.total_seconds)
-            for cold_result, warm_result in zip(cold, warm)
-        )
-        record[name] = {
-            "cold_iterations": cold_iterations,
-            "warm_iterations": warm_iterations,
-            "cold_seconds": cold_seconds,
-            "warm_seconds": warm_seconds,
-            "max_abs_diff": max_diff,
-        }
-        # Warm starts must converge to the cold-start fixed point.  Epsilon
-        # bounds the *successive-iterate* delta, not the distance between two
-        # independently converged runs (each can sit ~delta/(1-rate) from the
-        # true fixed point), so the guard allows a small multiple; measured
-        # drift on this grid is ~8e-9, well inside one epsilon.
-        assert max_diff <= 10 * DEFAULT_EPSILON, (
-            f"{name}: warm-start totals drifted {max_diff:.2e}s from cold starts"
-        )
-        # ...in strictly fewer total iterations over the grid.
-        assert warm_iterations < cold_iterations, (
-            f"{name}: warm starts took {warm_iterations} iterations "
-            f"vs {cold_iterations} cold"
-        )
-    _emit(record)
 
 
 def test_bench_sweep_scheduler():
@@ -404,7 +346,7 @@ def test_bench_sweep_scheduler():
     assert record["cold_missing"] == points
     assert record["warm_missing"] == 0, "warm plan still reports missing points"
     assert record["warm_evaluations"] == 0, "warm scheduler re-evaluated a point"
-    assert warm.result.series("vianna") == cold.result.series("vianna")
+    assert warm.result.series("herodotou") == cold.result.series("herodotou")
 
 
 def test_bench_faulted_sweep():

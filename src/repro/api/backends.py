@@ -13,7 +13,11 @@ The registry maps short string keys to backend classes:
   value of the evaluation figures).
 
 Backends are stateless: every :meth:`PredictionBackend.predict` call builds
-its engine from the scenario alone, so instances can be shared across threads.
+its engine from the scenario alone, so instances can be shared across threads
+and a result is a pure function of (scenario, backend, backend version).
+Only the closed-form ``aria`` and ``herodotou`` backends add a vectorised
+``predict_batch``; the fixed-point and simulation backends evaluate one
+scenario at a time.
 """
 
 from __future__ import annotations
@@ -60,13 +64,11 @@ class PredictionBackend(Protocol):
 
         def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]
 
-    evaluating a whole grid in one call (vectorised arithmetic, warm-started
-    fixed points, ...).  The service dispatches suite misses to
-    ``predict_batch`` when present (see
+    evaluating a whole grid in one call (vectorised arithmetic).  The
+    service dispatches suite misses to ``predict_batch`` when present (see
     :meth:`~repro.api.service.PredictionService.evaluate_suite`); results
-    must be returned in input order and agree with per-scenario ``predict``
-    up to numerical tolerance (batch paths may reorder float reductions or
-    warm-start iterative solves).
+    must be returned in input order, and each must be bitwise equal to
+    per-scenario ``predict`` of the same scenario.
     """
 
     name: ClassVar[str]
@@ -115,63 +117,6 @@ def backend_is_cpu_bound(name: str) -> bool:
 def backend_supports_batch(name: str) -> bool:
     """Whether a registered backend implements ``predict_batch``."""
     return callable(getattr(_REGISTRY.get(name), "predict_batch", None))
-
-
-def _grid_order(scenarios: Sequence[Scenario]) -> list[int]:
-    """Indices ordering a grid so consecutive scenarios are near neighbours.
-
-    Warm-started backends seed each fixed point from the previously solved
-    scenario of the same family (workload, variability, concurrency); sorting
-    the grid axes makes that previous point the nearest already-solved grid
-    neighbour along the innermost axis.
-    """
-
-    def sort_key(index: int):
-        scenario = scenarios[index]
-        return (
-            scenario.workload,
-            scenario.duration_cv,
-            scenario.num_jobs,
-            scenario.block_size_bytes,
-            scenario.num_nodes,
-            scenario.num_reduces,
-            scenario.input_size_bytes,
-            scenario.cache_key(),
-        )
-
-    return sorted(range(len(scenarios)), key=sort_key)
-
-
-def _warm_start_family(scenario: Scenario) -> tuple:
-    """Scenarios sharing this key exchange warm-start seeds.
-
-    The seed is only a starting point — any family split is *correct* — but
-    seeding across different workloads or concurrency levels would start far
-    from the fixed point and waste iterations.
-    """
-    return (scenario.workload, scenario.duration_cv, scenario.num_jobs)
-
-
-def _scaled_seed(previous_residences, previous_input, model_input):
-    """Rescale a neighbour's converged residences to a new grid point.
-
-    Residence times grow roughly in proportion to the uncontended service
-    demands, so scaling each per-class, per-center residence by the demand
-    ratio between the two grid points lands the seed much closer to the new
-    fixed point than the raw neighbour state (measured: ~6% fewer total
-    A2–A6 iterations on a 32-node×size grid versus unscaled seeds).
-    """
-    seed = {}
-    for task_class, centers in previous_residences.items():
-        previous_demands = previous_input.demands[task_class]
-        new_demands = model_input.demands[task_class]
-        seed[task_class] = {}
-        for center, residence in centers.items():
-            previous_demand = previous_demands.demand(center)
-            if previous_demand > 0:
-                residence = residence * (new_demands.demand(center) / previous_demand)
-            seed[task_class][center] = residence
-    return seed
 
 
 def create_backend(name: str, **options) -> PredictionBackend:
@@ -251,11 +196,14 @@ class _MvaBackend:
 
     name: ClassVar[str]
     kind: ClassVar[EstimatorKind]
+    #: 2: the solver places tasks with the array timeline only and always
+    #: starts cold (totals moved by ~1e-14 from version 1's scalar path).
+    version: ClassVar[int] = 2
 
-    def _result(
-        self, scenario: Scenario, prediction, **extra_metadata
-    ) -> PredictionResult:
-        return PredictionResult(
+    def predict(self, scenario: Scenario) -> PredictionResult:
+        factor = _failure_inflation_factor(scenario, self.name)
+        prediction = Hadoop2PerformanceModel(scenario.model_input()).predict(self.kind)
+        result = PredictionResult(
             backend=self.name,
             scenario=scenario,
             total_seconds=prediction.job_response_time,
@@ -270,50 +218,9 @@ class _MvaBackend:
                 "tree_depth": prediction.tree_depth,
                 "num_leaves": prediction.num_leaves,
                 "timeline_makespan": prediction.timeline_makespan,
-                **extra_metadata,
             },
         )
-
-    def predict(self, scenario: Scenario) -> PredictionResult:
-        factor = _failure_inflation_factor(scenario, self.name)
-        model = Hadoop2PerformanceModel(scenario.model_input())
-        prediction = model.predict(self.kind)
-        return _inflate_result(self._result(scenario, prediction), factor)
-
-    def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]:
-        """Grid-ordered, warm-started evaluation of a whole sweep.
-
-        Scenarios are visited in grid order and each A1–A6 fixed point is
-        seeded with the converged residence times of the previously solved
-        scenario of the same family — the nearest already-solved grid
-        neighbour.  The fixed point (and hence the prediction) is the same as
-        the cold start's up to the solver epsilon; only the iteration count
-        shrinks (``metadata["warm_started"]`` records which points were
-        seeded).
-        """
-        factors = [
-            _failure_inflation_factor(scenario, self.name) for scenario in scenarios
-        ]
-        results: list[PredictionResult | None] = [None] * len(scenarios)
-        seeds: dict[tuple, tuple] = {}
-        for index in _grid_order(scenarios):
-            scenario = scenarios[index]
-            family = _warm_start_family(scenario)
-            model_input = scenario.model_input()
-            previous = seeds.get(family)
-            seed = (
-                _scaled_seed(previous[0], previous[1], model_input)
-                if previous is not None
-                else None
-            )
-            model = Hadoop2PerformanceModel(model_input)
-            prediction = model.predict(self.kind, initial_residences=seed)
-            seeds[family] = (model.trace(self.kind).final_residences, model_input)
-            results[index] = _inflate_result(
-                self._result(scenario, prediction, warm_started=seed is not None),
-                factors[index],
-            )
-        return results
+        return _inflate_result(result, factor)
 
 
 @register_backend("mva-forkjoin")
@@ -602,14 +509,20 @@ class ViannaBackend:
     """Vianna et al.'s slot-based Hadoop 1.x baseline model."""
 
     name: ClassVar[str]
+    #: 2: same solver change as the MVA backends (array timeline, cold start).
+    version: ClassVar[int] = 2
 
     def __init__(self, map_slots_per_node: int = 2, reduce_slots_per_node: int = 2) -> None:
         self.map_slots_per_node = map_slots_per_node
         self.reduce_slots_per_node = reduce_slots_per_node
 
-    def _result(
-        self, scenario: Scenario, prediction, **extra_metadata
-    ) -> PredictionResult:
+    def predict(self, scenario: Scenario) -> PredictionResult:
+        _decline_failures(scenario, self.name)
+        prediction = ViannaHadoop1Model(
+            scenario.model_input(),
+            map_slots_per_node=self.map_slots_per_node,
+            reduce_slots_per_node=self.reduce_slots_per_node,
+        ).predict()
         return PredictionResult(
             backend=self.name,
             scenario=scenario,
@@ -623,54 +536,8 @@ class ViannaBackend:
                 "converged": prediction.converged,
                 "map_slots_per_node": self.map_slots_per_node,
                 "reduce_slots_per_node": self.reduce_slots_per_node,
-                **extra_metadata,
             },
         )
-
-    def predict(self, scenario: Scenario) -> PredictionResult:
-        _decline_failures(scenario, self.name)
-        model = ViannaHadoop1Model(
-            scenario.model_input(),
-            map_slots_per_node=self.map_slots_per_node,
-            reduce_slots_per_node=self.reduce_slots_per_node,
-        )
-        return self._result(scenario, model.predict())
-
-    def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]:
-        """Grid-ordered sweep on the array-based solver path, warm-started.
-
-        Each point runs the Hadoop 1.x fixed point with the vectorised
-        timeline/overlap machinery of :mod:`repro.core.fast_timeline`
-        (identical placement, NumPy overlap sums) and is seeded from the
-        previously solved grid neighbour of its family — the two levers that
-        make a dense grid orders of magnitude cheaper than per-scenario
-        ``predict`` calls.
-        """
-        for scenario in scenarios:
-            _decline_failures(scenario, self.name)
-        results: list[PredictionResult | None] = [None] * len(scenarios)
-        seeds: dict[tuple, tuple] = {}
-        for index in _grid_order(scenarios):
-            scenario = scenarios[index]
-            family = _warm_start_family(scenario)
-            model = ViannaHadoop1Model(
-                scenario.model_input(),
-                map_slots_per_node=self.map_slots_per_node,
-                reduce_slots_per_node=self.reduce_slots_per_node,
-                fast_timeline=True,
-            )
-            previous = seeds.get(family)
-            seed = (
-                _scaled_seed(previous[0], previous[1], model.model_input)
-                if previous is not None
-                else None
-            )
-            prediction = model.predict(initial_residences=seed)
-            seeds[family] = (model.trace.final_residences, model.model_input)
-            results[index] = self._result(
-                scenario, prediction, warm_started=seed is not None
-            )
-        return results
 
 
 @register_backend("simulator")

@@ -39,8 +39,8 @@ expected-value inflation or decline the point as a structured failure.
 (persist results across runs through a result store; ``--store-format
 json|sqlite`` selects the engine for a new store), ``--execution
 {serial,thread,process}`` (suite fan-out strategy), ``--no-batch`` (disable
-one-call ``predict_batch`` dispatch for the batch-capable analytic
-backends), and the fault-tolerance knobs ``--retries N`` (retry transient
+one-call ``predict_batch`` dispatch for the batch-capable ``aria`` and
+``herodotou`` backends), and the fault-tolerance knobs ``--retries N`` (retry transient
 failures with exponential backoff), ``--timeout SECONDS`` (per-evaluation
 deadline) and ``--on-error {raise,skip,record}`` (partial-results contract
 for points that fail terminally).  ``sweep`` schedules through

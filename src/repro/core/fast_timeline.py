@@ -1,10 +1,12 @@
-"""Array-based timeline placement — the batched twin of :mod:`.timeline`.
+"""Array-based timeline placement — the MVA solver's A2/A3/A5 engine.
 
 :func:`build_timeline` places every task instance through a per-instance
 greedy loop (``pick_node`` scans all lanes of all nodes for each of the
-``num_maps`` map tasks), which makes the A2/A5 placement the dominant cost of
-a solver iteration once grids grow past a few dozen maps.  This module
-computes the *same placement* directly:
+``num_maps`` map tasks), which made the A2/A5 placement the dominant cost of
+a solver iteration once grids grow past a few dozen maps.  This module is
+the only placement :class:`~repro.core.mva_solver.ModifiedMVASolver` uses
+(:mod:`.timeline` and :mod:`.overlap` remain as the reference it is tested
+against), and computes the *same placement* directly:
 
 * **Maps** are provably placed in round-robin waves: with identical map
   durations, the "lowest occupancy rate" rule degenerates to node
@@ -23,8 +25,9 @@ instead of the O(entries²) Python double loop) and the full
 once per iteration, with entries identical to :func:`build_timeline`'s).
 
 Scalar-path equivalence is pinned by ``tests/test_fast_timeline.py``: the
-placement matches entry for entry (same floats), and the overlap matrices
-match to floating-point summation order.
+placement matches entry for entry (same floats), the overlap matrices
+match to floating-point summation order, and whole solves match totals
+recorded with the scalar path to 1e-12 relative, in the same iterations.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from .mva_solver import (
     DEFAULT_EPSILON,
     DEFAULT_MAX_ITERATIONS,
     ModifiedMVASolver,
-    Residences,
     SolverTrace,
 )
 from .parameters import ModelInput, TaskClass
@@ -59,14 +58,12 @@ class Hadoop2PerformanceModel:
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         balanced_tree: bool = True,
         enforce_merge_after_last_map: bool = True,
-        fast_timeline: bool = False,
     ) -> None:
         self.model_input = model_input
         self.epsilon = epsilon
         self.max_iterations = max_iterations
         self.balanced_tree = balanced_tree
         self.enforce_merge_after_last_map = enforce_merge_after_last_map
-        self.fast_timeline = fast_timeline
         self._traces: dict[EstimatorKind, SolverTrace] = {}
 
     def _solver(self, estimator: EstimatorKind | str) -> ModifiedMVASolver:
@@ -76,27 +73,18 @@ class Hadoop2PerformanceModel:
             max_iterations=self.max_iterations,
             balanced_tree=self.balanced_tree,
             enforce_merge_after_last_map=self.enforce_merge_after_last_map,
-            fast_timeline=self.fast_timeline,
         )
 
     def predict(
         self,
         estimator: EstimatorKind | str = EstimatorKind.FORK_JOIN,
         initial_response_times: dict[TaskClass, float] | None = None,
-        initial_residences: Residences | None = None,
     ) -> PredictionResult:
-        """Estimate the average job response time with one estimator.
-
-        ``initial_residences`` warm-starts the solver from a neighbouring
-        solve's converged state (see :meth:`ModifiedMVASolver.solve`); the
-        converged state of this solve is available through :meth:`trace`.
-        """
+        """Estimate the average job response time with one estimator."""
         if isinstance(estimator, str):
             estimator = EstimatorKind(estimator)
         solver = self._solver(estimator)
-        trace = solver.solve(
-            self.model_input, initial_response_times, initial_residences
-        )
+        trace = solver.solve(self.model_input, initial_response_times)
         self._traces[estimator] = trace
         if trace.final_tree is None or trace.final_timeline is None:
             raise ModelError("solver finished without producing a tree")

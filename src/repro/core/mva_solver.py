@@ -4,8 +4,9 @@ Each iteration:
 
 * **A2** rebuilds the timeline of one job from the current per-class,
   per-center residence-time estimates (initially the uncontended service
-  demands or the Herodotou/profile seeds);
-* **A3** computes the intra-/inter-job overlap factors from that timeline;
+  demands or the Herodotou/profile seeds), with the array placement of
+  :func:`~repro.core.fast_timeline.place_tasks`;
+* **A3** computes the intra-/inter-job overlap factors from that placement;
 * **A4** solves the closed queueing network with the overlap-weighted
   approximate MVA, producing new per-class residence and response times;
 * **A5** rebuilds the timeline and precedence tree with the new estimates and
@@ -14,6 +15,10 @@ Each iteration:
 * **A6** compares the new job response time against the previous iteration's
   value; the loop stops when the change is below ``epsilon`` (1e-7 by
   default, the value the paper recommends).
+
+Every solve starts from the scenario's own seed, so a solve is a pure
+function of its :class:`~repro.core.parameters.ModelInput` (and the optional
+per-class seed response times).
 """
 
 from __future__ import annotations
@@ -28,12 +33,15 @@ from ..queueing.network import ClosedNetwork
 from ..queueing.service_center import CenterKind, ServiceCenter, ServiceDemand
 from .estimators import EstimatorKind, create_estimator
 from .fast_timeline import place_tasks
-from .overlap import compute_overlap_factors
 from .parameters import ModelInput, ServiceCenterName, TaskClass
 from .precedence.builder import build_precedence_tree
 from .precedence.metrics import tree_depth
 from .precedence.tree import PrecedenceNode
-from .timeline import Timeline, build_timeline
+from .timeline import Timeline
+
+# Unused here; kept resolvable because perfbench/tracing.py wraps them on this module.
+from .overlap import compute_overlap_factors  # noqa: F401
+from .timeline import build_timeline  # noqa: F401
 
 #: Per-class, per-center residence times — the solver's iterated state.
 Residences = dict[TaskClass, dict[ServiceCenterName, float]]
@@ -66,9 +74,6 @@ class SolverTrace:
     final_timeline: Timeline | None = None
     final_tree: PrecedenceNode | None = None
     final_overlaps: OverlapFactors | None = None
-    #: Converged per-class, per-center residence times — the state a
-    #: neighbouring grid point can be warm-started from.
-    final_residences: Residences | None = None
 
     @property
     def num_iterations(self) -> int:
@@ -100,7 +105,6 @@ class ModifiedMVASolver:
         max_iterations: int = DEFAULT_MAX_ITERATIONS,
         balanced_tree: bool = True,
         enforce_merge_after_last_map: bool = True,
-        fast_timeline: bool = False,
     ) -> None:
         if epsilon <= 0:
             raise ModelError("epsilon must be positive")
@@ -111,12 +115,6 @@ class ModifiedMVASolver:
         self.max_iterations = max_iterations
         self.balanced_tree = balanced_tree
         self.enforce_merge_after_last_map = enforce_merge_after_last_map
-        #: Use the array-based placement of :mod:`repro.core.fast_timeline`
-        #: for A2/A3 (vectorised overlap factors) and A5.  The placement is
-        #: identical to :func:`build_timeline`'s; only the overlap matrices
-        #: differ, at floating-point summation order.  Default off so the
-        #: scalar paths stay bit-for-bit unchanged.
-        self.fast_timeline = fast_timeline
 
     # -- building blocks -----------------------------------------------------------
 
@@ -200,7 +198,7 @@ class ModifiedMVASolver:
         merge_duration = sum(residences[TaskClass.MERGE].values())
         remote_fraction = self._expected_remote_fraction(model_input)
         if remote_fraction > 0:
-            # ``build_timeline`` expects the time to fetch the *entire* input
+            # Algorithm 1 expects the time to fetch the *entire* input
             # remotely and scales it by the actual remote-map fraction; the
             # residence time corresponds to the expected remote portion.
             shuffle_network_full = shuffle_network / remote_fraction
@@ -208,26 +206,8 @@ class ModifiedMVASolver:
             shuffle_network_full = 0.0
         return map_duration, shuffle_base, shuffle_network_full, merge_duration
 
-    def _build_timeline(
-        self,
-        model_input: ModelInput,
-        residences: Residences,
-    ) -> Timeline:
-        """Timeline from the current per-class per-center residence times."""
-        map_duration, shuffle_base, shuffle_network_full, merge_duration = (
-            self._timeline_durations(model_input, residences)
-        )
-        return build_timeline(
-            model_input,
-            map_duration=map_duration,
-            shuffle_sort_base_duration=shuffle_base,
-            shuffle_network_duration=shuffle_network_full,
-            merge_duration=merge_duration,
-            enforce_merge_after_last_map=self.enforce_merge_after_last_map,
-        )
-
     def _place_tasks(self, model_input: ModelInput, residences: Residences):
-        """Array-based placement for the fast-timeline mode (same inputs as A2)."""
+        """Algorithm 1 placement from the current per-class per-center residences."""
         map_duration, shuffle_base, shuffle_network_full, merge_duration = (
             self._timeline_durations(model_input, residences)
         )
@@ -278,13 +258,13 @@ class ModifiedMVASolver:
         drain_time = container_seconds / pool_size
         return 0.5 * (model_input.num_jobs - 1) * drain_time
 
-    def _initial_residences(
+    def _seed_residences(
         self,
         model_input: ModelInput,
         initial_response_times: dict[TaskClass, float] | None,
-    ) -> dict[TaskClass, dict[ServiceCenterName, float]]:
+    ) -> Residences:
         """Split the seed response times over the centers proportionally to demand."""
-        residences: dict[TaskClass, dict[ServiceCenterName, float]] = {}
+        residences: Residences = {}
         for task_class in TaskClass.ordered():
             demands = model_input.demands[task_class]
             total_demand = demands.total_seconds
@@ -308,28 +288,13 @@ class ModifiedMVASolver:
         self,
         model_input: ModelInput,
         initial_response_times: dict[TaskClass, float] | None = None,
-        initial_residences: Residences | None = None,
     ) -> SolverTrace:
         """Run the modified MVA iteration and return its full trace.
 
-        ``initial_residences`` seeds A1 with explicit per-class, per-center
-        residence times — typically the :attr:`SolverTrace.final_residences`
-        of a neighbouring, already-solved grid point (warm start).  It takes
-        precedence over ``initial_response_times`` (which only provides
-        per-class totals, split over the centers proportionally to demand).
-        The fixed point reached is the same either way; a good seed merely
-        needs fewer A2–A6 iterations to get there.
+        ``initial_response_times`` seeds A1 with per-class totals (e.g. the
+        Herodotou estimates), split over the centers proportionally to
+        demand; classes without a seed start from the model input's own.
         """
-        if initial_residences is not None:
-            for task_class in TaskClass.ordered():
-                centers = initial_residences.get(task_class)
-                if centers is None:
-                    raise ModelError(
-                        f"initial residences missing class {task_class.value!r}"
-                    )
-                for center in ServiceCenterName.ordered():
-                    if centers.get(center, 0.0) < 0:
-                        raise ModelError("initial residences must be non-negative")
         trace = SolverTrace()
         network = self._build_network(model_input)
         cv_by_class = {
@@ -349,25 +314,15 @@ class ModifiedMVASolver:
         }
 
         # A1: initialise residence times (per center) from the seed values.
-        if initial_residences is not None:
-            residences = {
-                task_class: {
-                    center: float(initial_residences[task_class].get(center, 0.0))
-                    for center in ServiceCenterName.ordered()
-                }
-                for task_class in TaskClass.ordered()
-            }
-        else:
-            residences = self._initial_residences(model_input, initial_response_times)
+        residences = self._seed_residences(model_input, initial_response_times)
+        # A2 of the first iteration; every later A2 places the same residences
+        # as the previous A5, so it reuses that placement.
+        placement = self._place_tasks(model_input, residences)
         previous_estimate: float | None = None
 
         for index in range(1, self.max_iterations + 1):
-            # A2/A3: overlap factors from the timeline of the current estimates.
-            if self.fast_timeline:
-                overlaps = self._place_tasks(model_input, residences).overlap_factors()
-            else:
-                timeline = self._build_timeline(model_input, residences)
-                overlaps = compute_overlap_factors(timeline)
+            # A3: overlap factors from the timeline of the current estimates.
+            overlaps = placement.overlap_factors()
             scaled = self._scaled_overlaps(overlaps, model_input)
             # A4: overlap-weighted MVA.
             solution = solve_mva_with_overlaps(
@@ -391,12 +346,8 @@ class ModifiedMVASolver:
                 for task_class in TaskClass.ordered()
             }
             # A5: response time over the rebuilt tree.
-            if self.fast_timeline:
-                updated_timeline = self._place_tasks(
-                    model_input, residences
-                ).to_timeline()
-            else:
-                updated_timeline = self._build_timeline(model_input, residences)
+            placement = self._place_tasks(model_input, residences)
+            updated_timeline = placement.to_timeline()
             tree = build_precedence_tree(
                 updated_timeline,
                 coefficient_of_variation=cv_by_class,
@@ -427,7 +378,6 @@ class ModifiedMVASolver:
             trace.final_timeline = updated_timeline
             trace.final_tree = tree
             trace.final_overlaps = overlaps
-            trace.final_residences = residences
             if previous_estimate is not None and delta <= self.epsilon:
                 trace.converged = True
                 break

@@ -19,8 +19,8 @@ cluster?"; this package answers the question operators actually ask —
 
 Plans compose with the rest of the API: probes are evaluated through the
 :class:`~repro.api.service.PredictionService` and
-:class:`~repro.api.sweep.SweepScheduler`, so a store-backed planner caches,
-resumes, and warm-starts exactly like a sweep, and the resulting
+:class:`~repro.api.sweep.SweepScheduler`, so a store-backed planner caches
+and resumes exactly like a sweep, and the resulting
 :class:`~repro.plan.report.PlanReport` replays bit-identically from the
 spec's seed.
 """

@@ -13,9 +13,9 @@ The :class:`CapacityPlanner` inverts the prediction service.  Given a
    (endpoints always included) are crossed into a batch and evaluated as
    one :class:`~repro.api.scenario.ScenarioSuite` through the
    :class:`~repro.api.sweep.SweepScheduler` — so cached points replay from
-   the result store, batch-capable backends (MVA) evaluate the whole round
-   in one warm-started ``predict_batch`` call, and an interrupted plan
-   resumes exactly like an interrupted sweep.
+   the result store, batch-capable backends (``aria``, ``herodotou``)
+   evaluate the whole round in one ``predict_batch`` call, and an
+   interrupted plan resumes exactly like an interrupted sweep.
 3. **Surrogate (optional)** — a per-slice interpolant fitted on the coarse
    probes nominates promising unevaluated candidates; the real backend
    evaluates every nomination before it can lead.

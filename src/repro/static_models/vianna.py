@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.estimators import EstimatorKind, ForkJoinEstimator
-from ..core.mva_solver import ModifiedMVASolver, Residences, SolverTrace
+from ..core.mva_solver import ModifiedMVASolver, SolverTrace
 from ..core.parameters import ModelInput, TaskClass
 from ..exceptions import ConfigurationError, ModelError
 
@@ -46,7 +46,6 @@ class ViannaHadoop1Model:
         reduce_slots_per_node: int = 2,
         epsilon: float = 1e-7,
         max_iterations: int = 60,
-        fast_timeline: bool = False,
     ) -> None:
         if map_slots_per_node <= 0 or reduce_slots_per_node <= 0:
             raise ConfigurationError("slot counts must be positive")
@@ -61,21 +60,12 @@ class ViannaHadoop1Model:
             estimator=ForkJoinEstimator(literal=True),
             epsilon=epsilon,
             max_iterations=max_iterations,
-            fast_timeline=fast_timeline,
         )
         self._trace: SolverTrace | None = None
 
-    def predict(
-        self, initial_residences: Residences | None = None
-    ) -> ViannaPrediction:
-        """Estimate the average job response time with the Hadoop 1.x model.
-
-        ``initial_residences`` warm-starts the solver from a neighbouring
-        solve's converged state (see :meth:`ModifiedMVASolver.solve`).
-        """
-        trace = self._solver.solve(
-            self.model_input, initial_residences=initial_residences
-        )
+    def predict(self) -> ViannaPrediction:
+        """Estimate the average job response time with the Hadoop 1.x model."""
+        trace = self._solver.solve(self.model_input)
         self._trace = trace
         return ViannaPrediction(
             job_response_time=trace.job_response_time,

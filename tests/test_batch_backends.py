@@ -1,16 +1,13 @@
-"""Batch-path tests: ``predict_batch`` equivalence, warm starts, dispatch.
+"""Batch-path tests: ``predict_batch`` equivalence and dispatch.
 
-Three layers are pinned down:
+Two layers are pinned down:
 
-* every batch-capable backend returns the same numbers as its scalar
-  ``predict`` (bit-equal for the vectorised static models, tolerance-equal
-  for the warm-started iterative solvers);
+* only the closed-form backends (``aria``, ``herodotou``) are batch-capable,
+  and their ``predict_batch`` is bit-equal to per-scenario ``predict``;
 * the service's suite evaluation dispatches misses to ``predict_batch``,
   falls back per scenario when batching is disabled (or useless), and counts
   everything in :meth:`~repro.api.PredictionService.stats` without dropping
-  concurrent increments;
-* MVA grid warm-starting needs fewer A2–A6 iterations than cold starts while
-  converging to the same totals.
+  concurrent increments.
 """
 
 from __future__ import annotations
@@ -27,12 +24,11 @@ from repro.api import (
     backend_supports_batch,
     create_backend,
 )
-from repro.core.mva_solver import DEFAULT_EPSILON
 from repro.exceptions import BackendError
 from repro.units import megabytes
 
-#: Batch-capable backends (everything except the simulator).
-BATCH_BACKENDS = ("aria", "herodotou", "mva-forkjoin", "mva-tripathi", "vianna")
+#: Batch-capable backends: the vectorised closed-form models.
+BATCH_BACKENDS = ("aria", "herodotou")
 
 BASE = Scenario(
     workload="wordcount",
@@ -56,22 +52,15 @@ GRID = ScenarioSuite(
     ),
 )
 
-#: Multi-job grid where cold solves need many iterations (warm-start headroom).
-MULTI_JOB_GRID = [
-    BASE.with_updates(num_jobs=2, num_nodes=nodes, input_size_bytes=size)
-    for nodes in (2, 3)
-    for size in (megabytes(256), megabytes(512), megabytes(768), megabytes(1024))
-]
-
 
 class TestBatchCapability:
     def test_simulator_has_no_batch_path(self):
         assert not backend_supports_batch("simulator")
         assert not backend_supports_batch("no-such-backend")
 
-    @pytest.mark.parametrize("name", BATCH_BACKENDS)
-    def test_analytic_backends_are_batch_capable(self, name):
-        assert backend_supports_batch(name)
+    def test_only_the_closed_form_backends_are_batch_capable(self):
+        capable = [name for name in backend_names() if backend_supports_batch(name)]
+        assert tuple(capable) == BATCH_BACKENDS
 
 
 class TestBatchScalarEquivalence:
@@ -81,22 +70,13 @@ class TestBatchScalarEquivalence:
         scalar = [backend.predict(scenario) for scenario in GRID.scenarios]
         batch = backend.predict_batch(list(GRID.scenarios))
         assert len(batch) == len(scalar)
-        # Warm-started iterative backends may drift up to the documented
-        # 10*epsilon bound from the cold fixed point (see TestWarmStart);
-        # the abs term keeps this consistent with that bound.
         for reference, result in zip(scalar, batch):
             assert result.backend == name
             assert result.scenario == reference.scenario
-            assert result.total_seconds == pytest.approx(
-                reference.total_seconds, rel=1e-9, abs=10 * DEFAULT_EPSILON
-            )
-            assert set(result.phases) == set(reference.phases)
-            for phase, seconds in reference.phases.items():
-                assert result.phases[phase] == pytest.approx(
-                    seconds, rel=1e-9, abs=10 * DEFAULT_EPSILON
-                )
+            assert result.total_seconds == reference.total_seconds
+            assert result.phases == reference.phases
 
-    @pytest.mark.parametrize("name", ["aria", "herodotou"])
+    @pytest.mark.parametrize("name", BATCH_BACKENDS)
     def test_vectorised_static_models_are_bit_equal(self, name):
         backend = create_backend(name)
         scalar = [backend.predict(scenario) for scenario in GRID.scenarios]
@@ -113,39 +93,7 @@ class TestBatchScalarEquivalence:
         scalar = PredictionService(backends=[backend], batch=False).evaluate_suite(
             suite, [backend]
         )
-        for batched_value, scalar_value in zip(
-            batched.series(backend), scalar.series(backend)
-        ):
-            assert batched_value == pytest.approx(
-                scalar_value, rel=1e-9, abs=10 * DEFAULT_EPSILON
-            )
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("name", ["mva-forkjoin", "mva-tripathi", "vianna"])
-    def test_warm_start_reduces_iterations_and_preserves_totals(self, name):
-        backend = create_backend(name)
-        cold = [backend.predict(scenario) for scenario in MULTI_JOB_GRID]
-        warm = backend.predict_batch(MULTI_JOB_GRID)
-        cold_iterations = sum(result.metadata["iterations"] for result in cold)
-        warm_iterations = sum(result.metadata["iterations"] for result in warm)
-        assert warm_iterations < cold_iterations
-        assert any(result.metadata["warm_started"] for result in warm)
-        # Epsilon bounds successive iterates, not the distance between two
-        # independently converged runs — hence the small multiple.
-        for reference, result in zip(cold, warm):
-            assert result.total_seconds == pytest.approx(
-                reference.total_seconds, abs=10 * DEFAULT_EPSILON
-            )
-
-    def test_first_point_of_each_family_is_cold(self):
-        backend = create_backend("mva-forkjoin")
-        scenarios = [BASE, BASE.with_updates(workload="terasort")]
-        results = backend.predict_batch(scenarios)
-        assert [result.metadata["warm_started"] for result in results] == [
-            False,
-            False,
-        ]
+        assert batched.series(backend) == scalar.series(backend)
 
 
 class TestServiceBatchDispatch:
@@ -209,8 +157,8 @@ class TestServiceBatchDispatch:
         suite = ScenarioSuite("grid", GRID.scenarios[:4])
         reference = None
         for mode in ("serial", "thread", "process"):
-            service = PredictionService(backends=["vianna"], execution=mode)
-            series = service.evaluate_suite(suite, ["vianna"]).series("vianna")
+            service = PredictionService(backends=["aria"], execution=mode)
+            series = service.evaluate_suite(suite, ["aria"]).series("aria")
             assert service.stats().batch_calls == 1
             if reference is None:
                 reference = series

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.backends import create_backend
 from repro.api.dashboard import DASHBOARD_BACKENDS, failure_grid, run_dashboard
-from repro.api.scenario import Scenario
+from repro.api.scenario import Scenario, ScenarioSuite
 from repro.api.service import PredictionService
 from repro.config import FailureSpec
 from repro.exceptions import BackendCapabilityError, ConfigurationError
@@ -342,10 +342,19 @@ class TestGracefulDegradation:
         backend.predict(base_scenario())  # clean is still served
         with pytest.raises(BackendCapabilityError):
             backend.predict(base_scenario(failures=self.FAULTED))
-        with pytest.raises(BackendCapabilityError):
-            backend.predict_batch(
-                [base_scenario(), base_scenario(failures=self.FAULTED)]
-            )
+        # Through a suite the faulted point is declined cell by cell, and the
+        # clean one beside it is still answered.
+        suite = ScenarioSuite(
+            "mixed", (base_scenario(), base_scenario(failures=self.FAULTED))
+        )
+        clean, faulted = (
+            PredictionService(backends=["vianna"])
+            .evaluate_suite(suite, ["vianna"], on_error="record")
+            .rows
+        )
+        assert clean["vianna"].ok
+        assert not faulted["vianna"].ok
+        assert faulted["vianna"].error_type == "BackendCapabilityError"
 
     def test_simulator_reports_failure_counters_in_metadata(self):
         backend = create_backend("simulator")

@@ -1,19 +1,24 @@
 """Equivalence tests: array-based placement vs. the scalar timeline path.
 
-The batched backends rely on :mod:`repro.core.fast_timeline` producing the
-*same placement* as :func:`repro.core.timeline.build_timeline` (Algorithm 1)
+The MVA solver places tasks only through :mod:`repro.core.fast_timeline`,
+which must produce the *same placement* as
+:func:`repro.core.timeline.build_timeline` (Algorithm 1, kept as the oracle)
 and overlap factors equal to :func:`repro.core.overlap.compute_overlap_factors`
 up to floating-point summation order.  These tests sweep the parameter space
 (cluster shapes, task counts, slow start, merge enforcement, degenerate
-durations) and compare entry for entry.
+durations) and compare entry for entry.  Whole solves are pinned against
+totals recorded with the scalar path (``tests/data/golden_mva_paper.json``).
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core import EstimatorKind, ModifiedMVASolver
+from repro.api import Scenario, create_backend
 from repro.core.fast_timeline import place_tasks
 from repro.core.overlap import compute_overlap_factors
 from repro.core.parameters import ModelInput, TaskClass, TaskClassDemands
@@ -37,6 +42,10 @@ DURATIONS = [
     (1e-3, 40.0, 0.1, 7.0),
     (12.5, 0.0, 9.0, 0.0),
 ]
+
+#: MVA-family totals and iteration counts recorded with the scalar path.
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_mva_paper.json"
+GOLDEN_POINTS = json.loads(GOLDEN_PATH.read_text())["points"]
 
 
 def make_input(num_nodes, max_maps, max_reduces, num_maps, num_reduces, slow_start):
@@ -114,53 +123,15 @@ class TestPlacementEquivalence:
         assert placement.map_starts().shape == (14,)
 
 
-class TestFastSolverMode:
-    @pytest.mark.parametrize("num_jobs", [1, 2])
-    @pytest.mark.parametrize("kind", [EstimatorKind.FORK_JOIN, EstimatorKind.TRIPATHI])
-    def test_fast_mode_matches_scalar_solve(self, num_jobs, kind):
-        demands = {
-            TaskClass.MAP: TaskClassDemands(cpu_seconds=8.0, disk_seconds=3.0),
-            TaskClass.SHUFFLE_SORT: TaskClassDemands(
-                cpu_seconds=0.0, disk_seconds=2.0, network_seconds=6.0
-            ),
-            TaskClass.MERGE: TaskClassDemands(cpu_seconds=5.0, disk_seconds=2.5),
-        }
-        model_input = ModelInput(
-            num_nodes=4,
-            max_maps_per_node=4,
-            max_reduces_per_node=2,
-            num_maps=24,
-            num_reduces=8,
-            num_jobs=num_jobs,
-            demands=demands,
+class TestSolverGolden:
+    @pytest.mark.parametrize(
+        "point", GOLDEN_POINTS, ids=[f"paper-{p['paper_index']}" for p in GOLDEN_POINTS]
+    )
+    @pytest.mark.parametrize("name", ["mva-forkjoin", "mva-tripathi", "vianna"])
+    def test_solve_matches_the_scalar_path_golden(self, point, name):
+        expected = point["backends"][name]
+        result = create_backend(name).predict(Scenario.from_dict(point["scenario"]))
+        assert result.metadata["iterations"] == expected["iterations"]
+        assert result.total_seconds == pytest.approx(
+            expected["total_seconds"], rel=1e-12, abs=0.0
         )
-        scalar = ModifiedMVASolver(estimator=kind).solve(model_input)
-        fast = ModifiedMVASolver(estimator=kind, fast_timeline=True).solve(model_input)
-        assert fast.converged == scalar.converged
-        assert fast.job_response_time == pytest.approx(
-            scalar.job_response_time, rel=1e-9
-        )
-        for task_class in TaskClass.ordered():
-            assert fast.class_response_times[task_class] == pytest.approx(
-                scalar.class_response_times[task_class], rel=1e-9
-            )
-        assert fast.final_residences is not None
-
-    def test_warm_start_reaches_same_fixed_point(self):
-        model_input = make_input(4, 4, 2, 24, 8, True)
-        solver = ModifiedMVASolver()
-        cold = solver.solve(model_input)
-        warm = solver.solve(model_input, initial_residences=cold.final_residences)
-        assert warm.job_response_time == pytest.approx(
-            cold.job_response_time, abs=solver.epsilon
-        )
-        # Seeding with the converged state itself needs the minimum number of
-        # iterations (one to confirm, one for the convergence test).
-        assert warm.num_iterations <= max(2, cold.num_iterations)
-
-    def test_warm_start_rejects_missing_class(self):
-        model_input = make_input(2, 2, 2, 4, 2, True)
-        with pytest.raises(ModelError, match="missing class"):
-            ModifiedMVASolver().solve(
-                model_input, initial_residences={TaskClass.MAP: {}}
-            )
