@@ -10,8 +10,9 @@ Three machine-readable ``BENCH_FABRIC {json}`` lines per run:
   ``time.sleep``, so the ratio measures the fabric's parallelism, not CPU
   contention, and is load-robust in a way CPU-bound ratios are not.
 * ``sqlite_cold_open`` — a fresh store object bulk-probes a store of 10k
-  records (1k in smoke mode): the single-file SQLite engine must beat the
-  sharded-JSON engine's listdir-plus-parse probe (asserted in full mode).
+  records (1k in smoke mode) with the single-file SQLite engine and the
+  sharded-JSON engine's listdir-plus-parse probe; both must return the same
+  records, and their wall-clocks are reported, not compared.
 * ``store_gc`` — one TTL/compaction pass per engine over a half-expired
   store; purge counts are asserted, the wall-clock is reported.
 
@@ -204,6 +205,7 @@ def test_bench_sqlite_cold_open(tmp_path):
         (f"bench-point-{i * step:06d}", "herodotou", None) for i in range(probes)
     ]
     probe_seconds = {}
+    found_by_format = {}
     for fmt, cls in stores.items():
         cold = cls(tmp_path / fmt)  # a brand-new object: nothing indexed yet
         started = time.perf_counter()
@@ -211,6 +213,8 @@ def test_bench_sqlite_cold_open(tmp_path):
         probe_seconds[fmt] = time.perf_counter() - started
         assert len(found) == probes
         assert found[(points[0][0], "herodotou")] == expected
+        found_by_format[fmt] = found
+    assert found_by_format["sqlite"] == found_by_format["json"]
     record = {
         "bench": "sqlite_cold_open",
         "records": records,
@@ -227,11 +231,6 @@ def test_bench_sqlite_cold_open(tmp_path):
     }
     print()
     _emit(record)
-    if not _smoke_mode():
-        assert probe_seconds["sqlite"] < probe_seconds["json"], (
-            f"sqlite cold probe ({probe_seconds['sqlite']:.3f}s) not faster than "
-            f"sharded-JSON ({probe_seconds['json']:.3f}s) over {records} records"
-        )
 
 
 def _backdate_half(store_path, fmt: str, count: int) -> int:

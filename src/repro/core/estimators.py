@@ -122,23 +122,41 @@ class ForkJoinEstimator(ResponseTimeEstimator):
 
 
 class TripathiEstimator(ResponseTimeEstimator):
-    """Tripathi-based estimator (paper Section 4.2.4, option 1)."""
+    """Tripathi-based estimator (paper Section 4.2.4, option 1).
+
+    Each fold keeps a table of the P-node maxima it has computed, keyed by
+    the ``(left, right)`` child distributions.  A balanced P-subtree over
+    identical map chains combines the same pair at every level, so the
+    table turns most :func:`maximum_of` quadratures into a lookup.  The
+    distributions are frozen value types and :func:`maximum_of` is a pure
+    function of them, so a hit returns exactly what the call would.  The
+    table lives for one :meth:`estimate_node` call only: nothing survives
+    across calls, and a result depends on its tree alone.
+    """
 
     kind = EstimatorKind.TRIPATHI
 
-    def _node_distribution(self, node: PrecedenceNode) -> ResponseTimeDistribution:
+    def _node_distribution(
+        self,
+        node: PrecedenceNode,
+        maxima: dict[tuple, ResponseTimeDistribution],
+    ) -> ResponseTimeDistribution:
         if isinstance(node, LeafNode):
             return fit_distribution(
                 node.mean_response_time, node.coefficient_of_variation
             )
-        left = self._node_distribution(node.left)
-        right = self._node_distribution(node.right)
+        left = self._node_distribution(node.left, maxima)
+        right = self._node_distribution(node.right, maxima)
         if node.operator is OperatorKind.SERIAL:
             return sum_of([left, right])
-        return maximum_of([left, right])
+        key = (left, right)
+        maximum = maxima.get(key)
+        if maximum is None:
+            maximum = maxima[key] = maximum_of([left, right])
+        return maximum
 
     def estimate_node(self, node: PrecedenceNode) -> NodeEstimate:
-        distribution = self._node_distribution(node)
+        distribution = self._node_distribution(node, {})
         return NodeEstimate(
             mean=distribution.mean,
             coefficient_of_variation=distribution.coefficient_of_variation,

@@ -128,6 +128,8 @@ class ErlangDistribution(ResponseTimeDistribution):
     def __post_init__(self) -> None:
         if self.shape < 1:
             raise DistributionError("Erlang shape must be >= 1")
+        if not math.isfinite(self.rate):
+            raise DistributionError(f"Erlang rate must be finite, got {self.rate}")
         if self.rate <= 0:
             raise DistributionError("Erlang rate must be positive")
 
@@ -160,6 +162,12 @@ class HyperexponentialDistribution(ResponseTimeDistribution):
 
     def __post_init__(self) -> None:
         p1, p2 = self.probabilities
+        if not all(map(math.isfinite, self.rates)):
+            raise DistributionError(f"branch rates must be finite, got {self.rates}")
+        if not all(map(math.isfinite, self.probabilities)):
+            raise DistributionError(
+                f"branch probabilities must be finite, got {self.probabilities}"
+            )
         if not math.isclose(p1 + p2, 1.0, rel_tol=0, abs_tol=1e-9):
             raise DistributionError("branch probabilities must sum to 1")
         if min(p1, p2) < 0:
@@ -196,6 +204,10 @@ def fit_distribution(mean: float, cv: float) -> ResponseTimeDistribution:
     two-branch balanced-means hyperexponential when ``CV > 1``.  A mean of
     zero or a CV of (almost) zero yields a deterministic distribution.
     """
+    if not math.isfinite(mean):
+        raise DistributionError(f"mean must be finite, got {mean}")
+    if not math.isfinite(cv):
+        raise DistributionError(f"CV must be finite, got {cv}")
     if mean < 0:
         raise DistributionError(f"mean must be non-negative, got {mean}")
     if cv < 0:
@@ -218,6 +230,10 @@ def fit_distribution(mean: float, cv: float) -> ResponseTimeDistribution:
 
 def fit_from_moments(mean: float, variance: float) -> ResponseTimeDistribution:
     """Fit a distribution from mean and variance (helper on top of :func:`fit_distribution`)."""
+    if not math.isfinite(mean):
+        raise DistributionError(f"mean must be finite, got {mean}")
+    if not math.isfinite(variance):
+        raise DistributionError(f"variance must be finite, got {variance}")
     if variance < 0:
         variance = 0.0
     if mean <= 0:
@@ -235,7 +251,9 @@ def _erlang_cdf_batch(
     partial sums of all distributions advance through one shared recurrence
     (``term_n = term_{n-1} * x / n``) up to the largest shape; rows whose
     shape is already exhausted stop accumulating, so each row performs exactly
-    the arithmetic of the scalar per-distribution loop.
+    the arithmetic of the scalar per-distribution loop.  ``term`` and
+    ``total`` are updated in place, so a step allocates no grid-sized
+    temporaries.
 
     A partial sum can only overflow once ``x`` is in the several-hundreds
     (the peak term ``x^n / n!`` needs ``x`` ~> 700 to exceed float range), so
@@ -248,9 +266,9 @@ def _erlang_cdf_batch(
     term = np.ones_like(x)
     with np.errstate(invalid="ignore", over="ignore"):
         for n in range(1, int(shapes.max())):
-            term = term * x / n
-            active = (n < shapes)[:, None]
-            total = np.where(active, total + term, total)
+            np.multiply(term, x, out=term)
+            np.divide(term, n, out=term)
+            np.add(total, term, out=total, where=(n < shapes)[:, None])
         result = 1.0 - np.exp(-x) * total
     overflowed = ~np.isfinite(total)
     if overflowed.any():

@@ -15,6 +15,7 @@ from repro.queueing.distributions import (
     ErlangDistribution,
     HyperexponentialDistribution,
     _batched_cdf,
+    _erlang_cdf_batch,
     _integration_grid,
     fit_distribution,
     fit_from_moments,
@@ -49,6 +50,29 @@ def _scalar_cdf(distribution, t: float) -> float:
         )
         return min(max(result, 0.0), 1.0)
     raise AssertionError(f"unexpected distribution {distribution!r}")
+
+
+def _where_erlang_cdf_batch(shapes, rates, times):
+    """Frozen copy of the batch recurrence before it ran in place.
+
+    Each step built ``term * x / n`` and ``np.where(active, total + term,
+    total)`` as temporaries; the in-place kernel must match it bit for bit.
+    """
+    x = np.clip(rates[:, None] * times[None, :], 0.0, None)
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(1, int(shapes.max())):
+            term = term * x / n
+            active = (n < shapes)[:, None]
+            total = np.where(active, total + term, total)
+        result = 1.0 - np.exp(-x) * total
+    overflowed = ~np.isfinite(total)
+    if overflowed.any():
+        shape_grid = np.broadcast_to(shapes[:, None].astype(float), x.shape)
+        z = (x[overflowed] - shape_grid[overflowed]) / np.sqrt(shape_grid[overflowed])
+        result[overflowed] = [0.5 * (1.0 + math.erf(value / math.sqrt(2.0))) for value in z]
+    return np.clip(result, 0.0, 1.0)
 
 
 def _scalar_maximum_of(distributions):
@@ -87,12 +111,26 @@ class TestErlang:
         with pytest.raises(DistributionError):
             ErlangDistribution(shape=1, rate=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        with pytest.raises(DistributionError, match="rate must be finite"):
+            ErlangDistribution(shape=2, rate=bad)
+
 
 class TestHyperexponential:
     def test_moments_and_cv_above_one(self):
         hyper = HyperexponentialDistribution(probabilities=(0.8, 0.2), rates=(2.0, 0.25))
         assert hyper.mean == pytest.approx(0.8 / 2.0 + 0.2 / 0.25)
         assert hyper.coefficient_of_variation > 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, bad):
+        with pytest.raises(DistributionError, match="rates must be finite"):
+            HyperexponentialDistribution(probabilities=(0.5, 0.5), rates=(bad, 1.0))
+
+    def test_non_finite_probability_rejected(self):
+        with pytest.raises(DistributionError, match="probabilities must be finite"):
+            HyperexponentialDistribution(probabilities=(math.nan, 0.5), rates=(1.0, 1.0))
 
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(DistributionError):
@@ -132,6 +170,18 @@ class TestFitDistribution:
             fit_distribution(-1.0, 0.5)
         with pytest.raises(DistributionError):
             fit_distribution(1.0, -0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(DistributionError, match="mean must be finite"):
+            fit_distribution(bad, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_cv_rejected(self, bad):
+        # A NaN CV used to reach the hyperexponential branch and fail there
+        # with a misleading "probabilities must sum to 1".
+        with pytest.raises(DistributionError, match="CV must be finite"):
+            fit_distribution(1.0, bad)
 
     @given(
         mean=st.floats(min_value=0.1, max_value=1e4),
@@ -227,6 +277,17 @@ class TestVectorizedEquivalence:
         assert cdf[2] == pytest.approx(1.0, abs=1e-9)  # far above the mean
         assert np.all(np.isfinite(cdf))
 
+    def test_in_place_recurrence_matches_where_recurrence(self):
+        # Mixed shapes in one batch; the shape-2000 row reaches x = 800, past
+        # the ~750 where its partial sum overflows into the normal fallback.
+        shapes = np.array([1, 7, 100, 500, 2000])
+        rates = np.array([0.3, 1.1, 2.5, 4.0, 1.0])
+        times = np.linspace(0.0, 800.0, 1601)
+        peak_log_term = max(n * math.log(800.0) - math.lgamma(n + 1) for n in range(2000))
+        assert peak_log_term > math.log(np.finfo(float).max)
+        expected = _where_erlang_cdf_batch(shapes, rates, times)
+        assert np.array_equal(_erlang_cdf_batch(shapes, rates, times), expected)
+
     def test_cdf_accepts_scalar_input(self):
         erlang = ErlangDistribution(shape=3, rate=1.5)
         value = erlang.cdf(2.0)
@@ -268,3 +329,13 @@ class TestFitFromMoments:
     def test_negative_variance_clamped(self):
         fitted = fit_from_moments(3.0, -1e-9)
         assert fitted.variance == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(DistributionError, match="mean must be finite"):
+            fit_from_moments(bad, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        with pytest.raises(DistributionError, match="variance must be finite"):
+            fit_from_moments(2.0, bad)
