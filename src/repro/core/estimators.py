@@ -127,7 +127,7 @@ class TripathiEstimator(ResponseTimeEstimator):
     Each fold keeps a table of the P-node maxima it has computed, keyed by
     the ``(left, right)`` child distributions.  A balanced P-subtree over
     identical map chains combines the same pair at every level, so the
-    table turns most :func:`maximum_of` quadratures into a lookup.  The
+    table turns most :func:`maximum_of` calls into a lookup.  The
     distributions are frozen value types and :func:`maximum_of` is a pure
     function of them, so a hit returns exactly what the call would.  The
     table lives for one :meth:`estimate_node` call only: nothing survives

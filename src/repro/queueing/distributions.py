@@ -14,7 +14,11 @@ mean and CV so the recursion can continue up the tree.
 
 This module provides the two distribution families, the CV-based fitting rule
 (:func:`fit_distribution`), and the max/sum composition operators
-(:func:`maximum_of`, :func:`sum_of`).
+(:func:`maximum_of`, :func:`sum_of`).  The maximum of two built-in
+distributions has exact closed-form moments (an H2 is a mixture of two
+exponentials, and the maximum of two Erlangs is a finite sum); only three
+or more inputs, or subclasses of the built-in types, are integrated
+numerically.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from ..exceptions import DistributionError
 _DETERMINISTIC_CV = 1e-9
 #: Largest Erlang shape used when fitting nearly deterministic variables.
 _MAX_ERLANG_SHAPE = 500
-#: Number of grid points used for numerical max-composition.
+#: Number of grid points used for numerical max-composition (3+ inputs).
 _GRID_POINTS = 4096
 #: Upper-quantile multiplier for the integration grid.
 _GRID_SPAN_FACTOR = 12.0
@@ -341,24 +345,113 @@ def _integration_grid(distributions: Sequence[ResponseTimeDistribution]) -> np.n
     return np.linspace(0.0, upper, _GRID_POINTS)
 
 
-def maximum_of(distributions: Sequence[ResponseTimeDistribution]) -> ResponseTimeDistribution:
-    """Distribution of the maximum of independent response times.
+def _erlang_phases(
+    distribution: ResponseTimeDistribution,
+) -> tuple[tuple[float, int, float], ...] | None:
+    """``(weight, shape, rate)`` Erlang phases of a built-in Erlang or H2.
 
-    Mean and second moment are computed by numerical integration of the
-    survival function of the maximum::
+    A hyperexponential is a mixture of two exponentials (Erlang(1) phases);
+    a zero-probability branch contributes nothing and is dropped.  Any other
+    type -- including subclasses, which may override ``cdf`` -- gives
+    ``None``.
+    """
+    if type(distribution) is ErlangDistribution:
+        return ((1.0, distribution.shape, distribution.rate),)
+    if type(distribution) is HyperexponentialDistribution:
+        return tuple(
+            (probability, 1, rate)
+            for probability, rate in zip(distribution.probabilities, distribution.rates)
+            if probability > 0
+        )
+    return None
+
+
+def _erlang_larger_moments(
+    shape: int, rate: float, other_shape: int, other_rate: float
+) -> tuple[float, float]:
+    """``E[X; X > Y]`` and ``E[X^2; X > Y]`` for Erlang(a, λ) ``X`` and Erlang(b, μ) ``Y``.
+
+    Weighting the density of ``X`` by ``x^m`` gives Erlang(a+m, λ) scaled by
+    the rising factorial ``(a)_m / λ^m``, so ``E[X^m; X > Y] = (a)_m / λ^m ·
+    P(Y < X_{a+m})``.  Racing the two as Poisson streams, ``Y < X_n`` means
+    the b-th μ-event comes before the n-th λ-event::
+
+        P(Y < X_n) = Σ_{i<n} C(b-1+i, i) p^i q^b,   p = λ/(λ+μ), q = μ/(λ+μ)
+
+    a negative-binomial sum of positive terms, built as the running product
+    of ``q^b`` and the ratios ``p (b-1+i) / i``.  ``q^b`` only underflows
+    when the whole sum is negligible.
+    """
+    total = rate + other_rate
+    p, q = rate / total, other_rate / total
+    steps = np.arange(1, shape + 2)
+    terms = np.empty(shape + 2)
+    terms[0] = q**other_shape
+    terms[1:] = p * (other_shape - 1 + steps) / steps
+    np.cumprod(terms, out=terms)
+    # P(Y < X_{a+1}) and P(Y < X_{a+2}).
+    behind_one = float(terms[: shape + 1].sum())
+    behind_two = behind_one + float(terms[shape + 1])
+    return shape / rate * behind_one, shape * (shape + 1) / rate**2 * behind_two
+
+
+def _deterministic_maximum_moments(
+    value: float, phases: Sequence[tuple[float, int, float]]
+) -> tuple[float, float]:
+    """Exact ``E[max(d, X)]`` and ``E[max(d, X)^2]`` for an Erlang mixture ``X``.
+
+    Per Erlang(k, λ) phase, ``E[max^m] = d^m F_k(d) + (k)_m / λ^m · S_{k+m}(d)``
+    with ``S_n`` the Erlang(n, λ) survival function (the same weighting as
+    :func:`_erlang_larger_moments`): three CDF values at the point ``d``.
+    """
+    shapes = np.array([shape + extra for _, shape, _ in phases for extra in range(3)])
+    rates = np.repeat([rate for _, _, rate in phases], 3)
+    cdfs = _erlang_cdf_batch(shapes, rates, np.array([value]))[:, 0].reshape(-1, 3)
+    first = second = 0.0
+    for (weight, shape, rate), (below, cdf_plus_one, cdf_plus_two) in zip(phases, cdfs):
+        first += weight * (value * below + shape / rate * (1.0 - cdf_plus_one))
+        second += weight * (
+            value**2 * below + shape * (shape + 1) / rate**2 * (1.0 - cdf_plus_two)
+        )
+    return first, second
+
+
+def _pair_maximum_moments(
+    first: ResponseTimeDistribution, second: ResponseTimeDistribution
+) -> tuple[float, float] | None:
+    """Exact ``E[max]`` and ``E[max^2]`` of two built-in distributions.
+
+    Erlang and H2 are Erlang mixtures; per pair of phases
+    ``E[max^m] = E[X^m; X > Y] + E[Y^m; Y > X]``, a sum of positive terms.
+    A deterministic value against a mixture uses the CDFs at that point.
+    ``None`` when either input is not a built-in type.
+    """
+    phases = (_erlang_phases(first), _erlang_phases(second))
+    if phases[0] is not None and phases[1] is not None:
+        mean = second_moment = 0.0
+        for weight, shape, rate in phases[0]:
+            for other_weight, other_shape, other_rate in phases[1]:
+                larger = _erlang_larger_moments(shape, rate, other_shape, other_rate)
+                smaller = _erlang_larger_moments(other_shape, other_rate, shape, rate)
+                mean += weight * other_weight * (larger[0] + smaller[0])
+                second_moment += weight * other_weight * (larger[1] + smaller[1])
+        return mean, second_moment
+    for point, other in ((first, phases[1]), (second, phases[0])):
+        if type(point) is DeterministicDistribution and other is not None:
+            return _deterministic_maximum_moments(point.value, other)
+    return None
+
+
+def _quadrature_maximum_moments(
+    distributions: Sequence[ResponseTimeDistribution],
+) -> tuple[float, float]:
+    """``E[max]`` and ``E[max^2]`` by the trapezoid rule on a fixed grid.
+
+    Integrates the survival function of the maximum::
 
         E[max]   = ∫ (1 - Π_i F_i(t)) dt
         E[max^2] = ∫ 2 t (1 - Π_i F_i(t)) dt
-
-    and the result is re-fitted via :func:`fit_from_moments` so it can be used
-    as a child distribution further up the precedence tree.
     """
-    if not distributions:
-        raise DistributionError("maximum_of requires at least one distribution")
-    if len(distributions) == 1:
-        return distributions[0]
-    if all(isinstance(d, DeterministicDistribution) for d in distributions):
-        return DeterministicDistribution(value=max(d.mean for d in distributions))
     grid = _integration_grid(distributions)
     cdfs = _batched_cdf(distributions, grid)
     # Multiply rows in input order so rounding matches the historical
@@ -372,9 +465,32 @@ def maximum_of(distributions: Sequence[ResponseTimeDistribution]) -> ResponseTim
     # never fall below the largest component mean; the finite grid truncates
     # heavy (CV > 1) tails and may undershoot it by a hair.
     mean = max(mean, max(d.mean for d in distributions))
-    second_moment = float(np.trapezoid(2.0 * grid * survival, grid))
-    variance = max(second_moment - mean**2, 0.0)
-    return fit_from_moments(mean, variance)
+    return mean, float(np.trapezoid(2.0 * grid * survival, grid))
+
+
+def maximum_of(distributions: Sequence[ResponseTimeDistribution]) -> ResponseTimeDistribution:
+    """Distribution of the maximum of independent response times.
+
+    The mean and second moment of the maximum are exact for a pair of
+    built-in distributions (:class:`ErlangDistribution`,
+    :class:`HyperexponentialDistribution`, :class:`DeterministicDistribution`;
+    see :func:`_pair_maximum_moments`).  Three or more inputs, or a subclass
+    of a built-in type, fall back to numerical integration of the survival
+    function of the maximum on a fixed grid.  The result is re-fitted via
+    :func:`fit_from_moments` so it can be used as a child distribution
+    further up the precedence tree.
+    """
+    if not distributions:
+        raise DistributionError("maximum_of requires at least one distribution")
+    if len(distributions) == 1:
+        return distributions[0]
+    if all(isinstance(d, DeterministicDistribution) for d in distributions):
+        return DeterministicDistribution(value=max(d.mean for d in distributions))
+    moments = _pair_maximum_moments(*distributions) if len(distributions) == 2 else None
+    if moments is None:
+        moments = _quadrature_maximum_moments(distributions)
+    mean, second_moment = moments
+    return fit_from_moments(mean, max(second_moment - mean**2, 0.0))
 
 
 def sum_of(distributions: Sequence[ResponseTimeDistribution]) -> ResponseTimeDistribution:

@@ -72,8 +72,9 @@ def test_no_state_survives_a_call(maximum_calls):
 
 
 def test_child_order_is_part_of_the_key(maximum_calls):
-    # maximum_of multiplies CDF rows in input order, so (a, b) and (b, a)
-    # may round differently and must not share an entry.
+    # maximum_of accumulates the phase pairs of two hyperexponential children
+    # in input order; swapping them reorders that sum, which rounds
+    # differently, so (a, b) and (b, a) must not share an entry.
     a, b = leaf(10.0, 0.5), leaf(7.0, 1.3)
     tree = OperatorNode(
         OperatorKind.PARALLEL,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from repro.queueing.distributions import (
     _batched_cdf,
     _erlang_cdf_batch,
     _integration_grid,
+    _pair_maximum_moments,
     fit_distribution,
     fit_from_moments,
     maximum_of,
@@ -88,6 +91,40 @@ def _scalar_maximum_of(distributions):
     mean = max(mean, max(d.mean for d in distributions))
     second_moment = float(np.trapezoid(2.0 * grid * survival, grid))
     return fit_from_moments(mean, max(second_moment - mean**2, 0.0))
+
+
+def _exact_pair_moments(first, second):
+    """Independent ``E[max]``, ``E[max^2]`` of two Erlang/H2 variables.
+
+    Scalar double sums over ``math.comb`` with ``math.fsum``, through the
+    identity ``max = X + Y - min`` per pair of Erlang phases.
+    """
+
+    def phases(distribution):
+        if isinstance(distribution, ErlangDistribution):
+            return [(1.0, distribution.shape, distribution.rate)]
+        return [(p, 1, r) for p, r in zip(distribution.probabilities, distribution.rates)]
+
+    def raw(distribution):
+        return (
+            math.fsum(w * k / r for w, k, r in phases(distribution)),
+            math.fsum(w * k * (k + 1) / r**2 for w, k, r in phases(distribution)),
+        )
+
+    minimum = [0.0, 0.0]
+    for u, a, lam in phases(first):
+        for v, b, mu in phases(second):
+            total = lam + mu
+            p, q = lam / total, mu / total
+            terms = [
+                (math.comb(i + j, i) * p**i * q**j, i + j + 1)
+                for i in range(a)
+                for j in range(b)
+            ]
+            minimum[0] += u * v * math.fsum(w for w, _ in terms) / total
+            minimum[1] += u * v * 2.0 * math.fsum(w * n for w, n in terms) / total**2
+    (x1, x2), (y1, y2) = raw(first), raw(second)
+    return x1 + y1 - minimum[0], x2 + y2 - minimum[1]
 
 
 class TestErlang:
@@ -223,7 +260,7 @@ class TestComposition:
         # E[max of two iid exponentials with mean 1] = 1.5 exactly.
         exponential = fit_distribution(1.0, 1.0)
         combined = maximum_of([exponential, exponential])
-        assert combined.mean == pytest.approx(1.5, rel=0.02)
+        assert combined.mean == pytest.approx(1.5, rel=1e-12)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(DistributionError):
@@ -294,19 +331,42 @@ class TestVectorizedEquivalence:
         assert value.shape == ()
         assert float(value) == pytest.approx(_scalar_cdf(erlang, 2.0), abs=1e-12)
 
-    def test_maximum_of_matches_scalar_path(self):
-        groups = [
-            [fit_distribution(5.0, 0.5), fit_distribution(7.0, 0.9)],
-            [fit_distribution(4.0, 1.8), fit_distribution(6.0, 0.3)],
-            [DeterministicDistribution(2.0), fit_distribution(3.0, 0.7)],
-            [fit_distribution(mean, 0.4) for mean in (2.0, 3.0, 4.0, 5.0)],
-        ]
-        for distributions in groups:
-            fast = maximum_of(distributions)
-            reference = _scalar_maximum_of(distributions)
-            assert fast.kind is reference.kind
-            assert fast.mean == pytest.approx(reference.mean, rel=1e-12)
-            assert fast.variance == pytest.approx(reference.variance, rel=1e-9, abs=1e-12)
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 7.5])
+    def test_maximum_of_matches_scalar_path(self, rate):
+        # Pairs are exact: two iid Exp(λ) give E[max] = 1.5/λ and
+        # E[max^2] = 3.5/λ^2; max(d, Exp(λ)) has E = d + e^{-λd}/λ and
+        # E[max^2] = d^2 + e^{-λd} (2d/λ + 2/λ^2); Exp(λ) against Exp(μ)
+        # gives 1/λ + 1/μ - 1/(λ+μ) and 2/λ^2 + 2/μ^2 - 2/(λ+μ)^2.
+        exponential = ErlangDistribution(shape=1, rate=rate)
+        assert _pair_maximum_moments(exponential, exponential) == (
+            pytest.approx(1.5 / rate, rel=1e-12),
+            pytest.approx(3.5 / rate**2, rel=1e-12),
+        )
+        for d in (0.5, 2.0, 9.0):
+            decay = math.exp(-rate * d)
+            expected = (
+                pytest.approx(d + decay / rate, rel=1e-12),
+                pytest.approx(d**2 + decay * (2 * d / rate + 2 / rate**2), rel=1e-12),
+            )
+            point = DeterministicDistribution(d)
+            assert _pair_maximum_moments(point, exponential) == expected
+            assert _pair_maximum_moments(exponential, point) == expected
+        hyper = HyperexponentialDistribution(probabilities=(0.8, 0.2), rates=(2.0, 0.25))
+        expected = [0.0, 0.0]
+        for p, r in zip(hyper.probabilities, hyper.rates):
+            expected[0] += p * (1 / r + 1 / rate - 1 / (r + rate))
+            expected[1] += p * (2 / r**2 + 2 / rate**2 - 2 / (r + rate) ** 2)
+        assert _pair_maximum_moments(hyper, exponential) == pytest.approx(expected, rel=1e-12)
+        assert maximum_of([exponential, exponential]).mean == pytest.approx(
+            1.5 / rate, rel=1e-12
+        )
+        # Three or more inputs still integrate on the grid.
+        distributions = [fit_distribution(mean, 0.4) for mean in (2.0, 3.0, 4.0, 5.0)]
+        fast = maximum_of(distributions)
+        reference = _scalar_maximum_of(distributions)
+        assert fast.kind is reference.kind
+        assert fast.mean == pytest.approx(reference.mean, rel=1e-12)
+        assert fast.variance == pytest.approx(reference.variance, rel=1e-9, abs=1e-12)
 
     @given(
         means=st.lists(st.floats(min_value=0.5, max_value=50.0), min_size=2, max_size=5),
@@ -316,8 +376,101 @@ class TestVectorizedEquivalence:
     def test_maximum_of_matches_scalar_path_property(self, means, cvs):
         distributions = [fit_distribution(mean, cv) for mean, cv in zip(means, cvs)]
         fast = maximum_of(distributions)
-        reference = _scalar_maximum_of(distributions)
-        assert fast.mean == pytest.approx(reference.mean, rel=1e-10)
+        if len(distributions) == 2:
+            mean, second_moment = _exact_pair_moments(*distributions)
+            assert fast.mean == pytest.approx(mean, rel=1e-12)
+            assert _pair_maximum_moments(*distributions) == pytest.approx(
+                (mean, second_moment), rel=1e-12
+            )
+        else:
+            reference = _scalar_maximum_of(distributions)
+            assert fast.mean == pytest.approx(reference.mean, rel=1e-10)
+
+
+class TestClosedFormMaximum:
+    """Edge cases of the exact pair moments."""
+
+    def test_largest_fitted_shapes_stay_finite_and_bounded(self):
+        first = ErlangDistribution(shape=500, rate=40.0)
+        second = ErlangDistribution(shape=500, rate=45.0)
+        combined = maximum_of([first, second])
+        assert math.isfinite(combined.mean) and math.isfinite(combined.variance)
+        assert max(first.mean, second.mean) <= combined.mean <= first.mean + second.mean
+
+    def test_zero_probability_branch_is_a_plain_exponential(self):
+        # The empty branch's moments would overflow (0 * inf is NaN) if kept.
+        lopsided = HyperexponentialDistribution(probabilities=(1.0, 0.0), rates=(2.0, 1e-200))
+        other = ErlangDistribution(shape=1, rate=3.0)
+        mean, second_moment = _pair_maximum_moments(lopsided, other)
+        assert mean == pytest.approx(1 / 2 + 1 / 3 - 1 / 5, rel=1e-12)
+        assert second_moment == pytest.approx(2 / 4 + 2 / 9 - 2 / 25, rel=1e-12)
+
+    def test_deterministic_zero_returns_the_erlang(self):
+        erlang = ErlangDistribution(shape=7, rate=2.5)
+        zero = DeterministicDistribution(0.0)
+        for pair in ([zero, erlang], [erlang, zero]):
+            combined = maximum_of(pair)
+            assert combined.kind is DistributionKind.ERLANG
+            assert combined.shape == erlang.shape
+            assert combined.mean == pytest.approx(erlang.mean, rel=1e-12)
+            assert combined.variance == pytest.approx(erlang.variance, rel=1e-12)
+
+    def test_subclass_goes_through_the_quadrature(self):
+        class TaggedErlang(ErlangDistribution):
+            pass
+
+        pair = [TaggedErlang(shape=3, rate=1.0), ErlangDistribution(shape=3, rate=1.0)]
+        assert _pair_maximum_moments(*pair) is None
+        combined = maximum_of(pair)
+        reference = _scalar_maximum_of(pair)
+        assert combined.mean == pytest.approx(reference.mean, rel=1e-12)
+        assert combined.variance == pytest.approx(reference.variance, rel=1e-9)
+
+    def test_pairs_match_high_precision_quadrature(self):
+        mp = pytest.importorskip("mpmath")
+
+        def cdf(distribution, t):
+            if isinstance(distribution, DeterministicDistribution):
+                return mp.mpf(t >= distribution.value)
+            if isinstance(distribution, ErlangDistribution):
+                return mp.gammainc(distribution.shape, 0, distribution.rate * t, regularized=True)
+            return mp.fsum(
+                p * -mp.expm1(-r * t)
+                for p, r in zip(distribution.probabilities, distribution.rates)
+            )
+
+        def draw(rng):
+            family = rng.choice(["erlang", "erlang", "hyper", "deterministic"])
+            if family == "erlang":
+                shape = rng.choice([1, 2, 7, 11, 43, 100])
+                return ErlangDistribution(shape=shape, rate=rng.uniform(0.05, 5.0))
+            if family == "hyper":
+                return fit_distribution(rng.uniform(0.5, 20.0), rng.uniform(1.05, 3.0))
+            return DeterministicDistribution(rng.uniform(0.0, 20.0))
+
+        # This seed draws every pairing of the three families except two
+        # point masses (which maximum_of answers without moments).
+        rng = random.Random(2019)
+        for first, second in [(draw(rng), draw(rng)) for _ in range(12)]:
+            # Split the range at point masses and around each bulk.
+            breaks = {0.0}
+            for d in (first, second):
+                breaks.update(max(d.mean + k * d.std, 0.0) for k in (0, 12))
+
+            @functools.cache
+            def survival(t, first=first, second=second):
+                # Both integrals evaluate it on the same quadrature nodes.
+                return 1 - cdf(first, t) * cdf(second, t)
+
+            with mp.workdps(30):
+                points = sorted(breaks) + [mp.inf]
+                expected = (
+                    mp.quad(survival, points),
+                    mp.quad(lambda t, s=survival: 2 * t * s(t), points),
+                )
+            got = _pair_maximum_moments(first, second)
+            for value, reference in zip(got, expected):
+                assert abs(value - reference) <= 1e-13 * reference, (first, second)
 
 
 class TestFitFromMoments:

@@ -29,6 +29,7 @@ from repro.api import (
     Scenario,
     ScenarioSuite,
     SqliteResultStore,
+    backend_version,
     create_backend,
 )
 from repro.api.backends import _REGISTRY
@@ -604,6 +605,31 @@ class TestVersioning:
         assert scan.stale == 1
         assert scan.loaded == 0
         assert reopened.get(key, "aria") is None
+
+    def test_analytic_backend_versions_are_pinned(self):
+        # Tripathi's P-node maximum became exact in version 3; fork/join
+        # never takes a maximum of distributions and stays at 2.
+        assert backend_version("mva-tripathi") == 3
+        assert backend_version("mva-forkjoin") == 2
+
+    def test_tripathi_version_two_records_are_stale(
+        self, tmp_path, store_format, make_store
+    ):
+        store_path = tmp_path / "store"
+        service = PredictionService(
+            backends=["mva-forkjoin", "mva-tripathi"],
+            store=store_path,
+            store_format=store_format,
+        )
+        for backend in ("mva-forkjoin", "mva-tripathi"):
+            service.evaluate(SMALL, backend)
+        for which in range(2):
+            _set_version_field(store_path, store_format, "backend_version", 2, which)
+        reopened = make_store(store_path)
+        scan = reopened.refresh()
+        assert (scan.loaded, scan.stale) == (1, 1)
+        assert reopened.get(SMALL.cache_key(), "mva-tripathi") is None
+        assert reopened.get(SMALL.cache_key(), "mva-forkjoin") is not None
 
     def test_unregistered_backend_records_are_stale(
         self, tmp_path, temporary_backend, store_format, make_store
