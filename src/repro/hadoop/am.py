@@ -101,6 +101,8 @@ class MRAppMaster:
         #: Cached ask list; invalidated whenever the scheduled sets or the
         #: AM-container state change.
         self._asks_cache: list[ContainerAsk] | None = None
+        #: Each task's ask, built once (an ask depends only on the task).
+        self._task_asks: dict[str, ContainerAsk] = {}
 
     # -- request generation -----------------------------------------------------
 
@@ -120,7 +122,8 @@ class MRAppMaster:
 
         The list is assembled from the incrementally maintained scheduled-task
         sets and cached between state changes, so repeated allocation passes
-        do not rescan (or re-allocate asks for) every task of the job.
+        do not rescan every task of the job; each task's ask is built once
+        and reused by every later list.
         """
         if self._asks_cache is not None:
             return self._asks_cache
@@ -140,29 +143,28 @@ class MRAppMaster:
         if not self.registered:
             self._asks_cache = asks
             return asks
-        respect_locality = self.scheduler_config.respect_map_locality
-        for task in self._scheduled_maps.values():
-            asks.append(
-                ContainerAsk(
-                    priority=Priority.MAP,
-                    resource=self.map_resource,
-                    preferred_nodes=task.preferred_nodes if respect_locality else (),
-                    task_type="map",
-                    task_id=task.task_id,
-                )
-            )
-        for task in self._scheduled_reduces.values():
-            asks.append(
-                ContainerAsk(
-                    priority=Priority.REDUCE,
-                    resource=self.reduce_resource,
-                    preferred_nodes=(),
-                    task_type="reduce",
-                    task_id=task.task_id,
-                )
-            )
+        task_asks = self._task_asks
+        asks = [
+            task_asks.get(task_id) or self._new_task_ask(task)
+            for scheduled in (self._scheduled_maps, self._scheduled_reduces)
+            for task_id, task in scheduled.items()
+        ]
         self._asks_cache = asks
         return asks
+
+    def _new_task_ask(self, task: TaskAttempt) -> ContainerAsk:
+        """Build (and memoise by task id) the ask of a map or reduce task."""
+        is_map = task.task_type is TaskType.MAP
+        respect_locality = is_map and self.scheduler_config.respect_map_locality
+        ask = ContainerAsk(
+            priority=Priority.MAP if is_map else Priority.REDUCE,
+            resource=self.map_resource if is_map else self.reduce_resource,
+            preferred_nodes=task.preferred_nodes if respect_locality else (),
+            task_type=task.task_type.value,
+            task_id=task.task_id,
+        )
+        self._task_asks[task.task_id] = ask
+        return ask
 
     def resource_request_table(self) -> ResourceRequestTable:
         """Aggregated view of the current asks, as in paper Table 1.

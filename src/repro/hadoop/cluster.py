@@ -27,6 +27,10 @@ class Node:
     allocated: Resource = field(default_factory=Resource.zero)
     #: False once the node has failed; dead nodes receive no new containers.
     alive: bool = True
+    #: ``capacity - allocated``, cached with the ``allocated`` object it was
+    #: computed from (``allocated`` is immutable and replaced on every change).
+    _available: Resource | None = field(default=None, init=False, repr=False, compare=False)
+    _available_for: Resource | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -36,7 +40,11 @@ class Node:
     @property
     def available(self) -> Resource:
         """Resources currently free for new containers."""
-        return self.capacity - self.allocated
+        allocated = self.allocated
+        if allocated is not self._available_for:
+            self._available = self.capacity - allocated
+            self._available_for = allocated
+        return self._available
 
     def can_fit(self, request: Resource) -> bool:
         """Whether a container of size ``request`` fits on this node right now."""

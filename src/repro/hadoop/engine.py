@@ -6,17 +6,42 @@ each stage progresses at a constant rate determined by the
 :class:`~repro.hadoop.contention.SharingModel`; the next interesting instant
 is the earliest stage completion (or shuffle stall boundary).
 
-The implementation is event-incremental: instead of rescanning every stage of
-every active attempt on each event, the engine caches per attempt the index
-of its current stage (advanced only on stage completion), keeps the per-node
-:class:`~repro.hadoop.contention.ResourceDemandCount` triples up to date on
-membership / stage-transition / stall changes only, and reuses the stage
-rates computed for :meth:`ExecutionEngine.time_to_next_completion` in the
-subsequent :meth:`ExecutionEngine.advance` call.  Shuffle stall states are
-the only quantity that cannot be updated purely incrementally (they depend on
-map completions recorded by the simulator between engine calls); they are
-re-evaluated in O(1) per *running reducer in its network stage* before any
-rate is used.
+Each event costs work proportional to what changed, not to everything that
+runs:
+
+* **Rate classes.**  Every active stage on one node that uses one resource
+  slot (CPU, disk or network) progresses at the same rate, so active stages
+  are grouped into buckets keyed by ``(node, slot)``.  :meth:`advance`
+  computes ``work = rate * dt`` once per bucket and subtracts it from each
+  member -- the same IEEE operations as a per-stage ``remaining -= rate *
+  dt`` -- while recording the bucket's smallest surviving ``remaining``.
+  :meth:`ExecutionEngine.time_to_next_completion` then reads ``least / rate``
+  once per bucket.  This is exact: correctly rounded division by a positive
+  rate is monotone, so ``min(r_i) / rate == min(r_i / rate)`` bit for bit,
+  and the ``1e-9`` clamp on a step is monotone too, so it can be applied to
+  the minimum.  Reducer shuffle (network) stages stay outside the buckets
+  and are handled one by one, because each is capped by the map output
+  available to it.
+* **Activation order.**  Stages that finish within one step are handled in
+  the order their attempts started executing (a per-entry sequence number),
+  whatever bucket they sit in.  That order drives the completion callbacks,
+  and therefore the schedule, so it is what keeps results bit-identical to
+  a scan over all running attempts in start order.
+* **Bucket minima.**  A stage transition or completion inside
+  :meth:`advance` leaves its bucket's minimum valid (``advance`` already
+  excluded that entry), and an entry joining a bucket lowers it in O(1).
+  Only an external :meth:`remove_task` (a kill) marks the minimum for a
+  recompute.
+* **Memoised shuffle stalls.**  Whether a reducer's shuffle is stalled
+  depends only on its stage's ``remaining`` and on its job's completed map
+  output, which :attr:`~repro.hadoop.job.MapReduceJob.map_output_version`
+  counts.  A reducer is re-checked only when that pair changed since its
+  last check; a stalled reducer does not progress, so it is re-checked
+  only when a map of its job finishes or is lost.
+* **Dirty-node rates.**  The per-node ``[cpu, disk, network]`` demand
+  counts change only on membership, stage-transition and stall changes;
+  each change marks its node, and only marked nodes get their stage rates
+  recomputed (memoised by count triple: the cluster is homogeneous).
 
 The engine deliberately knows nothing about YARN: it only sees running tasks,
 the node each one runs on, and the shuffle availability tracker.  The
@@ -26,9 +51,12 @@ ResourceManager / ApplicationMaster logic.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ..exceptions import SimulationError
 from .cluster import Cluster
 from .contention import ResourceDemandCount, SharingModel
+from .job import MapReduceJob
 from .shuffle import ShuffleTracker
 from .tasks import StageKind, TaskAttempt, TaskType, WorkStage
 
@@ -39,6 +67,10 @@ INFINITY = float("inf")
 
 #: Slot of each stage kind inside the per-node ``[cpu, disk, network]`` counts.
 _KIND_SLOT = {StageKind.CPU: 0, StageKind.DISK: 1, StageKind.NETWORK: 2}
+_SLOT_KINDS = tuple(_KIND_SLOT)
+_NETWORK_SLOT = _KIND_SLOT[StageKind.NETWORK]
+
+_activation_order = attrgetter("seq")
 
 
 class _ActiveTask:
@@ -46,25 +78,56 @@ class _ActiveTask:
 
     __slots__ = (
         "attempt",
+        "job",
         "node_id",
+        "seq",
         "stage_index",
         "stage",
         "slot",
         "is_reduce_network",
         "stalled",
+        "checked_version",
+        "checked_remaining",
     )
 
-    def __init__(self, attempt: TaskAttempt, node_id: int, stage_index: int) -> None:
+    def __init__(
+        self, attempt: TaskAttempt, job: MapReduceJob, node_id: int, seq: int, stage_index: int
+    ) -> None:
         self.attempt = attempt
+        self.job = job
         self.node_id = node_id
+        #: Activation order: stages finishing in one step are handled by it.
+        self.seq = seq
+        self.enter_stage(stage_index)
+
+    def enter_stage(self, stage_index: int) -> None:
+        """Make ``stages[stage_index]`` current (its stall state unchecked)."""
         self.stage_index = stage_index
-        self.stage: WorkStage = attempt.stages[stage_index]
+        self.stage: WorkStage = self.attempt.stages[stage_index]
         self.slot = _KIND_SLOT[self.stage.kind]
         self.is_reduce_network = (
             self.stage.kind is StageKind.NETWORK
-            and attempt.task_type is TaskType.REDUCE
+            and self.attempt.task_type is TaskType.REDUCE
         )
         self.stalled = False
+        #: ``(map_output_version, remaining)`` of the last stall check.
+        self.checked_version = -1
+        self.checked_remaining = -1.0
+
+
+class _RateClass:
+    """Active non-shuffle stages sharing one ``(node, slot)`` rate."""
+
+    __slots__ = ("node_id", "slot", "members", "least")
+
+    def __init__(self, node_id: int, slot: int) -> None:
+        self.node_id = node_id
+        self.slot = slot
+        #: Members keyed by activation sequence number.
+        self.members: dict[int, _ActiveTask] = {}
+        #: Smallest ``stage.remaining`` among the members; ``None`` when it
+        #: must be recomputed (after a kill).
+        self.least: float | None = INFINITY
 
 
 class ExecutionEngine:
@@ -74,22 +137,24 @@ class ExecutionEngine:
         self.cluster = cluster
         self.shuffle = shuffle_tracker
         self.sharing = SharingModel(cluster.config.node)
+        #: Running attempts in activation order.
         self._active: dict[str, _ActiveTask] = {}
-        #: Per-node ``[cpu, disk, network]`` counts of active, non-stalled stages.
-        self._demand: dict[int, list[int]] = {}
+        self._next_seq = 0
+        #: Rate classes of the active non-shuffle stages, keyed by (node, slot).
+        self._buckets: dict[tuple[int, int], _RateClass] = {}
         #: Active reducers whose current stage is their network (shuffle) stage.
         self._network_entries: dict[str, _ActiveTask] = {}
+        #: Per-node ``[cpu, disk, network]`` counts of active, non-stalled stages.
+        self._demand: dict[int, list[int]] = {}
+        #: Nodes whose demand counts changed since their rates were computed.
+        self._dirty_nodes: set[int] = set()
         #: Entries added since the last advance whose leading zero-work stages
-        #: still need their timestamps stamped (mirrors the full-scan stamping
-        #: the non-incremental engine performed on every advance).
+        #: still need their timestamps stamped at the next advance.
         self._pending_stamp: list[_ActiveTask] = []
         #: Per-node ``(cpu, disk, network)`` stage-rate vectors for the current
-        #: demand counts, plus a memo keyed by the count triple (the cluster is
-        #: homogeneous, so many nodes share the same contention state).
+        #: demand counts, plus a memo keyed by the count triple.
         self._node_rates: dict[int, tuple[float, float, float]] = {}
         self._rates_by_counts: dict[tuple[int, int, int], tuple[float, float, float]] = {}
-        #: Whether ``_node_rates`` matches the current demand counts.
-        self._rates_fresh = False
 
     # -- membership --------------------------------------------------------------
 
@@ -102,25 +167,26 @@ class ExecutionEngine:
         stage_index = attempt.first_unfinished_index()
         if stage_index is None:
             raise SimulationError(f"task {attempt.task_id} has no work to do")
-        entry = _ActiveTask(attempt, attempt.assigned_node, stage_index)
+        entry = _ActiveTask(
+            attempt,
+            self.shuffle.job_for(attempt),
+            attempt.assigned_node,
+            self._next_seq,
+            stage_index,
+        )
+        self._next_seq += 1
         entry.stage.started_at = now
         self._active[attempt.task_id] = entry
-        if entry.is_reduce_network:
-            self._network_entries[attempt.task_id] = entry
-        self._demand_add(entry.node_id, entry.stage.kind)
+        self._enter(entry)
+        self._demand_add(entry.node_id, entry.slot)
         if stage_index > 0:
             self._pending_stamp.append(entry)
-        self._rates_fresh = False
 
     def remove_task(self, attempt: TaskAttempt) -> None:
-        """Stop tracking a (completed) attempt."""
+        """Stop tracking a killed attempt."""
         entry = self._active.pop(attempt.task_id, None)
-        if entry is None:
-            return
-        self._network_entries.pop(attempt.task_id, None)
-        if not entry.stalled:
-            self._demand_remove(entry.node_id, entry.stage.kind)
-        self._rates_fresh = False
+        if entry is not None:
+            self._retire(entry, killed=True)
 
     @property
     def active_tasks(self) -> list[TaskAttempt]:
@@ -131,41 +197,82 @@ class ExecutionEngine:
         """Whether any attempt is currently executing."""
         return bool(self._active)
 
+    def _enter(self, entry: _ActiveTask) -> None:
+        """File ``entry`` under its current stage: a rate class or the shuffles."""
+        if entry.is_reduce_network:
+            self._network_entries[entry.attempt.task_id] = entry
+            return
+        key = (entry.node_id, entry.slot)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = _RateClass(entry.node_id, entry.slot)
+        bucket.members[entry.seq] = entry
+        least = bucket.least
+        if least is not None and entry.stage.remaining < least:
+            bucket.least = entry.stage.remaining
+
+    def _leave(self, entry: _ActiveTask, killed: bool) -> None:
+        """Undo :meth:`_enter`; a kill invalidates the bucket's minimum."""
+        if entry.is_reduce_network:
+            del self._network_entries[entry.attempt.task_id]
+            return
+        key = (entry.node_id, entry.slot)
+        bucket = self._buckets[key]
+        del bucket.members[entry.seq]
+        if not bucket.members:
+            del self._buckets[key]
+        elif killed:
+            bucket.least = None
+
+    def _retire(self, entry: _ActiveTask, killed: bool) -> None:
+        """Drop an entry already popped from ``_active``."""
+        self._leave(entry, killed)
+        if not entry.stalled:
+            self._demand_remove(entry.node_id, entry.slot)
+
     # -- incremental demand bookkeeping -------------------------------------------
 
-    def _demand_add(self, node_id: int, kind: StageKind) -> None:
+    def _demand_add(self, node_id: int, slot: int) -> None:
         counts = self._demand.get(node_id)
         if counts is None:
             counts = self._demand[node_id] = [0, 0, 0]
-        counts[_KIND_SLOT[kind]] += 1
+        counts[slot] += 1
+        self._dirty_nodes.add(node_id)
 
-    def _demand_remove(self, node_id: int, kind: StageKind) -> None:
+    def _demand_remove(self, node_id: int, slot: int) -> None:
         counts = self._demand.get(node_id)
-        if counts is None or counts[_KIND_SLOT[kind]] <= 0:
+        if counts is None or counts[slot] <= 0:
             raise SimulationError(
-                f"demand underflow on node {node_id} for {kind.value}"
+                f"demand underflow on node {node_id} for {_SLOT_KINDS[slot].value}"
             )
-        counts[_KIND_SLOT[kind]] -= 1
+        counts[slot] -= 1
+        self._dirty_nodes.add(node_id)
 
     def _refresh_stalls(self) -> None:
-        """Re-evaluate shuffle stall states (map completions change them)."""
+        """Re-check the stall state of reducers whose inputs changed."""
+        is_stalled_stage = self.shuffle.is_stalled_stage
         for entry in self._network_entries.values():
-            stalled = self.shuffle.is_stalled_stage(entry.attempt, entry.stage)
+            version = entry.job.map_output_version
+            remaining = entry.stage.remaining
+            if version == entry.checked_version and remaining == entry.checked_remaining:
+                continue
+            entry.checked_version = version
+            entry.checked_remaining = remaining
+            stalled = is_stalled_stage(entry.attempt, entry.stage)
             if stalled != entry.stalled:
                 entry.stalled = stalled
                 if stalled:
-                    self._demand_remove(entry.node_id, StageKind.NETWORK)
+                    self._demand_remove(entry.node_id, _NETWORK_SLOT)
                 else:
-                    self._demand_add(entry.node_id, StageKind.NETWORK)
-                self._rates_fresh = False
+                    self._demand_add(entry.node_id, _NETWORK_SLOT)
 
     def _compute_rates(self) -> None:
-        """Recompute the per-node stage-rate vectors from the demand counts."""
+        """Recompute the stage-rate vectors of the nodes whose counts changed."""
         rate_for_count = self.sharing.rate_for_count
         memo = self._rates_by_counts
         node_rates = self._node_rates
-        node_rates.clear()
-        for node_id, counts in self._demand.items():
+        for node_id in self._dirty_nodes:
+            counts = self._demand[node_id]
             key = (counts[0], counts[1], counts[2])
             rates = memo.get(key)
             if rates is None:
@@ -176,11 +283,11 @@ class ExecutionEngine:
                 )
                 memo[key] = rates
             node_rates[node_id] = rates
-        self._rates_fresh = True
+        self._dirty_nodes.clear()
 
     def _ensure_fresh(self) -> None:
         self._refresh_stalls()
-        if not self._rates_fresh:
+        if self._dirty_nodes:
             self._compute_rates()
 
     # -- introspection (testing / debugging) ---------------------------------------
@@ -234,30 +341,38 @@ class ExecutionEngine:
         and reused by the immediately following :meth:`advance` call.
         """
         self._ensure_fresh()
-        shuffle = self.shuffle
         node_rates = self._node_rates
         horizon = INFINITY
-        for entry in self._active.values():
+        for bucket in self._buckets.values():
+            rate = node_rates[bucket.node_id][bucket.slot]
+            if rate <= 0:
+                continue
+            least = bucket.least
+            if least is None:
+                least = bucket.least = min(
+                    entry.stage.remaining for entry in bucket.members.values()
+                )
+            step = least / rate
+            if step < horizon:
+                horizon = step
+        processable = self.shuffle.processable_bytes_stage
+        for entry in self._network_entries.values():
             if entry.stalled:
                 continue
-            rate = node_rates[entry.node_id][entry.slot]
+            rate = node_rates[entry.node_id][_NETWORK_SLOT]
             if rate <= 0:
                 continue
             stage = entry.stage
-            remaining = stage.remaining
-            if entry.is_reduce_network:
-                remaining = min(
-                    remaining, shuffle.processable_bytes_stage(entry.attempt, stage)
-                )
-                if remaining <= _EPSILON:
-                    continue
+            remaining = min(stage.remaining, processable(entry.attempt, stage))
+            if remaining <= _EPSILON:
+                continue
             step = remaining / rate
-            if step <= 1e-9:
-                # Guard against zero-length progress steps from floating-point
-                # residue; treat the stage as completing "now".
-                step = 1e-9
             if step < horizon:
                 horizon = step
+        if horizon <= 1e-9:
+            # Guard against zero-length progress steps from floating-point
+            # residue; treat the stage as completing "now".
+            horizon = 1e-9
         return horizon
 
     def advance(self, dt: float, now: float) -> list[TaskAttempt]:
@@ -272,13 +387,30 @@ class ExecutionEngine:
         completed: list[TaskAttempt] = []
         transitioned: list[_ActiveTask] = []
         if dt > 0:
-            if not self._rates_fresh:
+            if self._dirty_nodes:
                 self._ensure_fresh()
             node_rates = self._node_rates
-            for entry in self._active.values():
+            for bucket in self._buckets.values():
+                rate = node_rates[bucket.node_id][bucket.slot]
+                if rate <= 0:
+                    continue
+                work = rate * dt
+                least = INFINITY
+                for entry in bucket.members.values():
+                    stage = entry.stage
+                    remaining = stage.remaining - work
+                    if remaining <= stage.finish_threshold:
+                        stage.remaining = 0.0
+                        transitioned.append(entry)
+                    else:
+                        stage.remaining = remaining
+                        if remaining < least:
+                            least = remaining
+                bucket.least = least
+            for entry in self._network_entries.values():
                 if entry.stalled:
                     continue
-                rate = node_rates[entry.node_id][entry.slot]
+                rate = node_rates[entry.node_id][_NETWORK_SLOT]
                 if rate <= 0:
                     continue
                 stage = entry.stage
@@ -286,11 +418,11 @@ class ExecutionEngine:
                 if stage.is_finished:
                     stage.remaining = 0.0
                     transitioned.append(entry)
-                if entry.is_reduce_network:
-                    entry.attempt.shuffled_bytes = stage.amount - stage.remaining
+                entry.attempt.shuffled_bytes = stage.amount - stage.remaining
+            if len(transitioned) > 1:
+                transitioned.sort(key=_activation_order)
         # Stamp the leading zero-work stages of attempts added since the last
-        # advance (the non-incremental engine stamped them on its next full
-        # stage scan, i.e. at this very timestamp).
+        # advance, at this very timestamp.
         if self._pending_stamp:
             for entry in self._pending_stamp:
                 if self._active.get(entry.attempt.task_id) is not entry:
@@ -329,26 +461,14 @@ class ExecutionEngine:
             if index >= len(stages):
                 completed.append(attempt)
                 continue
-            # The attempt moves on to its next stage: update the cached stage
-            # pointer and the per-node demand counts (the finished stage was
-            # necessarily non-stalled, otherwise it could not have progressed).
-            self._demand_remove(entry.node_id, finished_stage.kind)
-            entry.stage_index = index
-            entry.stage = stages[index]
-            entry.slot = _KIND_SLOT[entry.stage.kind]
-            was_reduce_network = entry.is_reduce_network
-            entry.is_reduce_network = (
-                entry.stage.kind is StageKind.NETWORK
-                and attempt.task_type is TaskType.REDUCE
-            )
-            if was_reduce_network and not entry.is_reduce_network:
-                self._network_entries.pop(attempt.task_id, None)
-            elif entry.is_reduce_network and not was_reduce_network:
-                self._network_entries[attempt.task_id] = entry
-            entry.stalled = False  # re-evaluated before the next rate use
-            self._demand_add(entry.node_id, entry.stage.kind)
-        if transitioned:
-            self._rates_fresh = False
+            # The attempt moves on to its next stage: refile it and update the
+            # per-node demand counts (the finished stage was necessarily
+            # non-stalled, otherwise it could not have progressed).
+            self._leave(entry, killed=False)
+            self._demand_remove(entry.node_id, entry.slot)
+            entry.enter_stage(index)
+            self._enter(entry)
+            self._demand_add(entry.node_id, entry.slot)
         for attempt in completed:
-            self.remove_task(attempt)
+            self._retire(self._active.pop(attempt.task_id), killed=False)
         return completed

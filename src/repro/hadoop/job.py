@@ -81,6 +81,9 @@ class MapReduceJob:
     _completed_output_total: float = field(default=0.0, repr=False)
     _completed_output_by_node: dict[int, float] = field(default_factory=dict, repr=False)
     _completed_map_count: int = field(default=0, repr=False)
+    #: Bumped whenever the completed map output changes (a map completes or
+    #: its output is lost), so the engine re-checks shuffle stalls only then.
+    map_output_version: int = field(default=0, repr=False, compare=False)
     #: Completed tasks of any type, maintained by :meth:`record_task_completion`
     #: (fast path for :attr:`is_complete`).
     _completed_task_count: int = field(default=0, repr=False)
@@ -189,6 +192,7 @@ class MapReduceJob:
             self._completed_output_by_node.get(node, 0.0) + output
         )
         self._completed_map_count += 1
+        self.map_output_version += 1
 
     def completed_maps(self) -> int:
         """Number of map tasks that have completed."""
@@ -235,6 +239,7 @@ class MapReduceJob:
         )
         self._completed_map_count -= 1
         self._completed_task_count -= 1
+        self.map_output_version += 1
 
     def register_speculative_attempt(
         self, clone: TaskAttempt, original: TaskAttempt

@@ -66,26 +66,34 @@ class Scheduler(ABC):
         }
         # Free capacity only shrinks within a pass, so once a container shape
         # fails to fit on every node, every later ask of the same shape fails
-        # too: remember it and skip the full fit scan.
+        # too: remember it and skip the full fit scan.  Asks of one kind share
+        # one Resource object, so a repeat of the last unplaceable shape is
+        # caught by identity before hashing.
         unplaceable: set[Resource] = set()
+        last_unplaceable: Resource | None = None
 
         for app in self.application_order(applications):
             for ask in app.container_asks():
-                if ask.resource in unplaceable:
+                resource = ask.resource
+                if resource is last_unplaceable:
+                    continue
+                if unplaceable and resource in unplaceable:
+                    last_unplaceable = resource
                     continue
                 placed_node = self._place(
-                    cluster, tentative, ask.preferred_nodes, ask.resource
+                    cluster, tentative, ask.preferred_nodes, resource
                 )
                 if placed_node is None:
-                    unplaceable.add(ask.resource)
+                    unplaceable.add(resource)
+                    last_unplaceable = resource
                     continue
-                tentative[placed_node] = tentative[placed_node] - ask.resource
+                tentative[placed_node] = tentative[placed_node] - resource
                 assignments.append(
                     Assignment(
                         job_id=app.job.job_id,
                         node_id=placed_node,
                         priority=ask.priority,
-                        resource=ask.resource,
+                        resource=resource,
                         task_type=ask.task_type,
                         task_id=ask.task_id,
                     )

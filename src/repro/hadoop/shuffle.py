@@ -31,28 +31,6 @@ class ShuffleTracker:
         except KeyError as exc:
             raise SimulationError(f"unknown job id {task.job_id}") from exc
 
-    def network_cap_bytes(self, task: TaskAttempt) -> float:
-        """Upper bound on the network bytes ``task``'s shuffle may have processed.
-
-        * Before all maps of the job finish, the cap is the remote portion of
-          the map output already produced (from the reducer's standpoint).
-        * Once every map has completed, the cap equals the full planned
-          network work of the stage, letting it run to completion even if the
-          plan slightly over- or under-estimated remoteness.
-        """
-        if task.task_type is not TaskType.REDUCE:
-            raise SimulationError("network caps only apply to reduce tasks")
-        job = self.job_for(task)
-        network_stage = next(
-            (stage for stage in task.stages if stage.kind is StageKind.NETWORK), None
-        )
-        if network_stage is None:
-            return 0.0
-        if job.all_maps_completed():
-            return float(network_stage.amount)
-        available_remote = job.shuffle_remote_available_bytes(task.assigned_node)
-        return min(float(network_stage.amount), available_remote)
-
     #: Shuffle amounts below one byte are treated as "nothing left to fetch";
     #: using a whole byte (rather than a tiny epsilon) keeps the fluid engine
     #: from scheduling zero-length progress steps when a reducer has caught up
@@ -72,8 +50,7 @@ class ShuffleTracker:
         """O(1) stall check for a reduce whose *current* stage is ``stage`` (network).
 
         The execution engine caches the current network stage per running
-        reducer, so this avoids the per-event stage rescans of
-        :meth:`is_stalled` / :meth:`network_cap_bytes`.
+        reducer, so this avoids the stage rescan of :meth:`is_stalled`.
         """
         job = self.job_for(task)
         if job.all_maps_completed():
@@ -82,15 +59,13 @@ class ShuffleTracker:
         cap = min(float(stage.amount), job.shuffle_remote_available_bytes(task.assigned_node))
         return cap - processed <= self._STALL_THRESHOLD_BYTES
 
-    def processable_bytes(self, task: TaskAttempt) -> float:
-        """Bytes the current network stage can still process before stalling."""
-        stage = task.current_stage()
-        if stage is None or stage.kind is not StageKind.NETWORK:
-            return 0.0
-        return self.processable_bytes_stage(task, stage)
-
     def processable_bytes_stage(self, task: TaskAttempt, stage: WorkStage) -> float:
-        """O(1) variant of :meth:`processable_bytes` for a cached network stage."""
+        """Bytes the current network ``stage`` can still process before stalling.
+
+        Before all maps of the job finish, the reducer may only have fetched
+        the remote portion of the map output already produced; afterwards the
+        cap is the stage's full planned network work.
+        """
         job = self.job_for(task)
         all_done = job.all_maps_completed()
         processed = stage.amount - stage.remaining

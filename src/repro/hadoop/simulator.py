@@ -92,6 +92,14 @@ class _SpeculationPair:
     resolved: bool = False
     winner: TaskAttempt | None = None
 
+    def is_backup(self, task: TaskAttempt) -> bool:
+        """Whether ``task`` is the clone and was not adopted as the winner.
+
+        An adopted clone is the job's attempt of record: when its output is
+        lost and its re-execution fails or is killed, it must run again.
+        """
+        return task is self.clone and self.winner is not task
+
 
 class ClusterSimulator:
     """Discrete-event simulator of a YARN cluster running MapReduce jobs."""
@@ -430,7 +438,7 @@ class ClusterSimulator:
             self.node_managers[container.node_id].stop_container(container, self._now)
             self.resource_manager.release_container(container, self._now)
         pair = self._spec_pairs.get(task.task_id)
-        if pair is not None and task is pair.clone:
+        if pair is not None and pair.is_backup(task):
             # A failed backup just dies; the original attempt is still live.
             if not pair.resolved:
                 pair.resolved = True
@@ -513,7 +521,7 @@ class ClusterSimulator:
                     self._skip_launches.get(task.task_id, 0) + 1
                 )
             pair = self._spec_pairs.get(task.task_id)
-            if pair is not None and task is pair.clone:
+            if pair is not None and pair.is_backup(task):
                 if not pair.resolved:
                     pair.resolved = True
                     pair.winner = pair.original

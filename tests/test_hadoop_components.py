@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.config import ClusterConfig, ContainerSpec, JobConfig, NodeSpec
+from repro.config import ClusterConfig, ContainerSpec, JobConfig, NodeSpec, SchedulerConfig
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.hadoop.am import ContainerAsk, MRAppMaster
 from repro.hadoop.cluster import Cluster
 from repro.hadoop.hdfs import HdfsNamespace
 from repro.hadoop.job import JobResourceProfile, MapReduceJob
@@ -18,6 +21,7 @@ from repro.hadoop.resources import (
     ResourceRequest,
     ResourceRequestTable,
 )
+from repro.hadoop.scheduler import CapacityScheduler
 from repro.hadoop.tasks import (
     StageKind,
     SubtaskLabel,
@@ -336,6 +340,17 @@ class TestMapReduceJobDataflow:
         assert job.shuffle_remote_available_bytes(0) == pytest.approx(0.0)
         assert job.shuffle_remote_available_bytes(1) == pytest.approx(expected)
 
+    def test_map_output_version_counts_output_changes(self):
+        job = self.make_job()
+        first = job.map_tasks[0]
+        first.assigned_node = 0
+        assert job.map_output_version == 0
+        job.record_map_completion(first)
+        assert job.map_output_version == 1
+        job.invalidate_map_completion(first)
+        assert job.map_output_version == 2
+        assert job.shuffle_remote_available_bytes(1) == 0.0
+
     def test_split_count_mismatch_rejected(self):
         cluster = Cluster(small_cluster())
         hdfs = HdfsNamespace(cluster, seed=6)
@@ -343,3 +358,85 @@ class TestMapReduceJobDataflow:
         splits = hdfs.splits_for_job(config)[:-1]
         with pytest.raises(ConfigurationError):
             MapReduceJob(job_id=1, config=config, profile=JobResourceProfile(), splits=splits)
+
+
+class TestAllocationCaches:
+    def make_app_master(self) -> tuple[Cluster, MRAppMaster]:
+        cluster = Cluster(small_cluster())
+        hdfs = HdfsNamespace(cluster, seed=8)
+        config = JobConfig(
+            input_size_bytes=megabytes(512), block_size_bytes=megabytes(128), num_reduces=2
+        )
+        job = MapReduceJob(
+            job_id=0,
+            config=config,
+            profile=JobResourceProfile(),
+            splits=hdfs.splits_for_job(config),
+        )
+        resource = Resource(memory_bytes=1 * GiB, vcores=1)
+        app_master = MRAppMaster(
+            job=job,
+            scheduler_config=SchedulerConfig(),
+            map_resource=resource,
+            reduce_resource=resource,
+            num_cluster_nodes=len(cluster),
+        )
+        return cluster, app_master
+
+    def test_container_asks_are_reused_across_grants(self):
+        _, app_master = self.make_app_master()
+        am_container = Container.grant(0, 0, app_master.am_resource, Priority.AM, 0.0)
+        app_master.on_am_container_granted(am_container)
+        app_master.on_registered(1.0)
+        before = app_master.container_asks()
+        assert [ask.task_type for ask in before] == ["map"] * 4
+        container = Container.grant(0, 1, app_master.map_resource, Priority.MAP, 2.0)
+        granted = app_master.on_container_granted(container, 2.0, before[0].task_id)
+        after = app_master.container_asks()
+        assert after is not before
+        expected = [ask for ask in before if ask.task_id != granted.task_id]
+        assert len(after) == len(expected) == 3
+        assert all(new is old for new, old in zip(after, expected))
+
+    def test_node_available_follows_direct_reassignment(self):
+        node = Cluster(small_cluster()).node(0)
+        assert node.available == node.capacity
+        node.allocated = Resource(memory_bytes=1 * GiB, vcores=2)
+        assert node.available == node.capacity - Resource(memory_bytes=1 * GiB, vcores=2)
+        node.allocate(Resource(memory_bytes=1 * GiB, vcores=1))
+        assert node.available == node.capacity - Resource(memory_bytes=2 * GiB, vcores=3)
+        node.release(Resource(memory_bytes=2 * GiB, vcores=3))
+        assert node.available == node.capacity
+
+    def test_unplaceable_shape_skipped_for_equal_distinct_resources(self, monkeypatch):
+        cluster = Cluster(small_cluster(2))
+        container = Resource(memory_bytes=1 * GiB, vcores=1)
+        # Node 0 is full; node 1 has room for exactly one container.
+        cluster.node(0).allocate(cluster.node(0).capacity)
+        cluster.node(1).allocate(cluster.node(1).capacity - container)
+        map_resource = Resource(memory_bytes=1 * GiB, vcores=1)
+        reduce_resource = Resource(memory_bytes=1 * GiB, vcores=1)
+        assert map_resource == reduce_resource and map_resource is not reduce_resource
+        asks = [
+            ContainerAsk(Priority.MAP, map_resource, (0,), "map", "m0"),
+            ContainerAsk(Priority.MAP, map_resource, (), "map", "m1"),
+            ContainerAsk(Priority.REDUCE, reduce_resource, (), "reduce", "r0"),
+            ContainerAsk(Priority.REDUCE, reduce_resource, (), "reduce", "r1"),
+        ]
+        app = SimpleNamespace(
+            job=SimpleNamespace(job_id=0, submitted_at=0.0), container_asks=lambda: asks
+        )
+        scheduler = CapacityScheduler()
+        placed: list[str | None] = []
+        place = scheduler._place
+
+        def counting_place(cluster, tentative, preferred_nodes, resource):
+            node_id = place(cluster, tentative, preferred_nodes, resource)
+            placed.append(node_id)
+            return node_id
+
+        monkeypatch.setattr(scheduler, "_place", counting_place)
+        assignments = scheduler.assign(cluster, [app])
+        assert [(a.task_id, a.node_id) for a in assignments] == [("m0", 1)]
+        # m1 finds no room; both reduce asks are skipped without a fit scan.
+        assert placed == [1, None]
