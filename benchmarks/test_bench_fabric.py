@@ -1,6 +1,6 @@
-"""Perf bench for the cooperative sweep fabric and the store engines.
+"""Perf bench for the cooperative sweep fabric and the store migration.
 
-Three machine-readable ``BENCH_FABRIC {json}`` lines per run:
+Two machine-readable ``BENCH_FABRIC {json}`` lines per run:
 
 * ``cooperative_drain`` — four cooperative workers (threads, each with its
   own :class:`~repro.api.PredictionService` over one shared store) drain a
@@ -9,12 +9,12 @@ Three machine-readable ``BENCH_FABRIC {json}`` lines per run:
   exactly once, and that the workers' evaluations overlapped (a peak of at
   least two in flight at once) — a count, not a wall-clock ratio, so it
   holds under any load.  The wall-clock speedup is reported, not compared.
-* ``sqlite_cold_open`` — a fresh store object bulk-probes a store of 10k
-  records (1k in smoke mode) with the single-file SQLite engine and the
-  sharded-JSON engine's listdir-plus-parse probe; both must return the same
-  records, and their wall-clocks are reported, not compared.
-* ``store_gc`` — one TTL/compaction pass per engine over a half-expired
-  store; purge counts are asserted, the wall-clock is reported.
+* ``store_migrate`` — ``repro store migrate`` over a legacy sharded-JSON
+  store of 10k records (1k in smoke mode) laid out in ``tmp_path``, half of
+  them aged past a TTL; then a cold bulk probe of the migrated SQLite store
+  and one gc pass.  Asserted: every record loads, the probe finds every
+  sampled point, and gc expires exactly the aged half (the files' mtimes
+  became ``created``).  The wall-clocks are reported, not compared.
 
 Set ``BENCH_SMOKE=1`` to shrink the grids (used by CI on every push).
 """
@@ -23,14 +23,20 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import threading
 import time
 
 from repro.api import PredictionService, Scenario, ScenarioSuite, SweepScheduler, create_backend
-from repro.api.backends import _REGISTRY
+from repro.api.backends import _REGISTRY, backend_version
 from repro.api.results import PredictionResult
-from repro.api.store import DB_FILENAME, ResultStore, SqliteResultStore
+from repro.api.scenario import SCENARIO_SPEC_VERSION
+from repro.api.store import (
+    STORE_FORMAT_VERSION,
+    _canonical_options,
+    migrate_store,
+    open_store,
+    point_token,
+)
 from repro.units import megabytes
 
 #: Scenario template the fabric grids sweep over.
@@ -183,106 +189,81 @@ def test_bench_cooperative_drain(tmp_path):
     assert fabric_peak >= 2, f"evaluations never overlapped ({speedup:.1f}x speedup)"
 
 
-def _seed_synthetic(store, count: int) -> PredictionResult:
-    """Bulk-load ``count`` synthetic records under distinct keys."""
+def _write_legacy_store(root, count: int, aged: int) -> PredictionResult:
+    """Lay out ``count`` records the way the retired JSON engine wrote them.
+
+    The first ``aged`` files (by path) get an mtime 1000 seconds back.
+    """
     result = create_backend("herodotou").predict(SMALL)
-    store.put_many(
-        [(f"bench-point-{i:06d}", "herodotou", result, None) for i in range(count)]
-    )
+    payload = result.to_dict()
+    options_key = _canonical_options(None)
+    past = time.time() - 1000.0
+    paths = []
+    for i in range(count):
+        key = f"bench-point-{i:06d}"
+        token = point_token(key, "herodotou", options_key)
+        record = {
+            "format": STORE_FORMAT_VERSION,
+            "spec_version": SCENARIO_SPEC_VERSION,
+            "backend": "herodotou",
+            "backend_version": backend_version("herodotou"),
+            "options": options_key,
+            "key": key,
+            "result": payload,
+            "created": time.time(),
+        }
+        path = root / "records" / token[:2] / f"{token}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(record, sort_keys=True))
+        paths.append(path)
+    for path in sorted(paths)[:aged]:
+        os.utime(path, (past, past))
     return result
 
 
-def test_bench_sqlite_cold_open(tmp_path):
-    """Cold bulk probe of a large store: single-file SQLite vs sharded JSON."""
+def test_bench_store_migrate(tmp_path):
+    """Migrate a legacy JSON store, probe it cold, and gc its aged half."""
     records = 1_000 if _smoke_mode() else 10_000
     probes = 200 if _smoke_mode() else 500
-    seed_seconds = {}
-    stores = {}
-    for fmt, cls in (("json", ResultStore), ("sqlite", SqliteResultStore)):
-        store = cls(tmp_path / fmt)
-        started = time.perf_counter()
-        expected = _seed_synthetic(store, records)
-        seed_seconds[fmt] = time.perf_counter() - started
-        if fmt == "sqlite":
-            store.close()
-        stores[fmt] = cls
+    aged = records // 2
+    store_path = tmp_path / "legacy"
+    started = time.perf_counter()
+    expected = _write_legacy_store(store_path, records, aged)
+    layout_seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    stats = migrate_store(store_path)
+    migrate_seconds = time.perf_counter() - started
+    assert (stats.loaded, stats.stale, stats.corrupt) == (records, 0, 0)
+
     step = records // probes
     points = [
         (f"bench-point-{i * step:06d}", "herodotou", None) for i in range(probes)
     ]
-    probe_seconds = {}
-    found_by_format = {}
-    for fmt, cls in stores.items():
-        cold = cls(tmp_path / fmt)  # a brand-new object: nothing indexed yet
-        started = time.perf_counter()
-        found = cold.get_many(points)
-        probe_seconds[fmt] = time.perf_counter() - started
-        assert len(found) == probes
-        assert found[(points[0][0], "herodotou")] == expected
-        found_by_format[fmt] = found
-    assert found_by_format["sqlite"] == found_by_format["json"]
+    cold = open_store(store_path)  # a brand-new object: nothing indexed yet
+    started = time.perf_counter()
+    found = cold.get_many(points)
+    probe_seconds = time.perf_counter() - started
+    assert len(found) == probes
+    assert all(result == expected for result in found.values())
+
+    started = time.perf_counter()
+    gc_stats = cold.gc(ttl=500.0)
+    gc_seconds = time.perf_counter() - started
+    assert gc_stats.expired == aged
+    assert gc_stats.remaining == records - aged
     record = {
-        "bench": "sqlite_cold_open",
+        "bench": "store_migrate",
         "records": records,
+        "loaded": stats.loaded,
+        "stale": stats.stale,
+        "corrupt": stats.corrupt,
+        "layout_seconds": layout_seconds,
+        "migrate_seconds": migrate_seconds,
         "probes": probes,
-        "json_seed_seconds": seed_seconds["json"],
-        "sqlite_seed_seconds": seed_seconds["sqlite"],
-        "json_probe_seconds": probe_seconds["json"],
-        "sqlite_probe_seconds": probe_seconds["sqlite"],
-        "probe_speedup": (
-            probe_seconds["json"] / probe_seconds["sqlite"]
-            if probe_seconds["sqlite"] > 0
-            else 0.0
-        ),
+        "probe_seconds": probe_seconds,
+        "expired": gc_stats.expired,
+        "gc_seconds": gc_seconds,
     }
     print()
     _emit(record)
-
-
-def _backdate_half(store_path, fmt: str, count: int) -> int:
-    """Make the first half of a store's records look 1000 seconds old."""
-    half = count // 2
-    past = time.time() - 1000.0
-    if fmt == "json":
-        files = sorted((store_path / "records").glob("??/*.json"))[:half]
-        for record_file in files:
-            os.utime(record_file, (past, past))
-    else:
-        conn = sqlite3.connect(store_path / DB_FILENAME)
-        try:
-            with conn:
-                conn.execute(
-                    "UPDATE records SET created = ? WHERE token IN "
-                    "(SELECT token FROM records ORDER BY token LIMIT ?)",
-                    (past, half),
-                )
-        finally:
-            conn.close()
-    return half
-
-
-def test_bench_store_gc(tmp_path):
-    """One TTL/compaction pass per engine over a half-expired store."""
-    records = 300 if _smoke_mode() else 2_000
-    print()
-    for fmt, cls in (("json", ResultStore), ("sqlite", SqliteResultStore)):
-        store_path = tmp_path / fmt
-        _seed_synthetic(cls(store_path), records)
-        half = _backdate_half(store_path, fmt, records)
-        store = cls(store_path)
-        started = time.perf_counter()
-        stats = store.gc(ttl=500.0)
-        gc_seconds = time.perf_counter() - started
-        assert stats.expired == half
-        assert stats.remaining == records - half
-        _emit(
-            {
-                "bench": "store_gc",
-                "format": fmt,
-                "records": records,
-                "purged": stats.purged,
-                "remaining": stats.remaining,
-                "reclaimed_bytes": stats.reclaimed_bytes,
-                "gc_seconds": gc_seconds,
-            }
-        )

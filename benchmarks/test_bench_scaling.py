@@ -358,10 +358,11 @@ def test_bench_faulted_sweep():
     transient rate, the retried sweep must finish complete, bit-identical to
     the clean run, with zero duplicate evaluations (each point's backend
     succeeds exactly once) and zero duplicate store records — and the retry
-    overhead must stay bounded (the faults are cheap, so wall-clock may not
-    exceed ~5x the clean run even on a noisy CI box).
+    work must stay bounded: every point rolls for a transient once, plus
+    once more per injected fault (a retry storm would roll far more).  The
+    wall-clock overhead is reported, not asserted.
     """
-    from repro.api import ResultStore, RetryPolicy
+    from repro.api import RetryPolicy, open_store
     from repro.testing import FaultInjector, FaultSpec, inject_backend_faults
 
     backends = ["aria", "herodotou"]
@@ -410,7 +411,7 @@ def test_bench_faulted_sweep():
             started = time.perf_counter()
             faulted = service.evaluate_suite(suite, backends)
             faulted_seconds = time.perf_counter() - started
-        stored_records = ResultStore(store_path).refresh().loaded
+        stored_records = open_store(store_path).refresh().loaded
 
     stats = service.stats()
     record = {
@@ -418,6 +419,7 @@ def test_bench_faulted_sweep():
         "points": points,
         "fault_rate": fault_rate,
         "injected_transients": injector.injected.get("transient", 0),
+        "transient_rolls": injector.rolls("transient"),
         "retries": stats.retries,
         "failures": stats.failures,
         "duplicate_evaluations": injector.duplicate_evaluations(),
@@ -438,15 +440,11 @@ def test_bench_faulted_sweep():
     assert record["failures"] == 0
     assert record["duplicate_evaluations"] == 0, "a point was evaluated twice"
     assert record["duplicate_records"] == 0, "the store holds duplicate records"
-    # Bounded retry overhead: ~10% extra evaluations plus millisecond backoff
-    # must not blow up the sweep.  5x absorbs CI scheduler noise while still
-    # catching a retry storm (which would be 6x work before even counting
-    # backoff sleeps).
-    if not _smoke_mode():
-        assert record["overhead"] < 5.0, (
-            f"faulted sweep took {faulted_seconds:.2f}s vs {clean_seconds:.2f}s "
-            f"clean ({record['overhead']:.1f}x) — unbounded retry overhead?"
-        )
+    # Bounded retry work, counted rather than timed: each point's first
+    # attempt rolls once, and only an injected fault earns another attempt.
+    assert record["transient_rolls"] == points + record["injected_transients"], (
+        "a point was attempted more often than its injected faults allow"
+    )
 
 
 def test_bench_overlap_mva_solve():

@@ -38,7 +38,6 @@ _API_EXPORTS = {
     "PredictionBackend",
     "PredictionResult",
     "PredictionService",
-    "ResultStore",
     "Scenario",
     "ScenarioSuite",
     "SearchSpace",
@@ -75,7 +74,6 @@ __all__ = [
     "PredictionBackend",
     "PredictionResult",
     "PredictionService",
-    "ResultStore",
     "Scenario",
     "ScenarioSuite",
     "SchedulerConfig",

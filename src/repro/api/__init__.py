@@ -13,10 +13,9 @@ prediction engines:
 * :class:`PredictionService` — batch evaluation of suites across backends
   with keyed result caching, serial / thread-pool / process-pool execution
   modes, and one-call ``predict_batch`` dispatch to batch-capable backends;
-* :class:`ResultStore` / :class:`SqliteResultStore` (via :func:`open_store`)
-  — persistent, crash-tolerant result stores keyed by
-  ``(Scenario.cache_key(), backend)`` — sharded JSON or single-file SQLite
-  behind one contract — with TTL/size garbage collection
+* :class:`SqliteResultStore` (via :func:`open_store`) — the persistent,
+  crash-tolerant single-file SQLite result store keyed by
+  ``(Scenario.cache_key(), backend)``, with TTL/size garbage collection
   (:meth:`BaseResultStore.gc`) and a claim/lease namespace
   (:class:`LeaseManager`) for cooperative multi-worker sweeps;
 * :class:`SweepScheduler` — store-aware sweep planning: compute the missing
@@ -81,13 +80,12 @@ from .service import (
 from .store import (
     QUARANTINE_DIR,
     STORE_FORMAT_VERSION,
-    STORE_FORMATS,
     BaseResultStore,
     GcStats,
     LeaseManager,
-    ResultStore,
     SqliteResultStore,
     StoreStats,
+    migrate_store,
     open_store,
 )
 from .sweep import CooperativeOutcome, SweepOutcome, SweepPlan, SweepScheduler
@@ -142,10 +140,8 @@ __all__ = [
     "PredictionResult",
     "PredictionService",
     "QUARANTINE_DIR",
-    "ResultStore",
     "RetryPolicy",
     "SCENARIO_SPEC_VERSION",
-    "STORE_FORMATS",
     "STORE_FORMAT_VERSION",
     "Scenario",
     "ScenarioSuite",
@@ -163,6 +159,7 @@ __all__ = [
     "backend_supports_batch",
     "backend_version",
     "create_backend",
+    "migrate_store",
     "open_store",
     "register_backend",
     "register_workload_profile",

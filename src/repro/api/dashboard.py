@@ -46,7 +46,7 @@ from ..experiments.figures import FIGURE_DEFINITIONS, figure_suite
 from ..experiments.runner import run_suite_grid
 from .scenario import Scenario, ScenarioSuite
 from .service import DEFAULT_BASELINE, PredictionService, SuiteResult
-from .store import ResultStore
+from .store import BaseResultStore
 from .sweep import SweepOutcome, SweepScheduler
 
 #: Prefix of the dashboard's machine-readable stdout lines (mirrors the
@@ -216,7 +216,7 @@ def run_dashboard(
     backends: Sequence[str] = DASHBOARD_BACKENDS,
     baseline: str = DEFAULT_BASELINE,
     service: PredictionService | None = None,
-    store: ResultStore | str | os.PathLike | None = None,
+    store: BaseResultStore | str | os.PathLike | None = None,
     execution: str | None = None,
     batch: bool = True,
     repetitions: int | None = None,

@@ -9,8 +9,8 @@ runner, and library users share.  It
   stable :meth:`~repro.api.scenario.Scenario.cache_key`, so sweeps that
   revisit a point (and repeated figure runs) pay for it once;
 * optionally persists every evaluation through a
-  :class:`~repro.api.store.ResultStore`, so sweeps survive process restarts
-  and repeated runs replay completed points from disk;
+  :class:`~repro.api.store.SqliteResultStore`, so sweeps survive process
+  restarts and repeated runs replay completed points from disk;
 * fans a :class:`~repro.api.scenario.ScenarioSuite` out over a pluggable
   executor layer — ``execution="serial"`` (no pool, deterministic debugging),
   ``"thread"`` (the default; fine for the NumPy-heavy analytic backends,
@@ -270,7 +270,6 @@ class PredictionService:
         cache: bool = True,
         backend_options: dict[str, dict] | None = None,
         store: BaseResultStore | str | os.PathLike | None = None,
-        store_format: str | None = None,
         execution: str = "thread",
         batch: bool = True,
         retry: RetryPolicy | int | None = None,
@@ -304,9 +303,7 @@ class PredictionService:
         #: path (the benches use it as the batching baseline).
         self._batch_enabled = batch
         if store is not None and not isinstance(store, BaseResultStore):
-            # A path opens whichever engine the directory already holds
-            # (``store_format`` forces one; see ``open_store``).
-            store = open_store(store, format=store_format)
+            store = open_store(store)
         self._store = store
         self._retry = RetryPolicy.resolve(retry)
         self._timeout = timeout
@@ -841,7 +838,7 @@ class PredictionService:
         Duplicate sweep points share one evaluation (each extra cell counts
         as one ``coalesced`` join in :meth:`stats`).  The unique points are
         partitioned into memory hits, store hits (bulk-probed through
-        :meth:`ResultStore.get_many`), and misses; misses of batch-capable
+        :meth:`SqliteResultStore.get_many`), and misses; misses of batch-capable
         backends are grouped per backend and dispatched in one
         ``predict_batch`` call, the rest fan out per the service's
         ``execution`` mode.  The partition is independent of the execution
@@ -1002,13 +999,30 @@ class PredictionService:
                 f"backend {backend!r} returned {len(batch_results)} batch results "
                 f"for {len(group)} scenarios"
             )
+        results = {point: result for (point, _), result in zip(group, batch_results)}
         with self._lock:
             self._batch_calls += 1
             self._batch_points += len(group)
-        results = {}
-        for (point, _), result in zip(group, batch_results):
-            self._record_evaluation(point, result)
-            results[point] = result
+            self._evaluations += len(group)
+            if self._cache_enabled:
+                self._cache.update(results)
+        if self._store is not None:
+            # One put_many is one transaction for the whole dispatch.
+            options = self._backend_options.get(backend, {})
+            try:
+                self._store.put_many(
+                    [
+                        (key, backend, result, options)
+                        for (key, _), result in results.items()
+                    ]
+                )
+            except StoreError as exc:
+                logger.warning(
+                    "could not persist %d results for %s: %s",
+                    len(results),
+                    backend,
+                    exc,
+                )
         return results
 
     # -- executor layer -------------------------------------------------------

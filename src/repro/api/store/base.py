@@ -1,23 +1,21 @@
-"""Common contract shared by every result-store backend.
+"""Common contract of the result store and its legacy JSON reader.
 
 A result store materialises :class:`~repro.api.results.PredictionResult`
 records keyed by ``(Scenario.cache_key(), backend, canonical backend
 options)`` so sweeps, figure runs, and benches pay for each evaluation
-exactly once across process lifetimes.  Two interchangeable backends
-implement the contract:
+exactly once across process lifetimes.  One engine writes stores:
 
-* :class:`~repro.api.store.json_store.ResultStore` — sharded JSON, one file
-  per record (atomic ``os.replace`` puts, human-inspectable);
 * :class:`~repro.api.store.sqlite_store.SqliteResultStore` — a single
-  WAL-mode SQLite file, O(1) cold-open on stores with millions of records.
+  WAL-mode SQLite file; ``put_many`` writes a whole batch in one
+  transaction.
 
-Both enforce the same versioning (store format + scenario spec + producing
-backend version ⇒ anything else is *stale* and skipped in place), the same
-never-fatal corruption handling (skip, count, quarantine into
-``<store>/.quarantine/``), and the same maintenance surface
-(:meth:`BaseResultStore.gc` — TTL expiry, stale purge, size-capped
-eviction, compaction).  :func:`~repro.api.store.open_store` picks the
-backend from the on-disk layout (or an explicit format name).
+:class:`~repro.api.store.json_store.ResultStore` reads the retired
+sharded-JSON layout (one file per record) and is only the source of
+``repro store migrate``.  Both apply the same versioning (store format +
+scenario spec + producing backend version ⇒ anything else is *stale* and
+skipped in place) and the same never-fatal corruption handling (skip and
+count).  :func:`~repro.api.store.open_store` opens the SQLite engine and
+refuses an un-migrated JSON directory.
 
 The store directory also hosts the cooperative-sweep lease files
 (``<store>/leases/``, see :mod:`repro.api.store.leases`):
@@ -53,31 +51,6 @@ QUARANTINE_DIR = ".quarantine"
 #: Sibling directory cooperative-sweep claim files live in.
 LEASES_DIR = "leases"
 
-#: Fields every record envelope must carry to be considered well-formed.
-_REQUIRED_FIELDS = (
-    "format",
-    "spec_version",
-    "backend",
-    "backend_version",
-    "options",
-    "key",
-    "result",
-)
-
-
-def _current_umask() -> int:
-    """The process umask (readable only by setting and restoring it)."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-#: Permissions for record files.  mkstemp creates 0600 files, but shared
-#: store directories need ordinary umask-governed permissions so peers can
-#: read each other's records.  Captured once at import: the umask read is a
-#: process-global set-and-restore and must not race concurrent puts.
-_RECORD_MODE = 0o666 & ~_current_umask()
-
 
 def _canonical_options(options: "dict | None") -> str:
     """Stable string form of a backend's constructor options.
@@ -87,15 +60,17 @@ def _canonical_options(options: "dict | None") -> str:
     keeps this total — unserialisable option values yield a stable-enough
     key instead of an exception on lookup.
     """
-    return json.dumps(options or {}, sort_keys=True, default=repr)
+    if not options:
+        return "{}"
+    return json.dumps(options, sort_keys=True, default=repr)
 
 
 def point_token(key: str, backend: str, options_key: str) -> str:
     """Stable digest naming one ``(backend, options, cache key)`` point.
 
-    Both store backends and the lease protocol key off this token: it names
-    the JSON record file, the SQLite row, and the claim file of one point,
-    so a lease taken against either backend guards exactly one record slot.
+    The store and the lease protocol key off this token: it names the
+    SQLite row (and a legacy JSON record file) and the claim file of one
+    point, so a lease guards exactly one record slot.
     """
     return hashlib.sha256(f"{backend}\n{options_key}\n{key}".encode()).hexdigest()
 
@@ -132,8 +107,6 @@ class GcStats:
     remaining: int = 0
     #: Expired or orphaned lease files removed.
     leases_removed: int = 0
-    #: Emptied shard directories removed (JSON backend only).
-    shards_removed: int = 0
     #: Bytes returned to the filesystem (compaction delta; best-effort).
     reclaimed_bytes: int = 0
     #: Whether this was a report-only pass (nothing was deleted).
@@ -151,7 +124,6 @@ class GcStats:
             f"gc: examined {self.examined} records, {verb} {self.purged} "
             f"({self.expired} expired, {self.stale} stale, {self.evicted} evicted), "
             f"{self.corrupt} quarantined, {self.leases_removed} stale leases, "
-            f"{self.shards_removed} empty shards, "
             f"{self.reclaimed_bytes} bytes reclaimed, {self.remaining} remaining"
         )
 
@@ -161,12 +133,12 @@ class BaseResultStore(abc.ABC):
 
     Subclasses provide the storage engine; the in-memory index, the lease
     namespace, and the directory-level checks live here.  All index access
-    happens under ``self._lock``; engine-level synchronisation (file renames,
-    SQLite transactions) is the subclass's business.
+    happens under ``self._lock``; engine-level synchronisation (SQLite
+    transactions) is the subclass's business.
     """
 
-    #: Short name of this engine (``"json"`` / ``"sqlite"``), the value the
-    #: CLI's ``--store-format`` selects.
+    #: Short name of the on-disk layout (``"sqlite"``, or ``"json"`` for the
+    #: legacy reader), as ``repro store info`` reports it.
     format_name: ClassVar[str]
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -250,7 +222,6 @@ class BaseResultStore(abc.ABC):
     ) -> dict[tuple[str, str], "PredictionResult"]:
         """Bulk lookup of ``(cache key, backend, options)`` points."""
 
-    @abc.abstractmethod
     def put(
         self,
         key: str,
@@ -258,14 +229,14 @@ class BaseResultStore(abc.ABC):
         result: "PredictionResult",
         options: dict | None = None,
     ) -> None:
-        """Persist one result atomically."""
+        """Persist one result (a batch of one)."""
+        self.put_many([(key, backend, result, options)])
 
+    @abc.abstractmethod
     def put_many(
         self, records: Sequence[tuple[str, str, "PredictionResult", dict | None]]
     ) -> None:
-        """Persist many results; engines may batch this into one transaction."""
-        for key, backend, result, options in records:
-            self.put(key, backend, result, options=options)
+        """Persist many results in one transaction."""
 
     @abc.abstractmethod
     def refresh(self) -> StoreStats:
@@ -291,25 +262,3 @@ class BaseResultStore(abc.ABC):
         * expired lease files are always reaped;
         * ``dry_run`` reports what a real pass would do without deleting.
         """
-
-    # -- shared maintenance helpers -------------------------------------------
-
-    def _gc_leases(self, stats: GcStats, dry_run: bool) -> None:
-        """Reap expired claim files under ``leases/`` (shared by all engines)."""
-        from .leases import LeaseManager
-
-        leases_dir = self._path / LEASES_DIR
-        if not leases_dir.is_dir():
-            return
-        manager = LeaseManager(leases_dir, worker_id="gc")
-        for info in manager.scan():
-            if info.expired():
-                stats.leases_removed += 1
-                if not dry_run:
-                    manager.reap(info.token)
-
-    def _drop_indexed(self, index_keys: Sequence[tuple[str, str, str]]) -> None:
-        """Forget purged records in memory so gc and the index agree."""
-        with self._lock:
-            for index_key in index_keys:
-                self._index.pop(index_key, None)

@@ -1,39 +1,21 @@
-"""Sharded-JSON result store: one atomic file per record.
+"""Read-only reader of the retired sharded-JSON store layout.
 
-Layout: each record is one small JSON file under
-``<store>/records/<hh>/<digest>.json`` where ``digest`` is the point token
+Stores used to keep each record as one JSON file under
+``<store>/records/<hh>/<digest>.json``, where ``digest`` is the point token
 (see :func:`~repro.api.store.base.point_token`) and ``hh`` its first two hex
-characters.  One file per record keeps every write atomic (the record is
-written to a temporary file in the same directory and ``os.replace``\\ d into
-place), which makes concurrent writers on one store path safe: two processes
-computing the same point race to rename identical content, and distinct
-points never touch the same file.
-
-Records are versioned three ways — the store format itself, the scenario
-spec (:data:`~repro.api.scenario.SCENARIO_SPEC_VERSION`), and the producing
-backend's ``version`` attribute.  A record written under any other version is
-skipped as stale on load.  A truncated or garbled record file is never
-fatal: it is counted, logged, and moved aside into ``<store>/.quarantine/``
-(reason prefixed to the file name); the next ``put`` of that point writes a
-fresh record.  Stale records are *not* quarantined — they are valid data for
-a different code version.
-
-Unusable probe outcomes are memoised: a stale or corrupt record would
-otherwise be re-opened and re-JSON-decoded on *every* ``get`` of that point.
-The memo is keyed by the file's stat signature ``(inode, mtime, size)``, so a
-concurrent process overwriting the slot with a valid record (a new inode via
-``os.replace``) is still picked up immediately — cross-process visibility
-costs one ``stat`` per miss instead of one parse.
+characters.  New stores are SQLite only; this reader is what
+``repro store migrate`` imports such a directory through.  It applies the
+same triple versioning as the SQLite engine (store format, scenario spec,
+producing backend version) and skips and counts stale and corrupt files,
+but never writes: ``put`` and ``gc`` raise :class:`StoreError`, and corrupt
+files are left where they are.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import os
-import tempfile
-import time
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -42,194 +24,111 @@ from ..backends import backend_version
 from ..results import PredictionResult
 from ..scenario import SCENARIO_SPEC_VERSION
 from .base import (
-    _RECORD_MODE,
-    _REQUIRED_FIELDS,
-    QUARANTINE_DIR,
     STORE_FORMAT_VERSION,
     BaseResultStore,
     GcStats,
     StoreStats,
     _canonical_options,
+    point_token,
 )
 
 logger = logging.getLogger(__name__)
 
-#: Entries kept in the unusable-probe memo before the oldest are evicted.
-_PROBE_MEMO_MAX = 4096
+#: Directory of a legacy store that holds the sharded record files.
+RECORDS_DIR = "records"
 
-#: A file's identity for the probe memo: changes whenever the slot is
-#: rewritten (os.replace allocates a new inode) or even touched in place.
-_StatSignature = tuple[int, int, int]
+#: Fields every record envelope must carry to be considered well-formed.
+_REQUIRED_FIELDS = (
+    "format",
+    "spec_version",
+    "backend",
+    "backend_version",
+    "options",
+    "key",
+    "result",
+)
+
+#: One usable legacy record: key, backend, canonical options, result and the
+#: file's mtime (its last write time, which ``gc --ttl`` ages from).
+LegacyRecord = tuple[str, str, str, PredictionResult, float]
 
 
-def _stat_signature(stat: os.stat_result) -> _StatSignature:
-    return (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+def _read_only(path: Path) -> StoreError:
+    return StoreError(
+        f"store at {str(path)!r} is a legacy JSON store and is read-only; "
+        f"run `repro store migrate {path}` to import it into SQLite"
+    )
 
 
 class ResultStore(BaseResultStore):
-    """Disk-backed result mapping, sharded JSON engine."""
+    """Read-only view of a legacy sharded-JSON store directory."""
 
     format_name = "json"
 
     def __init__(self, path: str | os.PathLike) -> None:
         super().__init__(path)
-        self._records_dir = self._path / "records"
-        # Bounded memo of unusable probes: index key -> stat signature the
-        # slot was last found stale/corrupt at.  Guarded by ``self._lock``;
-        # invalidated per-key by put() and wholesale by refresh().
-        self._probe_memo: dict[tuple[str, str, str], _StatSignature] = {}
+        self._records_dir = self._path / RECORDS_DIR
 
     # -- lookup ---------------------------------------------------------------
 
     def get(
         self, key: str, backend: str, options: dict | None = None
     ) -> PredictionResult | None:
-        """The stored result of one point, or ``None``.
-
-        ``options`` are the backend's constructor options: a record is only a
-        hit for the configuration that produced it.  Misses probe the disk
-        before giving up, so records written by a concurrent process on the
-        same store path are picked up without an explicit :meth:`refresh`;
-        repeated probes of a slot known to be stale or corrupt cost one
-        ``stat`` each, not a parse (see the probe memo in the module docs).
-        """
+        """The stored result of one point, or ``None``."""
         options_key = _canonical_options(options)
         index_key = (key, backend, options_key)
         with self._lock:
             hit = self._index.get(index_key)
         if hit is not None:
             return hit
-        path = self._record_path(key, backend, options_key)
-        return self._probe(index_key, path)
-
-    def _probe(
-        self, index_key: tuple[str, str, str], path: Path
-    ) -> PredictionResult | None:
-        """One memoised disk probe of a known-unindexed point."""
-        try:
-            signature = _stat_signature(os.stat(path))
-        except OSError:
-            return None  # no record file: nothing to parse, nothing to memo
+        token = point_token(key, backend, options_key)
+        loaded = self._read_record(
+            self._records_dir / token[:2] / f"{token}.json", StoreStats()
+        )
+        if loaded is None or loaded[:3] != index_key:
+            return None
         with self._lock:
-            if self._probe_memo.get(index_key) == signature:
-                return None  # unchanged since it was last found unusable
-        # Probe outcomes go to a throwaway stats object: ``stats`` documents
-        # the last full scan, and probes run concurrently from pool threads.
-        loaded = self._read_record(path, StoreStats())
-        if loaded is not None and loaded[:3] == index_key:
-            with self._lock:
-                self._index[index_key] = loaded[3]
-                self._probe_memo.pop(index_key, None)
-            return loaded[3]
-        with self._lock:
-            self._probe_memo[index_key] = signature
-            while len(self._probe_memo) > _PROBE_MEMO_MAX:
-                self._probe_memo.pop(next(iter(self._probe_memo)))
-        return None
+            self._index[index_key] = loaded[3]
+        return loaded[3]
 
     def get_many(
         self, points: Sequence[tuple[str, str, dict | None]]
     ) -> dict[tuple[str, str], PredictionResult]:
-        """Bulk lookup of ``(cache key, backend, options)`` points.
-
-        Returns the stored results keyed by ``(cache key, backend)``; points
-        without a usable record are simply absent.  Disk misses are resolved
-        with **one directory listing per shard** instead of one file probe
-        per record: a sweep planner asking for thousands of mostly-missing
-        points costs at most 256 ``listdir`` calls, and only record files
-        that actually exist are opened and parsed (stale/corrupt slots via
-        the same probe memo as :meth:`get`).
-        """
-        found: dict[tuple[str, str], PredictionResult] = {}
-        shard_probes: dict[Path, list[tuple[tuple[str, str, str], Path]]] = {}
-        with self._lock:
-            for key, backend, options in points:
-                options_key = _canonical_options(options)
-                index_key = (key, backend, options_key)
-                hit = self._index.get(index_key)
-                if hit is not None:
-                    found[(key, backend)] = hit
-                    continue
-                path = self._record_path(key, backend, options_key)
-                shard_probes.setdefault(path.parent, []).append((index_key, path))
-        for shard_dir, probes in shard_probes.items():
-            try:
-                present = set(os.listdir(shard_dir))
-            except OSError:
-                continue
-            for index_key, path in probes:
-                if path.name not in present:
-                    continue
-                loaded = self._probe(index_key, path)
-                if loaded is not None:
-                    found[(index_key[0], index_key[1])] = loaded
+        """Bulk lookup; points without a usable record are absent."""
+        found = {}
+        for key, backend, options in points:
+            result = self.get(key, backend, options)
+            if result is not None:
+                found[(key, backend)] = result
         return found
 
-    # -- writes ---------------------------------------------------------------
-
-    def put(
-        self,
-        key: str,
-        backend: str,
-        result: PredictionResult,
-        options: dict | None = None,
-    ) -> None:
-        """Persist one result atomically (write-temp-then-rename)."""
-        options_key = _canonical_options(options)
-        record = {
-            "format": STORE_FORMAT_VERSION,
-            "spec_version": SCENARIO_SPEC_VERSION,
-            "backend": backend,
-            "backend_version": backend_version(backend),
-            "options": options_key,
-            "key": key,
-            "result": result.to_dict(),
-            "created": time.time(),
-        }
-        path = self._record_path(key, backend, options_key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{path.stem[:16]}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(record, handle, sort_keys=True)
-                os.chmod(tmp_name, _RECORD_MODE)
-                os.replace(tmp_name, path)
-            except BaseException:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp_name)
-                raise
-        except (OSError, TypeError, ValueError) as exc:
-            # TypeError/ValueError cover unserialisable result payloads from
-            # custom backends; the store contract is never-fatal either way.
-            raise StoreError(f"cannot write store record {str(path)!r}: {exc}") from exc
-        with self._lock:
-            self._index[(key, backend, options_key)] = result
-            self._probe_memo.pop((key, backend, options_key), None)
-
-    # -- maintenance ----------------------------------------------------------
-
-    def refresh(self) -> StoreStats:
-        """Rescan the directory; the result is *merged* over the live index.
-
-        Merging (rather than wholesale replacement) closes the race where a
-        concurrent ``put`` lands after the scan already passed its shard:
-        the record is durably on disk, and its index entry must survive the
-        refresh — see :meth:`BaseResultStore._publish_refresh`.
-        """
+    def scan(self) -> tuple[list[LegacyRecord], StoreStats]:
+        """Every usable record with its mtime, and the scan's counts."""
         stats = StoreStats()
-        index: dict[tuple[str, str, str], PredictionResult] = {}
+        records: list[LegacyRecord] = []
         if self._records_dir.is_dir():
             for record_file in sorted(self._records_dir.glob("??/*.json")):
+                try:
+                    mtime = record_file.stat().st_mtime
+                except OSError:
+                    continue  # vanished mid-scan
                 loaded = self._read_record(record_file, stats)
                 if loaded is not None:
-                    key, backend, options_key, result = loaded
-                    index[(key, backend, options_key)] = result
-        with self._lock:
-            self._probe_memo.clear()
+                    records.append((*loaded, mtime))
+        return records, stats
+
+    def refresh(self) -> StoreStats:
+        """Rescan the directory, merged over the live index."""
+        records, stats = self.scan()
+        index = {record[:3]: record[3] for record in records}
         return self._publish_refresh(index, stats)
+
+    # -- writes are retired ----------------------------------------------------
+
+    def put_many(
+        self, records: Sequence[tuple[str, str, PredictionResult, dict | None]]
+    ) -> None:
+        raise _read_only(self._path)
 
     def gc(
         self,
@@ -237,142 +136,42 @@ class ResultStore(BaseResultStore):
         max_records: int | None = None,
         dry_run: bool = False,
     ) -> GcStats:
-        """TTL expiry, stale purge, size-capped eviction, shard compaction.
-
-        Record age is the file's mtime (every atomic put rewrites it, so
-        mtime is the record's last write).  Eviction removes oldest-first.
-        Purged records drop out of the in-memory index too; emptied shard
-        directories are removed so a shrunken store stays O(occupied shards)
-        to scan.
-        """
-        stats = GcStats(dry_run=dry_run)
-        now = time.time()
-        survivors: list[tuple[float, Path, tuple[str, str, str] | None]] = []
-        purged_keys: list[tuple[str, str, str]] = []
-
-        def purge(path: Path, index_key: tuple[str, str, str] | None) -> None:
-            with contextlib.suppress(OSError):
-                stats.reclaimed_bytes += path.stat().st_size
-            if not dry_run:
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
-                if index_key is not None:
-                    purged_keys.append(index_key)
-
-        if self._records_dir.is_dir():
-            for record_file in sorted(self._records_dir.glob("??/*.json")):
-                stats.examined += 1
-                scan = StoreStats()
-                loaded = self._read_record(record_file, scan)
-                if scan.corrupt:
-                    stats.corrupt += 1  # already quarantined by the read path
-                    continue
-                try:
-                    mtime = record_file.stat().st_mtime
-                except OSError:
-                    continue
-                if scan.stale:
-                    stats.stale += 1
-                    purge(record_file, None)
-                    continue
-                if loaded is None:
-                    continue  # vanished mid-scan
-                index_key = loaded[:3]
-                if ttl is not None and now - mtime > ttl:
-                    stats.expired += 1
-                    purge(record_file, index_key)
-                    continue
-                survivors.append((mtime, record_file, index_key))
-        if max_records is not None and len(survivors) > max_records:
-            survivors.sort(key=lambda entry: entry[0])
-            excess = len(survivors) - max_records
-            for mtime, path, index_key in survivors[:excess]:
-                stats.evicted += 1
-                purge(path, index_key)
-            survivors = survivors[excess:]
-        stats.remaining = len(survivors)
-        self._drop_indexed(purged_keys)
-        self._gc_leases(stats, dry_run)
-        if not dry_run and self._records_dir.is_dir():
-            for shard in sorted(self._records_dir.iterdir()):
-                if shard.is_dir():
-                    with contextlib.suppress(OSError):
-                        shard.rmdir()  # only succeeds when empty
-                        stats.shards_removed += 1
-        return stats
+        raise _read_only(self._path)
 
     # -- internals ------------------------------------------------------------
-
-    def _record_path(self, key: str, backend: str, options_key: str) -> Path:
-        from .base import point_token
-
-        digest = point_token(key, backend, options_key)
-        return self._records_dir / digest[:2] / f"{digest}.json"
-
-    def _quarantine(self, path: Path, reason: str) -> Path | None:
-        """Move a corrupt record into ``.quarantine/`` (never fatal).
-
-        The file keeps its name with the corruption reason prefixed, so the
-        quarantine directory reads as a report.  Any OS-level failure (a
-        concurrent reader racing the same move, a read-only store) leaves
-        the record in place and is swallowed: quarantining is best-effort
-        bookkeeping on top of the skip-and-count contract, not part of it.
-        """
-        target_dir = self._path / QUARANTINE_DIR
-        target = target_dir / f"{reason}--{path.name}"
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-        except OSError:
-            return None
-        return target
 
     def _read_record(
         self, path: Path, stats: StoreStats
     ) -> tuple[str, str, str, PredictionResult] | None:
         """Parse one record file; corruption and staleness are never fatal."""
-
-        def corrupt(reason: str, detail: str = "") -> None:
-            stats.corrupt += 1
-            quarantined = self._quarantine(path, reason)
-            if quarantined is not None:
-                stats.quarantined += 1
-            logger.warning(
-                "skipping corrupt store record %s (%s%s)%s",
-                path,
-                reason,
-                f": {detail}" if detail else "",
-                f"; quarantined to {quarantined}" if quarantined else "",
-            )
-
         try:
             with open(path, encoding="utf-8") as handle:
                 record = json.load(handle)
         except FileNotFoundError:
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            corrupt("unreadable", str(exc))
-            return None
+            return self._corrupt(path, stats, f"unreadable: {exc}")
         if not isinstance(record, dict) or any(
             field not in record for field in _REQUIRED_FIELDS
         ):
-            corrupt("malformed")
-            return None
+            return self._corrupt(path, stats, "malformed")
         if (
             record["format"] != STORE_FORMAT_VERSION
             or record["spec_version"] != SCENARIO_SPEC_VERSION
             or record["backend_version"] != backend_version(record["backend"])
         ):
-            # Stale is not corrupt: the record is valid data for another
-            # code version and must survive in place (a downgrade, or a
-            # peer on an older version, can still use it).
             stats.stale += 1
             logger.info("skipping stale store record %s (version mismatch)", path)
             return None
         try:
             result = PredictionResult.from_dict(record["result"])
         except Exception as exc:  # noqa: BLE001 — any decode failure is corruption
-            corrupt("undecodable", str(exc))
-            return None
+            return self._corrupt(path, stats, f"undecodable: {exc}")
         stats.loaded += 1
         return record["key"], record["backend"], record["options"], result
+
+    @staticmethod
+    def _corrupt(path: Path, stats: StoreStats, detail: str) -> None:
+        stats.corrupt += 1
+        logger.warning("skipping corrupt store record %s (%s)", path, detail)
+        return None

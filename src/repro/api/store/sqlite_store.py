@@ -1,26 +1,37 @@
-"""Single-file SQLite result store: O(1) cold-open on huge stores.
+"""Single-file SQLite result store: the one engine stores are written with.
 
-The sharded-JSON engine pays one directory listing per shard on a cold bulk
-probe — cheap at thousands of records, painful at millions.  This engine
-keeps every record as one row of one WAL-mode SQLite file
+Every record is one row of one WAL-mode SQLite file
 (``<store>/store.sqlite3``), so a cold ``get_many`` over an arbitrary grid
 is a handful of indexed ``SELECT``\\ s regardless of store size, and
-``put_many`` batches a whole sweep's results into one transaction.
+``put_many`` writes a whole batch of results in one transaction.
 
-The contract is identical to the JSON engine (same envelope fields, same
-triple versioning, stale-skipped-in-place, corruption never fatal).  Two
-corruption granularities exist here:
+Records are versioned three ways — the store format itself, the scenario
+spec (:data:`~repro.api.scenario.SCENARIO_SPEC_VERSION`), and the producing
+backend's ``version`` attribute.  A row written under any other version is
+*stale*: skipped in place on read (it is valid data for another code
+version) and purged by :meth:`SqliteResultStore.gc`.  Corruption is never
+fatal, at two granularities:
 
 * **row-level** — a row whose ``result`` payload fails to decode is counted
   corrupt, a JSON dump of the row is quarantined into
-  ``<store>/.quarantine/``, and the row is deleted;
+  ``<store>/.quarantine/``, and the row is deleted so the next put of that
+  point writes a fresh record;
 * **file-level** — an unopenable/unreadable database file is itself moved
-  into quarantine and a fresh empty database takes its place, mirroring
-  how the JSON engine survives a torn record file.
+  into quarantine and a fresh empty database takes its place.
+
+Unusable probe outcomes are memoised by the row's ``created`` stamp: a
+stale or corrupt row is decoded once, not on every ``get``, while a peer
+overwriting the row (which rewrites ``created``) is still seen at once.
 
 WAL mode plus a busy timeout makes concurrent cross-process writers safe;
 within a process a single connection (``check_same_thread=False``) is
 shared, with every database operation serialised under the store lock.
+
+A connection must not cross ``fork()`` (process-pool workers are forked
+while other threads record results): a fork hook holds every open store's
+lock across the fork, so no thread is inside SQLite when it happens, and the
+child drops the inherited connections unclosed and reconnects if it needs
+to.
 """
 
 from __future__ import annotations
@@ -30,7 +41,9 @@ import json
 import logging
 import os
 import sqlite3
+import threading
 import time
+import weakref
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -39,6 +52,7 @@ from ..backends import backend_version
 from ..results import PredictionResult
 from ..scenario import SCENARIO_SPEC_VERSION
 from .base import (
+    LEASES_DIR,
     QUARANTINE_DIR,
     STORE_FORMAT_VERSION,
     BaseResultStore,
@@ -47,6 +61,7 @@ from .base import (
     _canonical_options,
     point_token,
 )
+from .leases import LeaseManager
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +99,40 @@ _ROW_FIELDS = (
 
 _SELECT = f"SELECT {', '.join(_ROW_FIELDS)} FROM records"
 
+#: Every store of this process, for the fork hook below.
+_OPEN_STORES: "weakref.WeakSet[SqliteResultStore]" = weakref.WeakSet()
+#: Serialises forks, and holds the stores one fork has locked.
+_FORK_LOCK = threading.Lock()
+_FORK_HELD: "list[SqliteResultStore]" = []
+#: Connections a forked child inherited: kept referenced so the child never
+#: closes (and so never touches) a connection its parent is still using.
+_INHERITED: list[sqlite3.Connection] = []
+
+
+def _before_fork() -> None:
+    _FORK_LOCK.acquire()
+    _FORK_HELD[:] = list(_OPEN_STORES)
+    for store in _FORK_HELD:
+        store._lock.acquire()
+
+
+def _after_fork(in_child: bool) -> None:
+    for store in _FORK_HELD:
+        if in_child and store._conn is not None:
+            _INHERITED.append(store._conn)
+            store._conn = None
+        store._lock.release()
+    _FORK_HELD.clear()
+    _FORK_LOCK.release()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=lambda: _after_fork(in_child=False),
+        after_in_child=lambda: _after_fork(in_child=True),
+    )
+
 
 class SqliteResultStore(BaseResultStore):
     """Disk-backed result mapping, single-file SQLite engine."""
@@ -99,6 +148,7 @@ class SqliteResultStore(BaseResultStore):
         # ``created``, so the memo never hides a fresh record.  Guarded by
         # ``self._lock``; invalidated by put() and cleared by refresh().
         self._stale_rows: dict[str, float] = {}
+        _OPEN_STORES.add(self)
 
     # -- connection management -------------------------------------------------
 
@@ -111,7 +161,7 @@ class SqliteResultStore(BaseResultStore):
             self._conn = self._open_db()
         except sqlite3.Error as exc:
             # File-level corruption: quarantine the damaged database and
-            # start fresh, mirroring the JSON engine's torn-record handling.
+            # start fresh.
             self._quarantine_db(str(exc))
             try:
                 self._conn = self._open_db()
@@ -172,9 +222,10 @@ class SqliteResultStore(BaseResultStore):
     ) -> PredictionResult | None:
         """The stored result of one point, or ``None``.
 
-        Like the JSON engine, a miss probes the database before giving up,
-        so rows committed by a concurrent process are picked up without an
-        explicit :meth:`refresh`.
+        ``options`` are the backend's constructor options: a record is only a
+        hit for the configuration that produced it.  A miss probes the
+        database before giving up, so rows committed by a concurrent process
+        are picked up without an explicit :meth:`refresh`.
         """
         options_key = _canonical_options(options)
         index_key = (key, backend, options_key)
@@ -237,26 +288,23 @@ class SqliteResultStore(BaseResultStore):
 
     # -- writes ---------------------------------------------------------------
 
-    def put(
-        self,
-        key: str,
-        backend: str,
-        result: PredictionResult,
-        options: dict | None = None,
-    ) -> None:
-        """Persist one result (an upsert in one implicit transaction)."""
-        self.put_many([(key, backend, result, options)])
-
     def put_many(
-        self, records: Sequence[tuple[str, str, PredictionResult, dict | None]]
+        self,
+        records: Sequence[tuple[str, str, PredictionResult, dict | None]],
+        created: Sequence[float] | None = None,
     ) -> None:
-        """Persist many results in **one transaction** (the batching win)."""
+        """Persist many results (upserts) in **one transaction**.
+
+        Each row's ``created`` stamp is now, or the matching entry of
+        ``created`` (migration carries the legacy files' mtimes this way).
+        """
         if not records:
             return
         rows = []
         indexed = []
-        now = time.time()
-        for key, backend, result, options in records:
+        stamps = created if created is not None else [time.time()] * len(records)
+        for record, stamp in zip(records, stamps, strict=True):
+            key, backend, result, options = record
             options_key = _canonical_options(options)
             try:
                 payload = json.dumps(result.to_dict(), sort_keys=True)
@@ -274,7 +322,7 @@ class SqliteResultStore(BaseResultStore):
                     options_key,
                     key,
                     payload,
-                    now,
+                    stamp,
                 )
             )
             indexed.append(((key, backend, options_key), result))
@@ -299,7 +347,13 @@ class SqliteResultStore(BaseResultStore):
     # -- maintenance ----------------------------------------------------------
 
     def refresh(self) -> StoreStats:
-        """Full table scan, merged over the live index (see the JSON engine)."""
+        """Full table scan, merged over the live index.
+
+        Merging (rather than wholesale replacement) closes the race where a
+        concurrent ``put`` commits after the scan already read the table:
+        its index entry must survive — see
+        :meth:`BaseResultStore._publish_refresh`.
+        """
         stats = StoreStats()
         index: dict[tuple[str, str, str], PredictionResult] = {}
         with self._lock:
@@ -322,7 +376,7 @@ class SqliteResultStore(BaseResultStore):
 
         Row age is its ``created`` column (rewritten on every put).  After a
         non-dry pass the database is vacuumed so reclaimed pages actually
-        shrink the file — the SQLite analogue of removing emptied shards.
+        shrink the file.
         """
         stats = GcStats(dry_run=dry_run)
         now = time.time()
@@ -391,6 +445,24 @@ class SqliteResultStore(BaseResultStore):
         self._drop_indexed(purged_keys)
         self._gc_leases(stats, dry_run)
         return stats
+
+    def _gc_leases(self, stats: GcStats, dry_run: bool) -> None:
+        """Reap expired claim files under ``leases/``."""
+        leases_dir = self._path / LEASES_DIR
+        if not leases_dir.is_dir():
+            return
+        manager = LeaseManager(leases_dir, worker_id="gc")
+        for info in manager.scan():
+            if info.expired():
+                stats.leases_removed += 1
+                if not dry_run:
+                    manager.reap(info.token)
+
+    def _drop_indexed(self, index_keys: Sequence[tuple[str, str, str]]) -> None:
+        """Forget purged records in memory so gc and the index agree."""
+        with self._lock:
+            for index_key in index_keys:
+                self._index.pop(index_key, None)
 
     # -- internals ------------------------------------------------------------
 

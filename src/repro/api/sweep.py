@@ -1,15 +1,16 @@
 """Store-aware sweep scheduling: evaluate only the missing grid points.
 
 A parameter sweep is a :class:`~repro.api.scenario.ScenarioSuite` × a set of
-backends.  With a persistent :class:`~repro.api.store.ResultStore` attached
-to the service, most of a re-run (or a resumed, previously interrupted run)
-is already answered on disk; the :class:`SweepScheduler` makes that explicit:
+backends.  With a persistent :class:`~repro.api.store.SqliteResultStore`
+attached to the service, most of a re-run (or a resumed, previously
+interrupted run) is already answered on disk; the :class:`SweepScheduler`
+makes that explicit:
 
 * :meth:`SweepScheduler.plan` partitions the target grid into memory hits,
   store hits, and missing ``(scenario, backend)`` points — without
   evaluating anything (the store is bulk-probed with
-  :meth:`~repro.api.store.ResultStore.get_many`, one directory listing per
-  shard);
+  :meth:`~repro.api.store.SqliteResultStore.get_many`, one indexed
+  ``SELECT`` per 500 missing points);
 * :meth:`SweepScheduler.run` executes the plan through
   :meth:`~repro.api.service.PredictionService.evaluate_suite` — cached
   points replay from memory/store, missing points fan out per the service's

@@ -24,7 +24,8 @@ main entry points of the library through the unified prediction API:
   with bounded admission, request coalescing, per-request resilience
   policies, streaming NDJSON sweeps, graceful SIGTERM drain);
 * ``store``    — maintain a persistent result store (``store gc`` expires,
-  evicts and compacts records; ``store info`` reports contents and leases);
+  evicts and compacts records; ``store info`` reports contents and leases;
+  ``store migrate`` imports a legacy JSON store into SQLite);
 * ``simulate`` — run the YARN simulator and print per-job traces.
 
 Scenario-taking commands (``predict`` / ``compare`` / ``simulate``) accept
@@ -36,8 +37,8 @@ the faults mechanistically; analytic backends either apply an
 expected-value inflation or decline the point as a structured failure.
 
 ``predict`` / ``compare`` / ``sweep`` / ``figure`` accept ``--store PATH``
-(persist results across runs through a result store; ``--store-format
-json|sqlite`` selects the engine for a new store), ``--execution
+(persist results across runs through a SQLite result store; a legacy JSON
+store is imported once with ``repro store migrate PATH``), ``--execution
 {serial,thread,process}`` (suite fan-out strategy), ``--no-batch`` (disable
 one-call ``predict_batch`` dispatch for the batch-capable ``aria`` and
 ``herodotou`` backends), and the fault-tolerance knobs ``--retries N`` (retry transient
@@ -66,13 +67,13 @@ from .analysis import ascii_series_plot, format_series_table
 from .api import (
     EXECUTION_MODES,
     ON_ERROR_MODES,
-    STORE_FORMATS,
     PredictionService,
     Scenario,
     ScenarioSuite,
     SweepScheduler,
     WORKLOAD_PROFILES,
     backend_names,
+    migrate_store,
     open_store,
 )
 from .plan import OBJECTIVE_KINDS, CapacityPlanner, Constraint, Objective, PlanSpec, SearchSpace
@@ -218,14 +219,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="persistent result-store directory; results are reused across runs",
     )
     parser.add_argument(
-        "--store-format",
-        dest="store_format",
-        default=None,
-        choices=STORE_FORMATS,
-        help="store engine for a NEW --store directory (an existing store "
-        "keeps its engine; default for new stores: json)",
-    )
-    parser.add_argument(
         "--execution",
         default="thread",
         choices=EXECUTION_MODES,
@@ -272,7 +265,6 @@ def _service_from_args(
         backends=backends,
         max_workers=max_workers,
         store=args.store,
-        store_format=args.store_format,
         execution=args.execution,
         batch=not args.no_batch,
         retry=args.retries,
@@ -678,7 +670,7 @@ def _command_dashboard(args: argparse.Namespace) -> int:
 
 
 def _command_store_gc(args: argparse.Namespace) -> int:
-    store = open_store(args.path, format=args.store_format)
+    store = open_store(args.path)
     stats = store.gc(
         ttl=args.ttl, max_records=args.max_records, dry_run=args.dry_run
     )
@@ -695,7 +687,6 @@ def _command_store_gc(args: argparse.Namespace) -> int:
                     "corrupt": stats.corrupt,
                     "remaining": stats.remaining,
                     "leases_removed": stats.leases_removed,
-                    "shards_removed": stats.shards_removed,
                     "reclaimed_bytes": stats.reclaimed_bytes,
                     "dry_run": stats.dry_run,
                 }
@@ -707,7 +698,7 @@ def _command_store_gc(args: argparse.Namespace) -> int:
 
 
 def _command_store_info(args: argparse.Namespace) -> int:
-    store = open_store(args.path, format=args.store_format)
+    store = open_store(args.path)
     stats = store.refresh()
     leases = store.lease_manager(worker_id="info").scan()
     live = sum(1 for info in leases if not info.expired())
@@ -715,6 +706,15 @@ def _command_store_info(args: argparse.Namespace) -> int:
     print(f"format:  {store.format_name}")
     print(f"records: {stats.loaded} usable, {stats.stale} stale, {stats.corrupt} corrupt")
     print(f"leases:  {live} live, {len(leases) - live} expired")
+    return 0
+
+
+def _command_store_migrate(args: argparse.Namespace) -> int:
+    stats = migrate_store(args.path)
+    print(
+        f"migrated {args.path}: {stats.loaded} loaded, "
+        f"{stats.stale} stale, {stats.corrupt} corrupt"
+    )
     return 0
 
 
@@ -1079,7 +1079,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store_parser = _subparser(
         subparsers, "store",
-        help="maintain a persistent result store (gc, info)",
+        help="maintain a persistent result store (gc, info, migrate)",
     )
     store_subparsers = store_parser.add_subparsers(dest="store_command", required=True)
     store_gc_parser = _subparser(
@@ -1087,13 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="expire, evict, and compact store records; reap dead leases",
     )
     store_gc_parser.add_argument("path", help="store directory")
-    store_gc_parser.add_argument(
-        "--store-format",
-        dest="store_format",
-        default=None,
-        choices=STORE_FORMATS,
-        help="expected engine (default: detect from the directory layout)",
-    )
     store_gc_parser.add_argument(
         "--ttl",
         type=float,
@@ -1123,14 +1116,13 @@ def build_parser() -> argparse.ArgumentParser:
         store_subparsers, "info", help="report a store's engine, record counts, and leases"
     )
     store_info_parser.add_argument("path", help="store directory")
-    store_info_parser.add_argument(
-        "--store-format",
-        dest="store_format",
-        default=None,
-        choices=STORE_FORMATS,
-        help="expected engine (default: detect from the directory layout)",
-    )
     store_info_parser.set_defaults(handler=_command_store_info)
+    store_migrate_parser = _subparser(
+        store_subparsers, "migrate",
+        help="import a legacy JSON store's records into SQLite (records/ is kept)",
+    )
+    store_migrate_parser.add_argument("path", help="legacy JSON store directory")
+    store_migrate_parser.set_defaults(handler=_command_store_migrate)
 
     # simulate is one seeded raw run (per-job traces), so --repetitions —
     # which only affects the simulator *backend*'s median-of-N — is omitted.

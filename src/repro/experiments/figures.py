@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..api import PredictionService, ResultStore, Scenario, ScenarioSuite
+from ..api import BaseResultStore, PredictionService, Scenario, ScenarioSuite
 from ..exceptions import ExperimentError
 from ..units import MiB, gigabytes, megabytes
 from .runner import DEFAULT_BASE_SEED, ExperimentSeries, run_suite_series
@@ -156,7 +156,7 @@ def run_figure(
     base_seed: int = DEFAULT_BASE_SEED,
     duration_cv: float = 0.3,
     num_reduces: int = DEFAULT_REDUCES,
-    store: ResultStore | str | None = None,
+    store: BaseResultStore | str | None = None,
     execution: str | None = None,
     service: PredictionService | None = None,
 ) -> ExperimentSeries:

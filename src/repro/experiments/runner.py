@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from ..analysis.errors import relative_error
 from ..api import (
     WORKLOAD_PROFILES,
+    BaseResultStore,
     PredictionService,
-    ResultStore,
     Scenario,
     ScenarioSuite,
     SweepOutcome,
@@ -50,7 +50,7 @@ POINT_BACKENDS = ("simulator", "mva-forkjoin", "mva-tripathi")
 
 def _resolve_service(
     service: PredictionService | None,
-    store: ResultStore | str | None = None,
+    store: BaseResultStore | str | None = None,
     execution: str | None = None,
 ) -> PredictionService:
     """A caller-provided service, or a fresh one per run.
@@ -178,7 +178,7 @@ def simulate_measured_response(
     repetitions: int = DEFAULT_REPETITIONS,
     base_seed: int = DEFAULT_BASE_SEED,
     service: PredictionService | None = None,
-    store: ResultStore | str | None = None,
+    store: BaseResultStore | str | None = None,
 ) -> float:
     """Median over repetitions of the mean job response time (the "measurement")."""
     if repetitions <= 0:
@@ -206,7 +206,7 @@ def run_experiment_point(
     cluster: ClusterConfig | None = None,
     scheduler: SchedulerConfig | None = None,
     service: PredictionService | None = None,
-    store: ResultStore | str | None = None,
+    store: BaseResultStore | str | None = None,
 ) -> ExperimentPoint:
     """Run the simulator and both model variants for one experiment point."""
     if repetitions <= 0:
@@ -229,7 +229,7 @@ def run_suite_grid(
     suite: ScenarioSuite,
     backends: Sequence[str],
     service: PredictionService | None = None,
-    store: ResultStore | str | None = None,
+    store: BaseResultStore | str | None = None,
     execution: str | None = None,
     on_error: str | None = None,
 ) -> SweepOutcome:
@@ -256,7 +256,7 @@ def run_suite_series(
     x_label: str,
     x_values: list[float],
     service: PredictionService | None = None,
-    store: ResultStore | str | None = None,
+    store: BaseResultStore | str | None = None,
     execution: str | None = None,
 ) -> ExperimentSeries:
     """Evaluate a scenario suite (aligned with ``x_values``) into a series."""
@@ -281,7 +281,7 @@ def run_series(
     repetitions: int = DEFAULT_REPETITIONS,
     base_seed: int = DEFAULT_BASE_SEED,
     service: PredictionService | None = None,
-    store: ResultStore | str | None = None,
+    store: BaseResultStore | str | None = None,
     execution: str | None = None,
 ) -> ExperimentSeries:
     """Run a sweep; ``workloads`` and ``node_counts`` are aligned with ``x_values``."""

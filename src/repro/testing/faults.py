@@ -23,8 +23,8 @@ importantly, *reproducibly* testable:
   exactly one kill happens per switch, across any number of worker
   processes (fork start method; spawn workers re-import a fresh registry
   and never see runtime wrappers).
-* :class:`FaultyStore` is a :class:`~repro.api.store.ResultStore` whose
-  ``put`` sometimes tears the write: garbage lands at the record path,
+* :class:`FaultyStore` is a :class:`~repro.api.store.SqliteResultStore`
+  whose writes are sometimes torn: the row's ``result`` is cut short,
   simulating a crash mid-write that the store's quarantine path must absorb.
 
 The wrappers swap classes in the backend registry directly (the same idiom
@@ -45,7 +45,7 @@ from pathlib import Path
 
 from ..api.backends import _REGISTRY
 from ..api.scenario import Scenario
-from ..api.store import ResultStore, _canonical_options
+from ..api.store import SqliteResultStore, _canonical_options, point_token
 from ..exceptions import TransientError, ValidationError
 
 #: Exit code a :class:`KillSwitch` kills the worker process with.
@@ -120,6 +120,13 @@ class FaultInjector:
         """Roll one batch-level transient for a ``predict_batch`` dispatch."""
         if self._inject("batch-transient", self.spec.transient_rate, f"batch:{backend}"):
             raise TransientError(f"injected transient batch fault for {backend!r}")
+
+    def rolls(self, kind: str) -> int:
+        """How many draws of ``kind`` were made, across every point."""
+        with self._lock:
+            return sum(
+                n for (rolled, _), n in self._occurrences.items() if rolled == kind
+            )
 
     def corrupt_write(self, key: str) -> bool:
         """Whether this store write should be torn."""
@@ -240,12 +247,12 @@ def inject_backend_faults(
         _REGISTRY[name] = original
 
 
-class FaultyStore(ResultStore):
+class FaultyStore(SqliteResultStore):
     """A result store whose writes are sometimes torn mid-record.
 
-    With probability ``spec.corrupt_rate`` a ``put`` writes truncated JSON
-    straight to the record path (no temp-file dance) and reports success —
-    the moral equivalent of a crash between ``write`` and ``rename``.  The
+    With probability ``spec.corrupt_rate`` per point, a write lands with its
+    ``result`` truncated to invalid JSON and reports success — the moral
+    equivalent of a crash halfway through serialising the row.  The
     reader-side contract (skip, count, quarantine) is what absorbs it.
     """
 
@@ -253,14 +260,21 @@ class FaultyStore(ResultStore):
         super().__init__(path)
         self._injector = injector
 
-    def put(self, key, backend, result, options=None) -> None:
-        if self._injector.corrupt_write(f"{backend}:{key}"):
-            options_key = _canonical_options(options)
-            path = self._record_path(key, backend, options_key)
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text('{"format": 1, "spec_version"')
-            except OSError:
-                pass
+    def put_many(self, records, created=None) -> None:
+        super().put_many(records, created)
+        torn = [
+            (key, backend, _canonical_options(options))
+            for key, backend, _, options in records
+            if self._injector.corrupt_write(f"{backend}:{key}")
+        ]
+        if not torn:
             return
-        super().put(key, backend, result, options=options)
+        with self._lock:
+            conn = self._connect()
+            with conn:
+                conn.executemany(
+                    "UPDATE records SET result = substr(result, 1, 40) WHERE token = ?",
+                    [(point_token(*index_key),) for index_key in torn],
+                )
+            for index_key in torn:
+                self._index.pop(index_key, None)

@@ -22,10 +22,10 @@ import pytest
 
 from repro.api import (
     PredictionService,
-    ResultStore,
     RetryPolicy,
     Scenario,
     ScenarioSuite,
+    open_store,
 )
 from repro.api.backends import _REGISTRY
 from repro.api.dashboard import ARTIFACT_PREFIX, run_dashboard
@@ -166,7 +166,7 @@ class TestTransientChaosSweep:
         assert injector.duplicate_evaluations() == 0
         assert stats.evaluations == len(CHAOS_SUITE.scenarios) * len(CHAOS_BACKENDS)
         # One persisted record per point — no duplicate or phantom writes.
-        assert ResultStore(tmp_path / "store").refresh().loaded == stats.evaluations
+        assert open_store(tmp_path / "store").refresh().loaded == stats.evaluations
 
     def test_faulted_batch_path_degrades_and_still_matches(self):
         clean = PredictionService(backends=list(CHAOS_BACKENDS)).evaluate_suite(
@@ -208,8 +208,8 @@ class TestCorruptWriteChaos:
         # not the (sometimes torn) persistence.
         assert first.complete
 
-        # A fresh store skips + quarantines the torn records and keeps the rest.
-        healthy = ResultStore(tmp_path / "store")
+        # A fresh store skips + quarantines the torn rows and keeps the rest.
+        healthy = open_store(tmp_path / "store")
         scan = healthy.refresh()
         points = len(CHAOS_SUITE.scenarios)
         assert scan.corrupt == torn
@@ -225,7 +225,29 @@ class TestCorruptWriteChaos:
         stats = resumed.stats()
         assert stats.store_hits == points - torn
         assert stats.evaluations == torn
-        assert ResultStore(tmp_path / "store").refresh().loaded == points
+        assert open_store(tmp_path / "store").refresh().loaded == points
+
+
+    def test_torn_batch_writes_are_absorbed(self, tmp_path):
+        """The batch path's one ``put_many`` tears rows the same way."""
+        injector = FaultInjector(FaultSpec(corrupt_rate=0.3, seed=5))
+        store = FaultyStore(tmp_path / "store", injector)
+        service = PredictionService(backends=["aria"], store=store)
+        first = service.evaluate_suite(CHAOS_SUITE, ["aria"])
+        assert service.stats().batch_calls == 1
+        torn = injector.injected.get("corrupt", 0)
+        assert torn > 0
+        scan = open_store(tmp_path / "store").refresh()
+        points = len(CHAOS_SUITE.scenarios)
+        assert (scan.loaded, scan.corrupt, scan.quarantined) == (
+            points - torn,
+            torn,
+            torn,
+        )
+        resumed = PredictionService(backends=["aria"], store=tmp_path / "store")
+        second = resumed.evaluate_suite(CHAOS_SUITE, ["aria"])
+        assert _series(second, ["aria"]) == _series(first, ["aria"])
+        assert resumed.stats().evaluations == torn
 
 
 def _fork_available() -> bool:
@@ -283,7 +305,7 @@ class TestWorkerKillRecovery:
         assert stats.pool_fallbacks == 0  # ...and stopped at the rebuild rung
         assert stats.failures == 0
         assert stats.evaluations == 4
-        assert ResultStore(tmp_path / "store").refresh().loaded == 4
+        assert open_store(tmp_path / "store").refresh().loaded == 4
 
 
 class TestDashboardDegradation:

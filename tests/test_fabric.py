@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -49,6 +50,9 @@ SMALL = Scenario(
 
 #: Cheap registered backend used by every cooperative sweep here.
 BACKEND = "herodotou"
+
+#: A store written by the retired sharded-JSON engine (see ``tests/test_store.py``).
+LEGACY_STORE = Path(__file__).parent / "data" / "legacy-json-store"
 
 TOKEN = "deadbeef" * 8
 
@@ -565,29 +569,50 @@ class TestFabricCli:
         ) == 2
         assert "--worker-id requires --store" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("store_format", ["json", "sqlite"])
-    def test_store_info_and_gc_via_cli(self, tmp_path, capsys, store_format):
+    def test_store_info_and_gc_via_cli(self, tmp_path, capsys):
         suite_path = self._write_suite(tmp_path)
         store_path = str(tmp_path / "store")
         assert main(
-            [
-                "sweep", "--suite", suite_path, "--backend", BACKEND,
-                "--store", store_path, "--store-format", store_format,
-            ]
+            ["sweep", "--suite", suite_path, "--backend", BACKEND, "--store", store_path]
         ) == 0
         capsys.readouterr()
         assert main(["store", "info", store_path]) == 0
         info = capsys.readouterr().out
-        assert f"format:  {store_format}" in info
+        assert "format:  sqlite" in info
         assert "records: 2 usable, 0 stale, 0 corrupt" in info
         assert main(["store", "gc", store_path, "--ttl", "0", "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["format"] == store_format
+        assert stats["format"] == "sqlite"
         assert stats["expired"] == 2
         assert stats["remaining"] == 0
         assert not stats["dry_run"]
         assert main(["store", "info", store_path]) == 0
         assert "records: 0 usable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["store", "info"],
+            ["store", "gc", "--ttl", "0"],
+            ["predict", "--nodes", "2", "--input-size", "256MB", "--store"],
+            ["sweep", "--suite", "SUITE", "--backend", BACKEND, "--store"],
+        ],
+        ids=["store-info", "store-gc", "predict", "sweep"],
+    )
+    def test_legacy_store_is_refused_up_front(self, tmp_path, capsys, command):
+        """No command silently shadows legacy records with an empty database."""
+        store_path = tmp_path / "legacy"
+        shutil.copytree(LEGACY_STORE, store_path)
+        before = sorted(store_path.rglob("*"))
+        suite_path = self._write_suite(tmp_path)
+        argv = [suite_path if arg == "SUITE" else arg for arg in command]
+        if argv[0] == "store":
+            argv.insert(2, str(store_path))
+        else:
+            argv.append(str(store_path))
+        assert main(argv) == 2
+        assert f"repro store migrate {store_path}" in capsys.readouterr().err
+        assert sorted(store_path.rglob("*")) == before
 
     def test_store_gc_dry_run_reports_without_deleting(self, tmp_path, capsys):
         suite_path = self._write_suite(tmp_path)
