@@ -62,9 +62,12 @@ def test_bench_complexity(benchmark):
             ],
         )
     )
-    # The model evaluates in well under a second even for 80 map tasks ...
-    assert all(row["elapsed_seconds"] < 2.0 for row in rows)
-    # ... and the timeline operation count grows with the number of maps,
+    # The model's cost does not grow with the data: at every size the fixed
+    # point converges in 2 iterations and one MVA pass is the same
+    # C^2 N^2 K = 3^2 * 1^2 * 3 operations (the wall time stays printed) ...
+    assert [row["iterations"] for row in rows] == [2, 2, 2]
+    assert [row["mva_ops"] for row in rows] == [3**2 * 1**2 * 3] * 3
+    # ... while the timeline operation count grows with the number of maps,
     # as the Section 4.3 formula prescribes.
     timeline_ops = [row["timeline_ops"] for row in rows]
     assert timeline_ops[0] < timeline_ops[1] < timeline_ops[2]

@@ -39,7 +39,7 @@ from ..static_models.aria import AriaJobProfile, AriaModel, batch_stage_bounds
 from ..static_models.herodotou import CostStatistics, HerodotouJobModel, batch_estimate
 from ..static_models.vianna import ViannaHadoop1Model
 from .results import PredictionResult
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioResolver
 
 #: Sigmas of task-duration spread assumed when deriving ARIA's max durations.
 _ARIA_SPREAD_SIGMAS = 2.0
@@ -128,11 +128,6 @@ def create_backend(name: str, **options) -> PredictionBackend:
             f"unknown backend {name!r}; registered: {backend_names()}"
         ) from exc
     return cls(**options)
-
-
-def _fair_share(total: int, num_jobs: int) -> int:
-    """Per-job share of ``total`` slots when ``num_jobs`` run concurrently."""
-    return max(1, total // num_jobs)
 
 
 # -- graceful degradation under failure specs ----------------------------------
@@ -254,7 +249,8 @@ class AriaBackend:
 
     def predict(self, scenario: Scenario) -> PredictionResult:
         factor = _failure_inflation_factor(scenario, self.name)
-        model_input = scenario.model_input()
+        resolve = ScenarioResolver()
+        model_input = resolve.model_input(scenario)
         spread = 1.0 + _ARIA_SPREAD_SIGMAS * scenario.duration_cv
 
         def demand_seconds(task_class: TaskClass) -> float:
@@ -274,9 +270,7 @@ class AriaBackend:
             avg_reduce_seconds=avg_reduce,
             max_reduce_seconds=avg_reduce * spread,
         )
-        cluster = scenario.cluster_config()
-        map_slots = _fair_share(cluster.total_map_capacity(), scenario.num_jobs)
-        reduce_slots = _fair_share(cluster.total_reduce_capacity(), scenario.num_jobs)
+        map_slots, reduce_slots = resolve.fair_share_slots(scenario)
         model = AriaModel(profile)
         bounds = model.job_bounds(map_slots, reduce_slots)
         result = PredictionResult(
@@ -320,9 +314,9 @@ class AriaBackend:
         spread = np.empty(count)
         map_slots = np.empty(count, dtype=int)
         reduce_slots = np.empty(count, dtype=int)
+        resolve = ScenarioResolver()
         for index, scenario in enumerate(scenarios):
-            model_input = scenario.model_input()
-            cluster = scenario.cluster_config()
+            model_input = resolve.model_input(scenario)
             num_maps[index] = model_input.num_maps
             num_reduces[index] = model_input.num_reduces
             for task_class, values in stage_avgs.items():
@@ -331,12 +325,7 @@ class AriaBackend:
                     demands.cpu_seconds + demands.disk_seconds + demands.network_seconds
                 )
             spread[index] = 1.0 + _ARIA_SPREAD_SIGMAS * scenario.duration_cv
-            map_slots[index] = _fair_share(
-                cluster.total_map_capacity(), scenario.num_jobs
-            )
-            reduce_slots[index] = _fair_share(
-                cluster.total_reduce_capacity(), scenario.num_jobs
-            )
+            map_slots[index], reduce_slots[index] = resolve.fair_share_slots(scenario)
         stage_tasks = {
             TaskClass.MAP: (num_maps, map_slots),
             TaskClass.SHUFFLE_SORT: (num_reduces, reduce_slots),
@@ -383,10 +372,10 @@ class HerodotouBackend:
 
     def predict(self, scenario: Scenario) -> PredictionResult:
         factor = _failure_inflation_factor(scenario, self.name)
-        profile = scenario.profile()
-        environment = self._environment(scenario)
-        dataflow = profile.herodotou_dataflow(scenario.job_configs()[0])
-        estimate = HerodotouJobModel(environment).estimate(dataflow)
+        resolve = ScenarioResolver()
+        estimate = HerodotouJobModel(resolve.herodotou_environment(scenario)).estimate(
+            resolve.herodotou_dataflow(scenario)
+        )
         result = PredictionResult(
             backend=self.name,
             scenario=scenario,
@@ -404,23 +393,6 @@ class HerodotouBackend:
             },
         )
         return _inflate_result(result, factor)
-
-    @staticmethod
-    def _environment(scenario: Scenario):
-        environment = scenario.profile().herodotou_environment(
-            scenario.cluster_config()
-        )
-        if scenario.num_jobs > 1:
-            environment = dataclasses.replace(
-                environment,
-                map_slots_per_node=_fair_share(
-                    environment.map_slots_per_node, scenario.num_jobs
-                ),
-                reduce_slots_per_node=_fair_share(
-                    environment.reduce_slots_per_node, scenario.num_jobs
-                ),
-            )
-        return environment
 
     def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]:
         """Vectorised sweep: all phase costs evaluated as stacked arrays.
@@ -459,11 +431,10 @@ class HerodotouBackend:
                 *cost_names,
             )
         }
+        resolve = ScenarioResolver()
         for scenario in scenarios:
-            environment = self._environment(scenario)
-            dataflow = scenario.profile().herodotou_dataflow(
-                scenario.job_configs()[0]
-            )
+            environment = resolve.herodotou_environment(scenario)
+            dataflow = resolve.herodotou_dataflow(scenario)
             for name in dataflow_names:
                 fields[name].append(getattr(dataflow, name))
             for name in environment_names:

@@ -45,7 +45,7 @@ from ..exceptions import ValidationError
 from ..experiments.figures import FIGURE_DEFINITIONS, figure_suite
 from ..experiments.runner import run_suite_grid
 from .scenario import Scenario, ScenarioSuite
-from .service import DEFAULT_BASELINE, PredictionService, SuiteResult
+from .service import DEFAULT_BASELINE, PredictionService
 from .store import BaseResultStore
 from .sweep import SweepOutcome, SweepScheduler
 
@@ -201,13 +201,6 @@ def _report_from_rows(
         scenario_labels=[scenario.describe() for scenario in suite.scenarios],
         baseline=baseline,
     )
-
-
-def accuracy_from_suite_result(
-    result: SuiteResult, baseline: str = DEFAULT_BASELINE
-) -> AccuracyReport:
-    """Accuracy report of an already-evaluated suite result."""
-    return _report_from_rows(result.suite, result.backends, result.rows, baseline)
 
 
 def run_dashboard(

@@ -20,6 +20,11 @@ from ..exceptions import ValidationError
 from .scenario import Scenario
 
 
+#: Leaf types :func:`_json_normalise` returns unchanged (exact types, so a
+#: ``str`` subclass key still goes through ``str()``).
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def _json_normalise(value: Any) -> Any:
     """Deep-convert containers to their JSON shapes (tuples become lists).
 
@@ -29,6 +34,8 @@ def _json_normalise(value: Any) -> Any:
     same result read back from disk.
     """
     if isinstance(value, Mapping):
+        if all(type(key) is str and type(item) in _JSON_SCALARS for key, item in value.items()):
+            return dict(value)  # already flat JSON: the common backend case
         return {str(key): _json_normalise(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_normalise(item) for item in value]

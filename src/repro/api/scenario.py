@@ -21,6 +21,7 @@ import dataclasses
 import json
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from ..config import (
     ClusterConfig,
@@ -33,6 +34,7 @@ from ..config import (
 from ..exceptions import ConfigurationError
 from ..core.parameters import ModelInput
 from ..exceptions import ValidationError
+from ..static_models.herodotou import DataflowStatistics, HadoopEnvironment
 from ..units import GiB, MiB, parse_size
 from ..workloads.generators import WorkloadSpec, paper_cluster, paper_scheduler
 from ..workloads.grep import grep_profile
@@ -217,13 +219,7 @@ class Scenario:
 
     def model_input(self) -> ModelInput:
         """Analytic-model input built exactly as the experiment runner does."""
-        return model_input_from_profile(
-            self.profile(),
-            self.cluster_config(),
-            self.job_configs()[0],
-            num_jobs=self.num_jobs,
-            slow_start=self.scheduler_config().slowstart_enabled,
-        )
+        return ScenarioResolver().model_input(self)
 
     def with_updates(self, **changes) -> "Scenario":
         """Copy of the scenario with ``changes`` applied (convenience for sweeps)."""
@@ -320,6 +316,113 @@ class Scenario:
                 parts.append("spec")
             label += f" [faults: {', '.join(parts)}]"
         return label
+
+
+def _fair_share(total: int, num_jobs: int) -> int:
+    """Per-job share of ``total`` slots when ``num_jobs`` run concurrently."""
+    return max(1, total // num_jobs)
+
+
+class ScenarioResolver:
+    """Derived model inputs of scenarios, each built once per distinct value.
+
+    Every view is memoised on exactly the scenario fields it reads (its key
+    below), so a nodes x sizes x jobs grid builds each distinct cluster,
+    profile and job config once.  A resolver serves one dispatch (a
+    ``predict_batch`` call, or a scalar ``predict`` with a resolver of its
+    own) and is then dropped: nothing is cached on a scenario or across
+    dispatches, so a cold evaluation stays cold.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple, Any] = {}
+
+    def _view(self, key: tuple, build: Callable[[], Any]) -> Any:
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def cluster(self, scenario: Scenario) -> ClusterConfig:
+        if scenario.cluster is not None:
+            return scenario.cluster
+        return self._view(("cluster", scenario.num_nodes), scenario.cluster_config)
+
+    def profile(self, scenario: Scenario) -> ApplicationProfile:
+        key = ("profile", scenario.workload, scenario.duration_cv)
+        return self._view(key, scenario.profile)
+
+    def scheduler(self, scenario: Scenario) -> SchedulerConfig:
+        if scenario.scheduler is not None:
+            return scenario.scheduler
+        return self._view(("scheduler",), scenario.scheduler_config)
+
+    def job_config(self, scenario: Scenario) -> JobConfig:
+        """The first job's config: the one the analytic models size."""
+        return self._view(
+            ("job", *_job_fields(scenario)),
+            lambda: self.profile(scenario).job_config(
+                scenario.input_size_bytes, scenario.block_size_bytes, scenario.num_reduces
+            ),
+        )
+
+    def model_input(self, scenario: Scenario) -> ModelInput:
+        """Analytic-model input from the resolved views (itself not memoised)."""
+        return model_input_from_profile(
+            self.profile(scenario),
+            self.cluster(scenario),
+            self.job_config(scenario),
+            num_jobs=scenario.num_jobs,
+            slow_start=self.scheduler(scenario).slowstart_enabled,
+        )
+
+    def fair_share_slots(self, scenario: Scenario) -> tuple[int, int]:
+        """Per-job ``(map, reduce)`` container slots of the whole cluster."""
+        cluster, jobs = self.cluster(scenario), scenario.num_jobs
+        return self._view(
+            ("slots", scenario.cluster or scenario.num_nodes, jobs),
+            lambda: (
+                _fair_share(cluster.total_map_capacity(), jobs),
+                _fair_share(cluster.total_reduce_capacity(), jobs),
+            ),
+        )
+
+    def herodotou_environment(self, scenario: Scenario) -> HadoopEnvironment:
+        """Herodotou cost statistics, per-node slots fair-shared among jobs."""
+        jobs = scenario.num_jobs
+
+        def build() -> HadoopEnvironment:
+            environment = self.profile(scenario).herodotou_environment(self.cluster(scenario))
+            if jobs == 1:
+                return environment
+            return dataclasses.replace(
+                environment,
+                map_slots_per_node=_fair_share(environment.map_slots_per_node, jobs),
+                reduce_slots_per_node=_fair_share(environment.reduce_slots_per_node, jobs),
+            )
+
+        profile_fields = (scenario.workload, scenario.duration_cv)
+        key = ("environment", *profile_fields, scenario.cluster or scenario.num_nodes, jobs)
+        return self._view(key, build)
+
+    def herodotou_dataflow(self, scenario: Scenario) -> DataflowStatistics:
+        """Herodotou dataflow statistics of the first job."""
+        return self._view(
+            ("dataflow", *_job_fields(scenario)),
+            lambda: self.profile(scenario).herodotou_dataflow(self.job_config(scenario)),
+        )
+
+
+def _job_fields(scenario: Scenario) -> tuple:
+    """What a first job config reads: the profile key and the job's sizing."""
+    return (
+        scenario.workload,
+        scenario.duration_cv,
+        scenario.input_size_bytes,
+        scenario.block_size_bytes,
+        scenario.num_reduces,
+    )
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ from .resilience import (
 )
 from .results import BackendComparison, FailedResult, PredictionResult
 from .scenario import Scenario, ScenarioSuite
-from .store import BaseResultStore, open_store
+from .store import BaseResultStore, TokenMemo, open_store
 
 logger = logging.getLogger(__name__)
 
@@ -832,6 +832,9 @@ class PredictionService:
         suite: ScenarioSuite,
         backends: Sequence[str] | None = None,
         on_error: str | None = None,
+        *,
+        keys: Sequence[str] | None = None,
+        tokens: TokenMemo | None = None,
     ) -> SuiteResult:
         """Evaluate every (scenario, backend) pair of a suite.
 
@@ -850,10 +853,15 @@ class PredictionService:
         in-flight points have finished (and persisted), ``"skip"`` omits the
         failed cells from their rows, ``"record"`` fills them with
         structured :class:`~repro.api.results.FailedResult`\\ s.
+
+        A caller that already holds each scenario's cache key (in suite
+        order) or store tokens (a :meth:`probe_points` memo) passes them as
+        ``keys`` / ``tokens``, so neither is computed twice.
         """
         mode = self._resolve_on_error(on_error)
         names = tuple(backends) if backends is not None else tuple(self.backends())
-        keys = [scenario.cache_key() for scenario in suite.scenarios]
+        if keys is None:
+            keys = [scenario.cache_key() for scenario in suite.scenarios]
         unique: dict[tuple[str, str], Scenario] = {}
         duplicates = 0
         for index, scenario in enumerate(suite.scenarios):
@@ -869,7 +877,7 @@ class PredictionService:
             # across concurrent calls, and counted under the same counter.
             with self._lock:
                 self._coalesced += duplicates
-        results = self._evaluate_points(unique, mode)
+        results = self._evaluate_points(unique, mode, tokens)
         rows = tuple(
             {
                 name: results[(keys[index], name)]
@@ -883,7 +891,7 @@ class PredictionService:
     # -- point partitioning ---------------------------------------------------
 
     def probe_points(
-        self, points: Sequence[tuple[str, str]]
+        self, points: Sequence[tuple[str, str]], tokens: TokenMemo | None = None
     ) -> dict[tuple[str, str], str]:
         """Peek which ``(cache key, backend)`` points are already answered.
 
@@ -894,7 +902,8 @@ class PredictionService:
         (:class:`~repro.api.sweep.SweepScheduler`) that want to know what a
         sweep would cost before running it.  Store records found here stay
         loaded in the store's index, so the subsequent evaluation pays no
-        second disk read for them.
+        second disk read for them; the store tokens of the probed points
+        are recorded in ``tokens`` for that evaluation to reuse.
         """
         sources: dict[tuple[str, str], str] = {}
         misses: list[tuple[str, str]] = []
@@ -909,16 +918,21 @@ class PredictionService:
                 [
                     (key, backend, self._backend_options.get(backend, {}))
                     for key, backend in misses
-                ]
+                ],
+                tokens,
             )
             for point in stored:
                 sources[point] = "store"
         return sources
 
     def _evaluate_points(
-        self, unique: dict[tuple[str, str], Scenario], on_error: str = "raise"
+        self,
+        unique: dict[tuple[str, str], Scenario],
+        on_error: str = "raise",
+        tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], PredictionResult]:
         """Partition unique points into hits / batch groups / scalar tasks."""
+        tokens = {} if tokens is None else tokens  # shared by the probe and the write
         results: dict[tuple[str, str], PredictionResult] = {}
         misses: dict[tuple[str, str], Scenario] = {}
         with self._lock:
@@ -934,7 +948,8 @@ class PredictionService:
                 [
                     (key, backend, self._backend_options.get(backend, {}))
                     for key, backend in misses
-                ]
+                ],
+                tokens,
             )
             if stored:
                 with self._lock:
@@ -982,7 +997,7 @@ class PredictionService:
             # A wrong result count is a malformed backend, not a transient
             # fault: _record_batch raises it through (no scalar fallback,
             # which would only mask the bug).
-            results.update(self._record_batch(backend, group, batch_results))
+            results.update(self._record_batch(backend, group, batch_results, tokens))
         if scalar:
             results.update(self._evaluate_unique(scalar, on_error))
         return results
@@ -992,6 +1007,7 @@ class PredictionService:
         backend: str,
         group: list[tuple[tuple[str, str], Scenario]],
         batch_results: Sequence[PredictionResult],
+        tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], PredictionResult]:
         """Validate and record the results of one ``predict_batch`` dispatch."""
         if len(batch_results) != len(group):
@@ -1014,7 +1030,8 @@ class PredictionService:
                     [
                         (key, backend, result, options)
                         for (key, _), result in results.items()
-                    ]
+                    ],
+                    tokens=tokens,
                 )
             except StoreError as exc:
                 logger.warning(

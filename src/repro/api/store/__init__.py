@@ -32,6 +32,7 @@ from .base import (
     BaseResultStore,
     GcStats,
     StoreStats,
+    TokenMemo,
     _canonical_options,
     point_token,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "SqliteResultStore",
     "StoreStats",
+    "TokenMemo",
     "_canonical_options",
     "detect_store_format",
     "migrate_store",

@@ -65,6 +65,14 @@ def _canonical_options(options: "dict | None") -> str:
     return json.dumps(options, sort_keys=True, default=repr)
 
 
+#: Point tokens already computed, keyed ``(cache key, backend, canonical
+#: options)``.  A caller that probes and then writes the same points passes
+#: one memo to both ``get_many`` and ``put_many``, so each point's digest is
+#: computed once.  It is a pure function of its key, so a stale memo cannot
+#: misname a row; it lives as long as the caller's one sweep call.
+TokenMemo = dict[tuple[str, str, str], str]
+
+
 def point_token(key: str, backend: str, options_key: str) -> str:
     """Stable digest naming one ``(backend, options, cache key)`` point.
 
@@ -218,7 +226,9 @@ class BaseResultStore(abc.ABC):
 
     @abc.abstractmethod
     def get_many(
-        self, points: Sequence[tuple[str, str, dict | None]]
+        self,
+        points: Sequence[tuple[str, str, dict | None]],
+        tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], "PredictionResult"]:
         """Bulk lookup of ``(cache key, backend, options)`` points."""
 
@@ -234,7 +244,10 @@ class BaseResultStore(abc.ABC):
 
     @abc.abstractmethod
     def put_many(
-        self, records: Sequence[tuple[str, str, "PredictionResult", dict | None]]
+        self,
+        records: Sequence[tuple[str, str, "PredictionResult", dict | None]],
+        created: Sequence[float] | None = None,
+        tokens: TokenMemo | None = None,
     ) -> None:
         """Persist many results in one transaction."""
 

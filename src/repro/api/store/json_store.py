@@ -28,6 +28,7 @@ from .base import (
     BaseResultStore,
     GcStats,
     StoreStats,
+    TokenMemo,
     _canonical_options,
     point_token,
 )
@@ -92,7 +93,9 @@ class ResultStore(BaseResultStore):
         return loaded[3]
 
     def get_many(
-        self, points: Sequence[tuple[str, str, dict | None]]
+        self,
+        points: Sequence[tuple[str, str, dict | None]],
+        tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], PredictionResult]:
         """Bulk lookup; points without a usable record are absent."""
         found = {}

@@ -58,6 +58,7 @@ from .base import (
     BaseResultStore,
     GcStats,
     StoreStats,
+    TokenMemo,
     _canonical_options,
     point_token,
 )
@@ -248,10 +249,17 @@ class SqliteResultStore(BaseResultStore):
             return loaded[3]
 
     def get_many(
-        self, points: Sequence[tuple[str, str, dict | None]]
+        self,
+        points: Sequence[tuple[str, str, dict | None]],
+        tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], PredictionResult]:
-        """Bulk lookup; misses are resolved with batched indexed ``SELECT``\\ s."""
+        """Bulk lookup; misses are resolved with batched indexed ``SELECT``\\ s.
+
+        ``tokens`` (see :data:`~repro.api.store.base.TokenMemo`) supplies
+        known point tokens and records the ones computed here.
+        """
         found: dict[tuple[str, str], PredictionResult] = {}
+        tokens = {} if tokens is None else tokens
         with self._lock:
             misses: dict[str, tuple[str, str, str]] = {}
             for key, backend, options in points:
@@ -261,13 +269,16 @@ class SqliteResultStore(BaseResultStore):
                 if hit is not None:
                     found[(key, backend)] = hit
                     continue
-                misses[point_token(key, backend, options_key)] = index_key
+                token = tokens.get(index_key)
+                if token is None:
+                    token = tokens[index_key] = point_token(*index_key)
+                misses[token] = index_key
             if not misses:
                 return found
-            tokens = list(misses)
+            wanted = list(misses)
             stats = StoreStats()
-            for start in range(0, len(tokens), 500):
-                chunk = tokens[start : start + 500]
+            for start in range(0, len(wanted), 500):
+                chunk = wanted[start : start + 500]
                 rows = self._execute(
                     f"{_SELECT} WHERE token IN ({','.join('?' * len(chunk))})",
                     chunk,
@@ -292,20 +303,24 @@ class SqliteResultStore(BaseResultStore):
         self,
         records: Sequence[tuple[str, str, PredictionResult, dict | None]],
         created: Sequence[float] | None = None,
+        tokens: TokenMemo | None = None,
     ) -> None:
         """Persist many results (upserts) in **one transaction**.
 
         Each row's ``created`` stamp is now, or the matching entry of
         ``created`` (migration carries the legacy files' mtimes this way).
+        Tokens already in ``tokens`` are reused instead of recomputed.
         """
         if not records:
             return
         rows = []
         indexed = []
         stamps = created if created is not None else [time.time()] * len(records)
+        tokens = {} if tokens is None else tokens
         for record, stamp in zip(records, stamps, strict=True):
             key, backend, result, options = record
             options_key = _canonical_options(options)
+            index_key = (key, backend, options_key)
             try:
                 payload = json.dumps(result.to_dict(), sort_keys=True)
             except (TypeError, ValueError) as exc:
@@ -314,7 +329,7 @@ class SqliteResultStore(BaseResultStore):
                 ) from exc
             rows.append(
                 (
-                    point_token(key, backend, options_key),
+                    tokens.get(index_key) or point_token(*index_key),
                     STORE_FORMAT_VERSION,
                     SCENARIO_SPEC_VERSION,
                     backend,
@@ -325,7 +340,7 @@ class SqliteResultStore(BaseResultStore):
                     stamp,
                 )
             )
-            indexed.append(((key, backend, options_key), result))
+            indexed.append((index_key, result))
         with self._lock:
             conn = self._connect()
             try:

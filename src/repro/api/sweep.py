@@ -43,6 +43,7 @@ from .resilience import RetryPolicy
 from .results import FailedResult, PredictionResult
 from .scenario import ScenarioSuite
 from .service import PredictionService, ServiceStats, SuiteResult
+from .store import TokenMemo
 from .store.leases import LeaseManager
 
 #: One sweep point: (scenario index in the suite, backend name).
@@ -169,6 +170,9 @@ class SweepScheduler:
         suite: ScenarioSuite,
         backends: Sequence[str] | None = None,
         leases: LeaseManager | None = None,
+        *,
+        keys: Sequence[str] | None = None,
+        tokens: TokenMemo | None = None,
     ) -> SweepPlan:
         """Compute which points of ``suite`` × ``backends`` still need work.
 
@@ -183,13 +187,19 @@ class SweepScheduler:
         :attr:`SweepPlan.leased` — advisory only; the atomic claim still
         happens through :meth:`~repro.api.store.leases.LeaseManager.try_claim`
         at evaluation time.
+
+        A caller that goes on to evaluate the suite passes each scenario's
+        cache key (``keys``, in suite order) and a store-token memo
+        (``tokens``) it will hand to the evaluation too, so neither is
+        computed twice.
         """
         names = self._resolve_backends(backends)
-        keys = [scenario.cache_key() for scenario in suite.scenarios]
+        if keys is None:
+            keys = [scenario.cache_key() for scenario in suite.scenarios]
         unique_points = list(
             dict.fromkeys((key, name) for key in keys for name in names)
         )
-        sources = self._service.probe_points(unique_points)
+        sources = self._service.probe_points(unique_points, tokens)
         memory: list[SweepPoint] = []
         stored: list[SweepPoint] = []
         missing: list[SweepPoint] = []
@@ -249,10 +259,14 @@ class SweepScheduler:
         (and, say, printed) the plan passes it in, so what was announced is
         exactly what executes — no second store probe between the two.
         """
+        keys = [scenario.cache_key() for scenario in suite.scenarios]
+        tokens: TokenMemo = {}
         if plan is None:
-            plan = self.plan(suite, backends)
+            plan = self.plan(suite, backends, keys=keys, tokens=tokens)
         before = self._service.stats()
-        result = self._service.evaluate_suite(suite, plan.backends, on_error=on_error)
+        result = self._service.evaluate_suite(
+            suite, plan.backends, on_error=on_error, keys=keys, tokens=tokens
+        )
         after = self._service.stats()
         return SweepOutcome(plan=plan, result=result, stats=after.delta(before))
 
@@ -316,7 +330,7 @@ class SweepScheduler:
             try:
                 while True:
                     rounds += 1
-                    plan = self.plan(suite, backends, leases=leases)
+                    plan = self.plan(suite, backends, leases=leases, keys=keys)
                     todo = [p for p in plan.missing if p not in failed_locally]
                     if not todo and not plan.leased:
                         break  # grid complete (or only locally-failed points left)
@@ -366,7 +380,7 @@ class SweepScheduler:
                             evaluated += 1
             finally:
                 leases.release_all()
-        result = self._service.evaluate_suite(suite, plan.backends, on_error=on_error)
+        result = self._service.evaluate_suite(suite, plan.backends, on_error=on_error, keys=keys)
         after = self._service.stats()
         return CooperativeOutcome(
             plan=plan,

@@ -39,11 +39,6 @@ class ComplexityReport:
         """Total operation count of the whole solution."""
         return self.mva_operations + self.timeline_operations
 
-    @property
-    def dominated_by_mva(self) -> bool:
-        """Whether the MVA term dominates (the paper's conclusion)."""
-        return self.mva_operations >= self.timeline_operations
-
 
 def timeline_task_count(model_input: ModelInput) -> int:
     """The ``C = m + r(m+1)`` task count of the timeline cost formula.

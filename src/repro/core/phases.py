@@ -82,8 +82,3 @@ def segment_phases(timeline: Timeline) -> list[Phase]:
             )
         )
     return phases
-
-
-def phases_with_starts(phases: list[Phase]) -> list[Phase]:
-    """Phases in which at least one task instance starts (tree-relevant phases)."""
-    return [phase for phase in phases if phase.starting_entries]

@@ -77,13 +77,6 @@ class Timeline:
         """Entries belonging to one task class."""
         return [entry for entry in self.entries if entry.instance.task_class is task_class]
 
-    def entry_for(self, instance: TaskInstance) -> TimelineEntry:
-        """The entry of a specific task instance."""
-        for entry in self.entries:
-            if entry.instance == instance:
-                return entry
-        raise ModelError(f"instance {instance!r} is not on the timeline")
-
     def busy_time(self, task_class: TaskClass) -> float:
         """Total busy time of all instances of one class."""
         return sum(entry.duration for entry in self.entries_of_class(task_class))

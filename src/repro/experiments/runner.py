@@ -171,33 +171,6 @@ def _point_from_results(scenario: Scenario, results) -> ExperimentPoint:
     )
 
 
-def simulate_measured_response(
-    workload: WorkloadSpec,
-    cluster: ClusterConfig,
-    scheduler: SchedulerConfig,
-    repetitions: int = DEFAULT_REPETITIONS,
-    base_seed: int = DEFAULT_BASE_SEED,
-    service: PredictionService | None = None,
-    store: BaseResultStore | str | None = None,
-) -> float:
-    """Median over repetitions of the mean job response time (the "measurement")."""
-    if repetitions <= 0:
-        raise ExperimentError("repetitions must be positive")
-    scenario = scenario_for_workload(
-        workload,
-        cluster.num_nodes,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        cluster=cluster,
-        scheduler=scheduler,
-    )
-    return (
-        _resolve_service(service, store=store)
-        .evaluate(scenario, "simulator")
-        .total_seconds
-    )
-
-
 def run_experiment_point(
     workload: WorkloadSpec,
     num_nodes: int,

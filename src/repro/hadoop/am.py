@@ -37,7 +37,6 @@ from .resources import (
     ResourceRequestTable,
 )
 from .tasks import (
-    SubtaskLabel,
     TaskAttempt,
     TaskState,
     TaskType,
@@ -395,23 +394,3 @@ class MRAppMaster:
     def is_finished(self) -> bool:
         """Whether the job has fully completed."""
         return self.job.is_complete
-
-    def subtask_durations(self) -> dict[SubtaskLabel, list[float]]:
-        """Collect per-subtask wall-clock durations from completed tasks."""
-        durations: dict[SubtaskLabel, list[float]] = {
-            SubtaskLabel.MAP: [],
-            SubtaskLabel.SHUFFLE_SORT: [],
-            SubtaskLabel.MERGE: [],
-        }
-        for task in self.job.map_tasks:
-            if task.state is TaskState.COMPLETED:
-                durations[SubtaskLabel.MAP].append(task.duration)
-        for task in self.job.reduce_tasks:
-            if task.state is TaskState.COMPLETED:
-                durations[SubtaskLabel.SHUFFLE_SORT].append(
-                    task.subtask_duration(SubtaskLabel.SHUFFLE_SORT)
-                )
-                durations[SubtaskLabel.MERGE].append(
-                    task.subtask_duration(SubtaskLabel.MERGE)
-                )
-        return durations

@@ -112,17 +112,6 @@ class Cluster:
         except IndexError as exc:
             raise ConfigurationError(f"unknown node id {node_id}") from exc
 
-    def nodes_in_rack(self, rack: int) -> list[Node]:
-        """All nodes located in ``rack``."""
-        return [node for node in self.nodes if node.rack == rack]
-
-    def total_capacity(self) -> Resource:
-        """Aggregate YARN capacity over all nodes."""
-        total = Resource.zero()
-        for node in self.nodes:
-            total = total + node.capacity
-        return total
-
     def least_occupied_node(self, fit: Resource | None = None) -> Node | None:
         """Node with the lowest occupancy rate (ties: lowest id).
 

@@ -188,11 +188,6 @@ class ExecutionEngine:
         if entry is not None:
             self._retire(entry, killed=True)
 
-    @property
-    def active_tasks(self) -> list[TaskAttempt]:
-        """Attempts currently executing."""
-        return [entry.attempt for entry in self._active.values()]
-
     def has_work(self) -> bool:
         """Whether any attempt is currently executing."""
         return bool(self._active)

@@ -130,10 +130,6 @@ class HdfsNamespace:
         """All blocks placed so far."""
         return list(self._blocks)
 
-    def blocks_on_node(self, node_id: int) -> list[Block]:
-        """Blocks that have a replica on ``node_id``."""
-        return [block for block in self._blocks if node_id in block.replica_nodes]
-
     def local_fraction_possible(self, splits: list[InputSplit]) -> float:
         """Upper bound on the fraction of splits that can be read locally.
 

@@ -206,13 +206,6 @@ class MapReduceJob:
             return 1.0
         return self.completed_maps() / len(self.map_tasks)
 
-    def all_maps_assigned(self) -> bool:
-        """Whether every map task has at least been assigned a container."""
-        return all(
-            task.state in (TaskState.ASSIGNED, TaskState.RUNNING, TaskState.COMPLETED)
-            for task in self.map_tasks
-        )
-
     def record_task_completion(self, task: TaskAttempt) -> None:
         """Count a completed task (simulator hook keeping :attr:`is_complete` O(1))."""
         self._completed_task_count += 1

@@ -167,17 +167,6 @@ class Container:
             granted_at=granted_at,
         )
 
-    @property
-    def is_released(self) -> bool:
-        """Whether the container has already been returned to the RM."""
-        return self.released_at is not None
-
-
-def reset_container_ids() -> None:
-    """Reset the container id counter (used by tests for deterministic ids)."""
-    global _container_ids
-    _container_ids = itertools.count(1)
-
 
 @dataclass
 class ResourceRequestTable:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..exceptions import SchedulingError
 from .am import MRAppMaster
 from .cluster import Cluster
-from .resources import Container, Priority
+from .resources import Container
 from .scheduler import Scheduler
 
 
@@ -50,11 +50,6 @@ class ResourceManager:
         """Remove a finished application from the registry."""
         if application in self._applications:
             self._applications.remove(application)
-
-    @property
-    def applications(self) -> list[MRAppMaster]:
-        """Currently registered applications."""
-        return list(self._applications)
 
     # -- allocation ----------------------------------------------------------------
 
@@ -107,20 +102,3 @@ class ResourceManager:
         node.release(container.resource)
         container.released_at = now
         del self._live_containers[container.container_id]
-
-    # -- introspection ----------------------------------------------------------------
-
-    def live_containers(self, priority: Priority | None = None) -> list[Container]:
-        """Currently granted containers, optionally filtered by priority."""
-        containers = list(self._live_containers.values())
-        if priority is None:
-            return containers
-        return [c for c in containers if c.priority is priority]
-
-    def cluster_utilization(self) -> float:
-        """Fraction of the cluster's YARN memory currently allocated."""
-        total = self.cluster.total_capacity().memory_bytes
-        if total == 0:
-            return 0.0
-        allocated = sum(node.allocated.memory_bytes for node in self.cluster)
-        return allocated / total

@@ -52,13 +52,6 @@ class SimulationResult:
     makespan: float
     num_nodes: int
 
-    def trace_for(self, job_id: int) -> JobTrace:
-        """Trace of a specific job."""
-        for trace in self.job_traces:
-            if trace.job_id == job_id:
-                return trace
-        raise SimulationError(f"no trace for job {job_id}")
-
     @property
     def response_times(self) -> list[float]:
         """Response times of all jobs, in job-id order."""

@@ -40,21 +40,6 @@ class HerodotouJobModel:
     def __init__(self, environment: HadoopEnvironment) -> None:
         self.environment = environment
 
-    def estimate_map_task_seconds(self, dataflow: DataflowStatistics) -> float:
-        """Execution time of a single map task."""
-        return estimate_map_phases(dataflow, self.environment.costs).total
-
-    def estimate_reduce_task_seconds(self, dataflow: DataflowStatistics) -> float:
-        """Execution time of a single reduce task."""
-        remote_fraction = (
-            (self.environment.num_nodes - 1) / self.environment.num_nodes
-            if self.environment.num_nodes > 1
-            else 0.0
-        )
-        return estimate_reduce_phases(
-            dataflow, self.environment.costs, remote_fraction=remote_fraction
-        ).total
-
     def estimate(self, dataflow: DataflowStatistics) -> HerodotouJobEstimate:
         """Estimate the full job execution time."""
         map_phases = estimate_map_phases(dataflow, self.environment.costs)

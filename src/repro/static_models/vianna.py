@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.estimators import EstimatorKind, ForkJoinEstimator
+from ..core.estimators import ForkJoinEstimator
 from ..core.mva_solver import ModifiedMVASolver, SolverTrace
 from ..core.parameters import ModelInput, TaskClass
 from ..exceptions import ConfigurationError, ModelError
@@ -80,8 +80,3 @@ class ViannaHadoop1Model:
         if self._trace is None:
             raise ModelError("no prediction has been computed yet")
         return self._trace
-
-    @property
-    def estimator_kind(self) -> EstimatorKind:
-        """The baseline uses the (literal) fork/join estimate."""
-        return EstimatorKind.FORK_JOIN

@@ -260,8 +260,8 @@ class FaultyStore(SqliteResultStore):
         super().__init__(path)
         self._injector = injector
 
-    def put_many(self, records, created=None) -> None:
-        super().put_many(records, created)
+    def put_many(self, records, created=None, tokens=None) -> None:
+        super().put_many(records, created, tokens)
         torn = [
             (key, backend, _canonical_options(options))
             for key, backend, _, options in records

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.api import (
+    PredictionResult,
     PredictionService,
     Scenario,
     ScenarioSuite,
@@ -190,6 +191,33 @@ class TestBackends:
         means = result.metadata["repetition_means"]
         assert len(means) == 3
         assert result.total_seconds == sorted(means)[1]
+
+
+class TestPredictionResultMetadata:
+    class Label(str):
+        """A ``str`` subclass whose ``str()`` differs from its value."""
+
+        def __str__(self) -> str:
+            return f"label:{super().__str__()}"
+
+    @pytest.mark.parametrize(
+        ("metadata", "expected"),
+        [
+            ({"iterations": 3, "ok": True, "x": 1.5, "n": None}, None),
+            (
+                {"means": (1.0, 2.0), "nested": {"a": (1,)}},
+                {"means": [1.0, 2.0], "nested": {"a": [1]}},
+            ),
+            ({Label("x"): 1.0}, {"label:x": 1.0}),
+            ({7: "int key"}, {"7": "int key"}),
+        ],
+    )
+    def test_metadata_keys_are_str_and_containers_lists(self, metadata, expected):
+        result = PredictionResult(backend="b", scenario=SMALL, total_seconds=1.0, metadata=metadata)
+        assert dict(result.metadata) == (metadata if expected is None else expected)
+        assert all(type(key) is str for key in result.metadata)
+        with pytest.raises(TypeError):
+            result.metadata["new"] = 1
 
 
 class TestPredictionService:

@@ -12,7 +12,9 @@ Two layers are pinned down:
 
 from __future__ import annotations
 
+import json
 import threading
+from collections import Counter
 
 import pytest
 
@@ -20,12 +22,19 @@ from repro.api import (
     PredictionService,
     Scenario,
     ScenarioSuite,
+    SweepScheduler,
     backend_names,
     backend_supports_batch,
     create_backend,
 )
+from repro.api import scenario as scenario_module
+from repro.api.scenario import WORKLOAD_PROFILES, ScenarioResolver
+from repro.api.store import base as store_base
+from repro.api.store import sqlite_store
+from repro.config import ClusterConfig, FailureSpec, SchedulerConfig
 from repro.exceptions import BackendError
 from repro.units import megabytes
+from repro.workloads.profiles import ApplicationProfile
 
 #: Batch-capable backends: the vectorised closed-form models.
 BATCH_BACKENDS = ("aria", "herodotou")
@@ -51,6 +60,135 @@ GRID = ScenarioSuite(
         + [BASE.with_updates(workload="terasort", num_nodes=nodes) for nodes in (2, 3)]
     ),
 )
+
+
+#: Product grid: 3 node counts x 3 input sizes x 2 job counts, one workload.
+PRODUCT = tuple(
+    BASE.with_updates(num_nodes=nodes, input_size_bytes=megabytes(size), num_jobs=jobs)
+    for nodes in (2, 3, 4)
+    for size in (256, 512, 768)
+    for jobs in (1, 2)
+)
+
+#: Every Scenario field varied, each also alone against ``BASE`` so a view
+#: keyed on too few fields would hand one scenario another's inputs.
+_SLOW_START_OFF = SchedulerConfig(slowstart_enabled=False)
+_INFLATING = FailureSpec(task_failure_rate=0.1, straggler_fraction=0.2, straggler_slowdown=3.0)
+VARIED = (
+    BASE,
+    BASE.with_updates(workload="terasort"),
+    BASE.with_updates(input_size_bytes=megabytes(1024)),
+    BASE.with_updates(block_size_bytes=megabytes(64)),
+    BASE.with_updates(num_nodes=5),
+    BASE.with_updates(num_jobs=3),
+    BASE.with_updates(input_size_bytes=megabytes(4096)),
+    BASE.with_updates(input_size_bytes=megabytes(4096), num_jobs=3),
+    BASE.with_updates(num_reduces=7),
+    BASE.with_updates(duration_cv=0.0),
+    BASE.with_updates(submission_gap_seconds=30.0, num_jobs=3),
+    BASE.with_updates(seed=99, repetitions=2),
+    BASE.with_updates(cluster=ClusterConfig(num_nodes=2)),
+    BASE.with_updates(cluster=ClusterConfig(num_nodes=2), num_jobs=2),
+    BASE.with_updates(scheduler=_SLOW_START_OFF),
+    BASE.with_updates(failures=_INFLATING),
+    BASE.with_updates(failures=_INFLATING, num_jobs=2, scheduler=_SLOW_START_OFF),
+    BASE.with_updates(workload="grep", input_size_bytes=megabytes(2048), num_nodes=16),
+)
+
+
+def _counted(calls: Counter, label: str, function):
+    def counting(*args, **kwargs):
+        calls[label] += 1
+        return function(*args, **kwargs)
+
+    return counting
+
+
+class TestScenarioResolver:
+    @pytest.mark.parametrize("name", BATCH_BACKENDS)
+    def test_views_are_built_once_per_dispatch_and_die_with_it(self, name, monkeypatch):
+        builds: Counter = Counter()
+        monkeypatch.setattr(
+            scenario_module,
+            "paper_cluster",
+            _counted(builds, "cluster", scenario_module.paper_cluster),
+        )
+        monkeypatch.setitem(
+            WORKLOAD_PROFILES,
+            "wordcount",
+            _counted(builds, "profile", WORKLOAD_PROFILES["wordcount"]),
+        )
+        monkeypatch.setattr(
+            ApplicationProfile,
+            "job_config",
+            _counted(builds, "job", ApplicationProfile.job_config),
+        )
+        attributes = [dict(vars(scenario)) for scenario in PRODUCT]
+        backend = create_backend(name)
+        backend.predict_batch(list(PRODUCT))
+        assert builds == {"cluster": 3, "profile": 1, "job": 3}
+        # A second dispatch starts cold: nothing outlived the first.
+        backend.predict_batch(list(PRODUCT))
+        assert builds == {"cluster": 6, "profile": 2, "job": 6}
+        assert [vars(scenario) for scenario in PRODUCT] == attributes
+
+    def test_a_shared_resolver_answers_like_a_fresh_one(self):
+        views = (
+            "cluster",
+            "profile",
+            "scheduler",
+            "job_config",
+            "model_input",
+            "fair_share_slots",
+            "herodotou_environment",
+            "herodotou_dataflow",
+        )
+        shared = ScenarioResolver()
+        for scenario in VARIED:
+            fresh = ScenarioResolver()
+            for view in views:
+                assert getattr(shared, view)(scenario) == getattr(fresh, view)(scenario)
+
+    @pytest.mark.parametrize("name", BATCH_BACKENDS)
+    def test_batch_and_scalar_json_are_byte_identical(self, name):
+        backend = create_backend(name)
+        scalar = [backend.predict(scenario) for scenario in VARIED]
+        batch = backend.predict_batch(list(VARIED))
+        assert [json.dumps(r.to_dict(), sort_keys=True) for r in batch] == [
+            json.dumps(r.to_dict(), sort_keys=True) for r in scalar
+        ]
+
+    def test_cold_suite_computes_each_point_token_once(self, tmp_path, monkeypatch):
+        tokens: Counter = Counter()
+        token = store_base.point_token
+
+        def counting(*index_key):
+            tokens[index_key] += 1
+            return token(*index_key)
+
+        monkeypatch.setattr(store_base, "point_token", counting)
+        monkeypatch.setattr(sqlite_store, "point_token", counting)
+        service = PredictionService(backends=list(BATCH_BACKENDS), store=tmp_path)
+        service.evaluate_suite(ScenarioSuite("product", PRODUCT), BATCH_BACKENDS)
+        assert service.stats().evaluations == len(PRODUCT) * len(BATCH_BACKENDS)
+        assert len(tokens) == len(PRODUCT) * len(BATCH_BACKENDS)
+        assert set(tokens.values()) == {1}
+
+    def test_cold_sweep_run_derives_each_key_and_token_once(self, tmp_path, monkeypatch):
+        calls: Counter = Counter()
+        monkeypatch.setattr(Scenario, "cache_key", _counted(calls, "key", Scenario.cache_key))
+        monkeypatch.setattr(
+            sqlite_store,
+            "point_token",
+            _counted(calls, "token", sqlite_store.point_token),
+        )
+        service = PredictionService(backends=list(BATCH_BACKENDS), store=tmp_path)
+        outcome = SweepScheduler(service).run(ScenarioSuite("product", PRODUCT), BATCH_BACKENDS)
+        assert outcome.evaluated_points == len(PRODUCT) * len(BATCH_BACKENDS)
+        assert calls == {
+            "key": len(PRODUCT),
+            "token": len(PRODUCT) * len(BATCH_BACKENDS),
+        }
 
 
 class TestBatchCapability:

@@ -1213,9 +1213,9 @@ class TestBatchTransaction:
         def counting_put(*args, **kwargs):
             calls["put"] += 1
 
-        def counting_put_many(records, created=None):
+        def counting_put_many(records, created=None, tokens=None):
             calls["put_many"].append(len(records))
-            put_many(records, created)
+            put_many(records, created, tokens)
 
         monkeypatch.setattr(store, "put", counting_put)
         monkeypatch.setattr(store, "put_many", counting_put_many)
@@ -1238,7 +1238,7 @@ class TestBatchTransaction:
     def test_unwritable_batch_logs_once(self, tmp_path, monkeypatch, caplog):
         service = PredictionService(backends=["aria"], store=tmp_path / "store")
 
-        def failing_put_many(records, created=None):
+        def failing_put_many(records, created=None, tokens=None):
             raise StoreError("disk full")
 
         monkeypatch.setattr(service.store, "put_many", failing_put_many)
