@@ -182,7 +182,10 @@ def test_bench_suite_execution_modes():
     """Thread vs. process fan-out over the multi-scenario suite."""
     suite = _service_suite()
     thread_seconds, thread_series, _ = _time_suite(suite, execution="thread")
-    process_seconds, process_series, _ = _time_suite(suite, execution="process")
+    process_seconds, process_series, process_service = _time_suite(
+        suite, execution="process"
+    )
+    process_stats = process_service.stats()
     record = {
         "bench": "suite_exec_32n" if not _smoke_mode() else "suite_exec_smoke",
         "scenarios": len(suite),
@@ -191,17 +194,17 @@ def test_bench_suite_execution_modes():
         "process_seconds": process_seconds,
         "speedup": thread_seconds / process_seconds if process_seconds > 0 else 0.0,
         "cpus": os.cpu_count(),
+        "pool_fallbacks": process_stats.pool_fallbacks,
     }
     print()
     _emit(record)
-    # Determinism across executors is the hard invariant; the speedup is
-    # hardware-dependent, so it is asserted only where it can exist.
+    # Determinism across executors is the hard invariant.  The speedup is
+    # hardware- and load-dependent, so it stays in the record; what is
+    # asserted is that the process pool really ran every scenario, with no
+    # fallback to threads.
     assert process_series == thread_series
-    if not _smoke_mode() and (os.cpu_count() or 1) >= 4:
-        assert process_seconds < thread_seconds, (
-            f"process fan-out ({process_seconds:.2f}s) should beat the GIL-bound "
-            f"thread pool ({thread_seconds:.2f}s) on {os.cpu_count()} cores"
-        )
+    assert process_stats.pool_fallbacks == 0
+    assert process_stats.evaluations == len(suite)
 
 
 def test_bench_store_warm_restart():

@@ -3,15 +3,16 @@
 ``repro.api.store`` is a package of four layers:
 
 * :mod:`~repro.api.store.base` — the :class:`BaseResultStore` contract
-  (versioning, corruption/quarantine, the index and lease namespace) and
-  shared helpers;
+  (versioning, corruption/quarantine, the index) and shared helpers;
 * :mod:`~repro.api.store.sqlite_store` — :class:`SqliteResultStore`, the
-  single-file WAL-mode SQLite engine every store is written with;
+  single-file WAL-mode SQLite engine every store is written with, and home
+  of the lease table;
 * :mod:`~repro.api.store.json_store` — :class:`ResultStore`, a read-only
   reader of the retired sharded-JSON layout, the source of
   :func:`migrate_store`;
-* :mod:`~repro.api.store.leases` — the claim/lease protocol cooperative
-  sweep workers use to drain one grid with zero duplicate evaluations.
+* :mod:`~repro.api.store.leases` — the claim/lease protocol (one guarded
+  SQL statement per transition) cooperative sweep workers use to drain one
+  grid with zero duplicate evaluations.
 
 :func:`open_store` is the front door the CLI, service and daemon share.  It
 opens SQLite and refuses, up front, a directory that holds only legacy JSON
@@ -26,7 +27,6 @@ from pathlib import Path
 
 from ...exceptions import ValidationError
 from .base import (
-    LEASES_DIR,
     QUARANTINE_DIR,
     STORE_FORMAT_VERSION,
     BaseResultStore,
@@ -104,7 +104,6 @@ __all__ = [
     "DB_FILENAME",
     "DEFAULT_LEASE_TTL",
     "GcStats",
-    "LEASES_DIR",
     "LeaseInfo",
     "LeaseManager",
     "QUARANTINE_DIR",

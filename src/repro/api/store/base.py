@@ -17,10 +17,10 @@ skipped in place) and the same never-fatal corruption handling (skip and
 count).  :func:`~repro.api.store.open_store` opens the SQLite engine and
 refuses an un-migrated JSON directory.
 
-The store directory also hosts the cooperative-sweep lease files
-(``<store>/leases/``, see :mod:`repro.api.store.leases`):
-:meth:`BaseResultStore.lease_manager` hands out a
-:class:`~repro.api.store.leases.LeaseManager` rooted there, so k workers
+The SQLite file also holds the cooperative-sweep leases (a ``leases``
+table, see :mod:`repro.api.store.leases`):
+:meth:`~repro.api.store.sqlite_store.SqliteResultStore.lease_manager` hands
+out a :class:`~repro.api.store.leases.LeaseManager` over it, so k workers
 sharing one store path share one claim namespace too.
 """
 
@@ -40,16 +40,12 @@ from ...exceptions import StoreError
 
 if TYPE_CHECKING:
     from ..results import PredictionResult
-    from .leases import LeaseManager
 
 #: Version of the on-disk record envelope; bump on layout changes.
 STORE_FORMAT_VERSION = 1
 
 #: Sibling directory corrupt records are moved into (reason-prefixed names).
 QUARANTINE_DIR = ".quarantine"
-
-#: Sibling directory cooperative-sweep claim files live in.
-LEASES_DIR = "leases"
 
 
 def _canonical_options(options: "dict | None") -> str:
@@ -77,8 +73,8 @@ def point_token(key: str, backend: str, options_key: str) -> str:
     """Stable digest naming one ``(backend, options, cache key)`` point.
 
     The store and the lease protocol key off this token: it names the
-    SQLite row (and a legacy JSON record file) and the claim file of one
-    point, so a lease guards exactly one record slot.
+    SQLite record row (and a legacy JSON record file) and the lease row of
+    one point, so a lease guards exactly one record slot.
     """
     return hashlib.sha256(f"{backend}\n{options_key}\n{key}".encode()).hexdigest()
 
@@ -113,7 +109,7 @@ class GcStats:
     corrupt: int = 0
     #: Usable records remaining after the pass.
     remaining: int = 0
-    #: Expired or orphaned lease files removed.
+    #: Expired leases removed.
     leases_removed: int = 0
     #: Bytes returned to the filesystem (compaction delta; best-effort).
     reclaimed_bytes: int = 0
@@ -139,8 +135,8 @@ class GcStats:
 class BaseResultStore(abc.ABC):
     """Disk-backed ``(cache key, backend, options) -> PredictionResult`` mapping.
 
-    Subclasses provide the storage engine; the in-memory index, the lease
-    namespace, and the directory-level checks live here.  All index access
+    Subclasses provide the storage engine; the in-memory index and the
+    directory-level checks live here.  All index access
     happens under ``self._lock``; engine-level synchronisation (SQLite
     transactions) is the subclass's business.
     """
@@ -178,23 +174,8 @@ class BaseResultStore(abc.ABC):
             return list(self._index)
 
     def point_token(self, key: str, backend: str, options: dict | None = None) -> str:
-        """The digest naming this point's record slot and claim file."""
+        """The digest naming this point's record slot and lease."""
         return point_token(key, backend, _canonical_options(options))
-
-    def lease_manager(self, worker_id: str, ttl: float | None = None) -> "LeaseManager":
-        """A claim/lease manager rooted in this store's ``leases/`` directory.
-
-        Every worker sharing this store path shares the claim namespace, so
-        a point claimed through one store object (or process, or machine on
-        a shared filesystem) is visibly claimed through all of them.
-        """
-        from .leases import DEFAULT_LEASE_TTL, LeaseManager
-
-        return LeaseManager(
-            self._path / LEASES_DIR,
-            worker_id,
-            ttl=DEFAULT_LEASE_TTL if ttl is None else ttl,
-        )
 
     def _publish_refresh(
         self, index: dict[tuple[str, str, str], "PredictionResult"], stats: StoreStats
@@ -272,6 +253,6 @@ class BaseResultStore(abc.ABC):
           are always purged — unlike a read path skip, gc is the explicit
           "this data is dead" operation;
         * corrupt records are quarantined exactly as the read path would;
-        * expired lease files are always reaped;
+        * expired leases are always reaped;
         * ``dry_run`` reports what a real pass would do without deleting.
         """

@@ -16,12 +16,19 @@ fatal, at two granularities:
   corrupt, a JSON dump of the row is quarantined into
   ``<store>/.quarantine/``, and the row is deleted so the next put of that
   point writes a fresh record;
-* **file-level** — an unopenable/unreadable database file is itself moved
-  into quarantine and a fresh empty database takes its place.
+* **file-level** — a file SQLite reports as not a database (or malformed)
+  is itself moved into quarantine and a fresh empty database takes its
+  place.  A *locked* database is not a corrupt one: a busy timeout raises
+  :class:`~repro.exceptions.StoreError` and leaves the file alone.
 
 Unusable probe outcomes are memoised by the row's ``created`` stamp: a
 stale or corrupt row is decoded once, not on every ``get``, while a peer
 overwriting the row (which rewrites ``created``) is still seen at once.
+
+The same file holds the cooperative-sweep ``leases`` table
+(:mod:`repro.api.store.leases`): :meth:`SqliteResultStore.lease_manager`
+hands out a manager whose claims go through this store's connection, so
+every worker sharing the store path shares one claim namespace.
 
 WAL mode plus a busy timeout makes concurrent cross-process writers safe;
 within a process a single connection (``check_same_thread=False``) is
@@ -31,7 +38,9 @@ A connection must not cross ``fork()`` (process-pool workers are forked
 while other threads record results): a fork hook holds every open store's
 lock across the fork, so no thread is inside SQLite when it happens, and the
 child drops the inherited connections unclosed and reconnects if it needs
-to.
+to.  A collected store's connection is not closed by the collector (which
+may run in any thread, mid-fork) but later, under a live store's lock or in
+the fork hook.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ from ..backends import backend_version
 from ..results import PredictionResult
 from ..scenario import SCENARIO_SPEC_VERSION
 from .base import (
-    LEASES_DIR,
     QUARANTINE_DIR,
     STORE_FORMAT_VERSION,
     BaseResultStore,
@@ -62,7 +70,7 @@ from .base import (
     _canonical_options,
     point_token,
 )
-from .leases import LeaseManager
+from .leases import DEFAULT_LEASE_TTL, LeaseManager
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +92,13 @@ CREATE TABLE IF NOT EXISTS records (
     created REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS records_created ON records (created);
+CREATE TABLE IF NOT EXISTS leases (
+    token TEXT PRIMARY KEY,
+    worker TEXT NOT NULL,
+    acquired REAL NOT NULL,
+    renewed REAL NOT NULL,
+    expires_at REAL NOT NULL
+);
 """
 
 _ROW_FIELDS = (
@@ -100,6 +115,31 @@ _ROW_FIELDS = (
 
 _SELECT = f"SELECT {', '.join(_ROW_FIELDS)} FROM records"
 
+#: Seconds a statement waits for a peer's lock before it fails.
+_BUSY_TIMEOUT_S = 30.0
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Put the database in WAL mode (a no-op once the file is WAL).
+
+    Switching a new file to WAL needs an exclusive lock, and SQLite does
+    not apply the busy timeout to the switch: when peers open the same new
+    file at once, every switch but one fails at once with "database is
+    locked".  A loser retries until the winner's switch is visible.  Only
+    the switch is retried, so a file that is already WAL but locked fails
+    after the busy timeout like any other statement.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError:
+            if time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+
+
 #: Every store of this process, for the fork hook below.
 _OPEN_STORES: "weakref.WeakSet[SqliteResultStore]" = weakref.WeakSet()
 #: Serialises forks, and holds the stores one fork has locked.
@@ -108,6 +148,20 @@ _FORK_HELD: "list[SqliteResultStore]" = []
 #: Connections a forked child inherited: kept referenced so the child never
 #: closes (and so never touches) a connection its parent is still using.
 _INHERITED: list[sqlite3.Connection] = []
+#: Connections of garbage-collected stores, waiting to be closed.  The
+#: collector may run in any thread at any moment, and closing a connection
+#: there could put that thread inside SQLite (holding its process-wide
+#: mutexes) just as another thread forks, leaving a child that hangs in its
+#: first ``connect``.  They are closed where no fork can start instead: by a
+#: thread holding a live store's lock, or by the fork hook itself.
+_ORPHANS: list[sqlite3.Connection] = []
+
+
+def _close_orphans() -> None:
+    """Close collected stores' connections; the caller excludes forks."""
+    while _ORPHANS:
+        with contextlib.suppress(IndexError):  # a peer thread took the last
+            _ORPHANS.pop().close()
 
 
 def _before_fork() -> None:
@@ -115,9 +169,14 @@ def _before_fork() -> None:
     _FORK_HELD[:] = list(_OPEN_STORES)
     for store in _FORK_HELD:
         store._lock.acquire()
+    _close_orphans()
 
 
 def _after_fork(in_child: bool) -> None:
+    if in_child:
+        # A store collected in another thread after the hook's drain.
+        _INHERITED.extend(_ORPHANS)
+        _ORPHANS.clear()
     for store in _FORK_HELD:
         if in_child and store._conn is not None:
             _INHERITED.append(store._conn)
@@ -151,35 +210,45 @@ class SqliteResultStore(BaseResultStore):
         self._stale_rows: dict[str, float] = {}
         _OPEN_STORES.add(self)
 
+    def __del__(self, _orphans: list = _ORPHANS) -> None:
+        # ``_orphans`` is bound here because module globals may already be
+        # cleared when a store is collected at interpreter exit.
+        conn = getattr(self, "_conn", None)
+        if conn is not None:
+            _orphans.append(conn)
+
     # -- connection management -------------------------------------------------
 
     def _connect(self) -> sqlite3.Connection:
         """Open (or recover) the database.  Caller holds ``self._lock``."""
         if self._conn is not None:
             return self._conn
+        _close_orphans()
         self._path.mkdir(parents=True, exist_ok=True)
         try:
             self._conn = self._open_db()
-        except sqlite3.Error as exc:
+        except sqlite3.OperationalError as exc:
+            raise self._unavailable(exc) from exc
+        except sqlite3.DatabaseError as exc:
             # File-level corruption: quarantine the damaged database and
             # start fresh.
             self._quarantine_db(str(exc))
             try:
                 self._conn = self._open_db()
             except sqlite3.Error as fresh_exc:
-                raise StoreError(
-                    f"cannot open store database {str(self._db_path)!r}: {fresh_exc}"
-                ) from fresh_exc
+                raise self._unavailable(fresh_exc) from fresh_exc
         return self._conn
+
+    def _unavailable(self, exc: sqlite3.Error) -> StoreError:
+        return StoreError(f"cannot use store database {str(self._db_path)!r}: {exc}")
 
     def _open_db(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
-            self._db_path, timeout=30.0, check_same_thread=False
+            self._db_path, timeout=_BUSY_TIMEOUT_S, check_same_thread=False
         )
         try:
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=30000")
             conn.executescript(_SCHEMA)
             conn.commit()
         except sqlite3.Error:
@@ -359,6 +428,15 @@ class SqliteResultStore(BaseResultStore):
             for row in rows:
                 self._stale_rows.pop(row[0], None)
 
+    def lease_manager(self, worker_id: str, ttl: float | None = None) -> LeaseManager:
+        """A claim/lease manager over this store's ``leases`` table.
+
+        Every worker sharing this store path shares the claim namespace, so
+        a point claimed through one store object (or process) is visibly
+        claimed through all of them.
+        """
+        return LeaseManager(self, worker_id, ttl=DEFAULT_LEASE_TTL if ttl is None else ttl)
+
     # -- maintenance ----------------------------------------------------------
 
     def refresh(self) -> StoreStats:
@@ -398,7 +476,6 @@ class SqliteResultStore(BaseResultStore):
         purged_keys: list[tuple[str, str, str]] = []
         with self._lock:
             if not self._db_path.exists() and self._conn is None:
-                self._gc_leases(stats, dry_run)
                 return stats
             size_before = 0
             with contextlib.suppress(OSError):
@@ -458,20 +535,8 @@ class SqliteResultStore(BaseResultStore):
                         size_before * len(doomed) / stats.examined
                     )
         self._drop_indexed(purged_keys)
-        self._gc_leases(stats, dry_run)
+        stats.leases_removed = self.lease_manager("gc").reap_expired(dry_run)
         return stats
-
-    def _gc_leases(self, stats: GcStats, dry_run: bool) -> None:
-        """Reap expired claim files under ``leases/``."""
-        leases_dir = self._path / LEASES_DIR
-        if not leases_dir.is_dir():
-            return
-        manager = LeaseManager(leases_dir, worker_id="gc")
-        for info in manager.scan():
-            if info.expired():
-                stats.leases_removed += 1
-                if not dry_run:
-                    manager.reap(info.token)
 
     def _drop_indexed(self, index_keys: Sequence[tuple[str, str, str]]) -> None:
         """Forget purged records in memory so gc and the index agree."""
@@ -481,7 +546,7 @@ class SqliteResultStore(BaseResultStore):
 
     # -- internals ------------------------------------------------------------
 
-    def _execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
+    def _execute(self, sql: str, params: Sequence | dict = ()) -> sqlite3.Cursor:
         """Run one statement, recovering once from file-level corruption.
 
         Caller holds ``self._lock``.
@@ -489,9 +554,28 @@ class SqliteResultStore(BaseResultStore):
         conn = self._connect()
         try:
             return conn.execute(sql, params)
+        except sqlite3.OperationalError as exc:
+            raise self._unavailable(exc) from exc
         except sqlite3.DatabaseError as exc:
             self._quarantine_db(str(exc))
             return self._connect().execute(sql, params)
+
+    def _query(self, sql: str, params: Sequence | dict = ()) -> list[tuple]:
+        """Every row of one read; none while no database file exists yet."""
+        with self._lock:
+            if not self._db_path.exists() and self._conn is None:
+                return []
+            return self._execute(sql, params).fetchall()
+
+    def _write(self, sql: str, params: Sequence | dict = ()) -> int:
+        """Commit one statement in its own transaction; the rows it changed."""
+        with self._lock:
+            conn = self._connect()
+            try:
+                with conn:
+                    return conn.execute(sql, params).rowcount
+            except sqlite3.Error as exc:
+                raise self._unavailable(exc) from exc
 
     def _fetch_one(self, token: str) -> tuple | None:
         return self._execute(f"{_SELECT} WHERE token = ?", (token,)).fetchone()

@@ -43,7 +43,7 @@ from .resilience import RetryPolicy
 from .results import FailedResult, PredictionResult
 from .scenario import ScenarioSuite
 from .service import PredictionService, ServiceStats, SuiteResult
-from .store import TokenMemo
+from .store import SqliteResultStore, TokenMemo
 from .store.leases import LeaseManager
 
 #: One sweep point: (scenario index in the suite, backend name).
@@ -204,18 +204,20 @@ class SweepScheduler:
         stored: list[SweepPoint] = []
         missing: list[SweepPoint] = []
         leased: list[SweepPoint] = []
-        peer_held: dict[tuple[str, str], bool] = {}
+        peer_held: set[tuple[str, str]] = set()
         if leases is not None:
-            now = time.time()
-            for key, name in unique_points:
-                if (key, name) in sources:
-                    continue
-                info = leases.read(self._service.point_token(key, name))
-                peer_held[(key, name)] = (
-                    info is not None
-                    and not info.expired(now)
-                    and info.worker != leases.worker_id
-                )
+            peer_tokens = {
+                info.token
+                for info in leases.scan()
+                if info.worker != leases.worker_id and not info.expired()
+            }
+            if peer_tokens:
+                peer_held = {
+                    point
+                    for point in unique_points
+                    if point not in sources
+                    and self._service.point_token(*point) in peer_tokens
+                }
         for index, key in enumerate(keys):
             for name in names:
                 point = (index, name)
@@ -224,7 +226,7 @@ class SweepScheduler:
                     memory.append(point)
                 elif source == "store":
                     stored.append(point)
-                elif peer_held.get((key, name)):
+                elif (key, name) in peer_held:
                     leased.append(point)
                 else:
                     missing.append(point)
@@ -296,8 +298,8 @@ class SweepScheduler:
         taken over, so the sweep always completes.
 
         ``claim_limit`` caps how many points one round may claim.  Without
-        it the first worker to plan claims every unanswered point (claims
-        are cheap file creates, far faster than evaluations), which leaves
+        it the first worker to plan claims every unanswered point (a claim
+        is one small SQL upsert, far faster than an evaluation), which leaves
         late-starting peers nothing to do; with ``claim_limit=n`` each
         worker takes at most ``n`` points per round and re-plans, so a
         k-worker fabric load-balances at the cost of one extra plan per
@@ -311,7 +313,7 @@ class SweepScheduler:
         grid (one final :meth:`~PredictionService.evaluate_suite`, all store
         hits) and reports this worker's share of the work.
         """
-        if self._service.store is None:
+        if not isinstance(self._service.store, SqliteResultStore):
             raise ValidationError(
                 "cooperative sweeps require a store-backed service "
                 "(the store carries the results and the claim namespace)"

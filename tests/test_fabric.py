@@ -17,11 +17,15 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.api import (
     CooperativeOutcome,
@@ -31,8 +35,9 @@ from repro.api import (
     SweepScheduler,
 )
 from repro.api.backends import _REGISTRY
-from repro.api.store import LEASES_DIR, open_store
-from repro.api.store.leases import LEASE_SUFFIX, LeaseManager
+from repro.api.store import leases as leases_module
+from repro.api.store import open_store
+from repro.api.store.leases import LeaseManager
 from repro.cli import main
 from repro.exceptions import ValidationError
 from repro.testing.faults import FaultInjector, FaultSpec, inject_backend_faults
@@ -65,10 +70,44 @@ def _service(store_path) -> PredictionService:
     return PredictionService(backends=[BACKEND], store=store_path)
 
 
+class _Clock:
+    """Stands in for the ``time`` module inside :mod:`repro.api.store.leases`."""
+
+    def __init__(self) -> None:
+        self.now = time.time()
+
+    def time(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch) -> _Clock:
+    """A lease clock that moves only when told to: no test waits for a TTL."""
+    fake = _Clock()
+    monkeypatch.setattr(leases_module, "time", fake)
+    return fake
+
+
+@pytest.fixture
+def store(tmp_path):
+    return open_store(tmp_path / "store")
+
+
+def _no_leases(store_path) -> bool:
+    """No claim outlived the sweep, and no file-based namespace was created."""
+    return (
+        open_store(store_path).lease_manager("observer").scan() == []
+        and not (store_path / "leases").exists()
+    )
+
+
 class TestLeaseManager:
-    def test_claim_is_exclusive(self, tmp_path):
-        first = LeaseManager(tmp_path, "w1", ttl=60.0)
-        second = LeaseManager(tmp_path, "w2", ttl=60.0)
+    def test_claim_is_exclusive(self, store):
+        first = store.lease_manager("w1", ttl=60.0)
+        second = store.lease_manager("w2", ttl=60.0)
         assert first.try_claim(TOKEN)
         assert not second.try_claim(TOKEN)
         assert first.held() == [TOKEN]
@@ -77,39 +116,36 @@ class TestLeaseManager:
         assert info.worker == "w1"
         assert not info.expired()
 
-    def test_reclaiming_an_owned_lease_is_idempotent(self, tmp_path):
-        manager = LeaseManager(tmp_path, "w1", ttl=60.0)
+    def test_reclaiming_an_owned_lease_is_idempotent(self, store):
+        manager = store.lease_manager("w1", ttl=60.0)
         assert manager.try_claim(TOKEN)
         assert manager.try_claim(TOKEN)
         assert manager.held() == [TOKEN]
 
-    def test_release_frees_the_point(self, tmp_path):
-        first = LeaseManager(tmp_path, "w1", ttl=60.0)
-        second = LeaseManager(tmp_path, "w2", ttl=60.0)
+    def test_release_frees_the_point(self, store):
+        first = store.lease_manager("w1", ttl=60.0)
+        second = store.lease_manager("w2", ttl=60.0)
         assert first.try_claim(TOKEN)
         first.release(TOKEN)
         assert first.held() == []
         assert second.read(TOKEN) is None
         assert second.try_claim(TOKEN)
 
-    def test_expired_lease_is_taken_over(self, tmp_path):
-        crashed = LeaseManager(tmp_path, "crashed", ttl=0.05)
+    def test_expired_lease_is_taken_over(self, store, clock):
+        crashed = store.lease_manager("crashed", ttl=0.05)
         assert crashed.try_claim(TOKEN)
-        time.sleep(0.12)  # let the claim lapse, as a dead worker's would
-        survivor = LeaseManager(tmp_path, "survivor", ttl=60.0)
+        clock.advance(0.12)  # the claim lapses, as a dead worker's would
+        survivor = store.lease_manager("survivor", ttl=60.0)
         assert survivor.try_claim(TOKEN)
-        assert survivor.read(TOKEN).worker == "survivor"
-        # The takeover's tombstone was cleaned up: one claim file remains.
-        lease_files = [
-            name for name in os.listdir(tmp_path) if name.endswith(LEASE_SUFFIX)
+        assert [(info.token, info.worker) for info in survivor.scan()] == [
+            (TOKEN, "survivor")
         ]
-        assert lease_files == [f"{TOKEN}{LEASE_SUFFIX}"]
 
-    def test_loser_learns_of_the_takeover_on_renew(self, tmp_path):
-        loser = LeaseManager(tmp_path, "loser", ttl=0.05)
+    def test_loser_learns_of_the_takeover_on_renew(self, store, clock):
+        loser = store.lease_manager("loser", ttl=0.05)
         assert loser.try_claim(TOKEN)
-        time.sleep(0.12)
-        winner = LeaseManager(tmp_path, "winner", ttl=60.0)
+        clock.advance(0.12)
+        winner = store.lease_manager("winner", ttl=60.0)
         assert winner.try_claim(TOKEN)
         assert not loser.renew(TOKEN)
         assert TOKEN in loser.lost
@@ -118,53 +154,93 @@ class TestLeaseManager:
         loser.release(TOKEN)
         assert winner.read(TOKEN).worker == "winner"
 
-    def test_live_lease_cannot_be_stolen(self, tmp_path):
-        owner = LeaseManager(tmp_path, "owner", ttl=60.0)
+    def test_losers_release_leaves_the_winners_row(self, store, clock):
+        """The release statement is guarded on the owner, not on belief."""
+        loser = store.lease_manager("loser", ttl=1.0)
+        assert loser.try_claim(TOKEN)
+        clock.advance(2.0)
+        winner = store.lease_manager("winner", ttl=60.0)
+        assert winner.try_claim(TOKEN)
+        assert loser.held() == [TOKEN]  # it has not heartbeated since
+        loser.release(TOKEN)
+        assert loser.held() == []
+        assert winner.read(TOKEN).worker == "winner"
+        assert winner.renew(TOKEN)
+
+    def test_takeover_between_expiry_check_and_claim_has_one_winner(
+        self, tmp_path, clock, monkeypatch
+    ):
+        """A peer's takeover between an expiry check and a claim has one winner.
+
+        A sees the crashed worker's claim expired; before A's claim executes,
+        B takes the point over.  A's claim must then fail — B's lease is
+        live — so exactly one worker holds the token.
+        """
+        crashed = open_store(tmp_path / "store").lease_manager("crashed", ttl=1.0)
+        assert crashed.try_claim(TOKEN)
+        clock.advance(2.0)
+        a_store = open_store(tmp_path / "store")
+        a = a_store.lease_manager("a", ttl=60.0)
+        b = open_store(tmp_path / "store").lease_manager("b", ttl=60.0)
+        assert a.read(TOKEN).expired()  # A's expiry observation
+        real_write = a_store._write
+        raced = []
+
+        def b_first(sql, params=()):
+            if not raced:
+                raced.append(b.try_claim(TOKEN))
+            return real_write(sql, params)
+
+        monkeypatch.setattr(a_store, "_write", b_first)
+        assert not a.try_claim(TOKEN)
+        assert raced == [True]
+        assert [(info.token, info.worker) for info in a.scan()] == [(TOKEN, "b")]
+        assert (a.held(), b.held()) == ([], [TOKEN])
+        assert not a.renew(TOKEN)
+        a.release(TOKEN)
+        assert b.read(TOKEN).worker == "b"
+
+    def test_live_lease_cannot_be_stolen(self, store):
+        owner = store.lease_manager("owner", ttl=60.0)
         assert owner.try_claim(TOKEN)
-        challenger = LeaseManager(tmp_path, "challenger", ttl=60.0)
+        challenger = store.lease_manager("challenger", ttl=60.0)
         assert not challenger.try_claim(TOKEN)
         assert owner.read(TOKEN).worker == "owner"
 
-    def test_renew_advances_the_expiry(self, tmp_path):
-        manager = LeaseManager(tmp_path, "w1", ttl=60.0)
+    def test_renew_advances_the_expiry(self, store, clock):
+        manager = store.lease_manager("w1", ttl=60.0)
         assert manager.try_claim(TOKEN)
         before = manager.read(TOKEN)
-        time.sleep(0.02)
+        clock.advance(0.02)
         assert manager.renew(TOKEN)
         after = manager.read(TOKEN)
-        assert after.renewed > before.renewed
-        assert after.acquired == pytest.approx(before.acquired)
+        assert after.renewed == before.renewed + 0.02
+        assert after.expires_at == after.renewed + 60.0
+        assert after.acquired == before.acquired
         assert after.worker == "w1"
 
-    def test_unparseable_claim_counts_as_live_until_its_mtime_expires(self, tmp_path):
-        """Torn claim files block claiming (safe) but still age out (live)."""
-        manager = LeaseManager(tmp_path, "w1", ttl=1000.0)
-        path = tmp_path / f"{TOKEN}{LEASE_SUFFIX}"
-        tmp_path.mkdir(parents=True, exist_ok=True)
-        path.write_text("{torn bytes")
-        info = manager.read(TOKEN)
-        assert info.worker == "?"
-        assert not manager.try_claim(TOKEN)  # treated as a live peer's claim
-        # Once the file's mtime is older than the TTL, it is dead and stealable.
-        past = time.time() - 2000.0
-        os.utime(path, (past, past))
-        assert manager.try_claim(TOKEN)
-        assert manager.read(TOKEN).worker == "w1"
-
-    def test_heartbeat_keeps_leases_alive(self, tmp_path):
-        owner = LeaseManager(tmp_path, "owner", ttl=1.0)
-        challenger = LeaseManager(tmp_path, "challenger", ttl=1.0)
+    def test_heartbeat_renews_on_a_background_thread(self, store):
+        owner = store.lease_manager("owner", ttl=60.0)
         assert owner.try_claim(TOKEN)
-        with owner.heartbeat(interval=0.1):
-            time.sleep(1.5)  # well past the TTL: only the heartbeat saves it
-            assert not challenger.try_claim(TOKEN)
-        # Without the heartbeat the lease lapses and is taken over.
-        time.sleep(1.2)
-        assert challenger.try_claim(TOKEN)
+        renewed = threading.Event()
+        beats: list[str] = []
+        real_renew_all = owner.renew_all
 
-    def test_scan_reports_every_claim(self, tmp_path):
-        first = LeaseManager(tmp_path, "w1", ttl=60.0)
-        second = LeaseManager(tmp_path, "w2", ttl=60.0)
+        def renew_all() -> int:
+            beats.append(threading.current_thread().name)
+            count = real_renew_all()
+            renewed.set()
+            return count
+
+        owner.renew_all = renew_all
+        with owner.heartbeat(interval=0.01):
+            assert renewed.wait(timeout=30.0)
+        assert beats[0] == "lease-heartbeat-owner"
+        assert owner.held() == [TOKEN]
+
+    def test_scan_reports_every_claim(self, store):
+        first = store.lease_manager("w1", ttl=60.0)
+        second = store.lease_manager("w2", ttl=60.0)
         assert first.try_claim("a" * 8)
         assert second.try_claim("b" * 8)
         infos = first.scan()
@@ -177,22 +253,155 @@ class TestLeaseManager:
         "kwargs",
         [
             {"worker_id": ""},
-            {"worker_id": "a/b"},
             {"worker_id": "ok", "ttl": 0.0},
             {"worker_id": "ok", "ttl": -1.0},
         ],
     )
-    def test_constructor_validation(self, tmp_path, kwargs):
+    def test_constructor_validation(self, store, kwargs):
         with pytest.raises(ValidationError):
-            LeaseManager(tmp_path, **kwargs)
+            store.lease_manager(**kwargs)
 
-    def test_token_and_heartbeat_validation(self, tmp_path):
-        manager = LeaseManager(tmp_path, "w1", ttl=60.0)
+    def test_token_and_heartbeat_validation(self, store):
+        manager = store.lease_manager("w1", ttl=60.0)
         with pytest.raises(ValidationError):
-            manager.try_claim("bad/token")
+            manager.try_claim("")
         with pytest.raises(ValidationError):
             with manager.heartbeat(interval=0.0):
                 pass
+
+
+class LeaseMachine(RuleBasedStateMachine):
+    """Each lease statement checked against an abstract model of its guard.
+
+    The model is the lease protocol written as guard + action over a plain
+    dict (``token -> (worker, acquired, renewed, expires_at)``) and each
+    worker's ``held``/``lost`` ledger.  Every worker has its own store
+    object, hence its own SQLite connection, on one path; the clock moves
+    only by the ``advance`` rule, in steps that land exactly on expiries.
+    """
+
+    WORKERS = ("w0", "w1", "w2")
+    TTLS = {"w0": 1.0, "w1": 2.0, "w2": 1.0}
+    TOKENS = ("t0", "t1")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.clock = _Clock()
+        self.real_time = leases_module.time
+        leases_module.time = self.clock
+        self.root = Path(tempfile.mkdtemp(prefix="lease-machine-"))
+        self.stores = {worker: open_store(self.root) for worker in self.WORKERS}
+        self.managers = {
+            worker: store.lease_manager(worker, ttl=self.TTLS[worker])
+            for worker, store in self.stores.items()
+        }
+        self.table: dict[str, tuple[str, float, float, float]] = {}
+        self.held: dict[str, set[str]] = {worker: set() for worker in self.WORKERS}
+        self.lost: dict[str, set[str]] = {worker: set() for worker in self.WORKERS}
+        #: The last lease the SQL side granted per token: (worker, expires_at).
+        self.granted: dict[str, tuple[str, float]] = {}
+
+    def teardown(self) -> None:
+        leases_module.time = self.real_time
+        for store in self.stores.values():
+            store.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _lose(self, worker: str, token: str) -> None:
+        if token in self.held[worker]:
+            self.held[worker].discard(token)
+            self.lost[worker].add(token)
+
+    def _grant(self, worker: str, token: str) -> None:
+        """Record a lease the SQL side granted; it must not overlap a peer's."""
+        now = self.clock.now
+        previous = self.granted.get(token)
+        if previous is not None and previous[0] != worker:
+            assert now > previous[1], f"{worker} granted {token} inside {previous}"
+        self.granted[token] = (worker, now + self.TTLS[worker])
+
+    @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
+    def claim(self, worker, token):
+        now = self.clock.now
+        row = self.table.get(token)
+        wins = row is None or row[3] < now or row[0] == worker
+        if wins:
+            self.table[token] = (worker, now, now, now + self.TTLS[worker])
+            self.held[worker].add(token)
+            self.lost[worker].discard(token)
+        else:
+            self._lose(worker, token)
+        won = self.managers[worker].try_claim(token)
+        assert won == wins
+        if won:
+            self._grant(worker, token)
+
+    @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
+    def renew(self, worker, token):
+        now = self.clock.now
+        row = self.table.get(token)
+        renews = token in self.held[worker] and row is not None and row[0] == worker
+        if renews:
+            self.table[token] = (worker, row[1], now, now + self.TTLS[worker])
+        else:
+            self._lose(worker, token)
+        renewed = self.managers[worker].renew(token)
+        assert renewed == renews
+        if renewed:
+            self._grant(worker, token)
+
+    @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
+    def release(self, worker, token):
+        row = self.table.get(token)
+        if token in self.held[worker]:
+            self.held[worker].discard(token)
+            if row is not None and row[0] == worker:
+                del self.table[token]
+        self.managers[worker].release(token)
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def reap(self, worker):
+        now = self.clock.now
+        doomed = [token for token, row in self.table.items() if row[3] < now]
+        for token in doomed:
+            del self.table[token]
+        assert self.stores[worker].gc().leases_removed == len(doomed)
+
+    @rule(seconds=st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    def advance(self, seconds):
+        self.clock.advance(seconds)
+
+    @invariant()
+    def sql_matches_the_model(self):
+        rows = {
+            info.token: (info.worker, info.acquired, info.renewed, info.expires_at)
+            for info in self.managers["w0"].scan()
+        }
+        assert rows == self.table
+        for worker, manager in self.managers.items():
+            assert set(manager.held()) == self.held[worker]
+            assert manager.lost == self.lost[worker]
+        for token in self.TOKENS:
+            if token not in rows:
+                self.granted.pop(token, None)  # released or reaped: the lease ended
+
+    @invariant()
+    def at_most_one_unexpired_owner_per_token(self):
+        now = self.clock.now
+        for token in self.TOKENS:
+            owners = [
+                worker
+                for worker in self.WORKERS
+                if token in self.held[worker]
+                and (info := self.managers[worker].read(token)) is not None
+                and info.worker == worker
+                and not info.expired(now)
+            ]
+            assert len(owners) <= 1
+
+
+TestLeaseMachine = LeaseMachine.TestCase
+TestLeaseMachine.settings = settings(max_examples=40, stateful_step_count=30, deadline=None)
 
 
 class TestCooperativePlan:
@@ -212,7 +421,7 @@ class TestCooperativePlan:
         assert plan.missing == ((2, BACKEND),)
         assert "1 leased to peers" in plan.describe()
 
-    def test_own_and_expired_claims_stay_missing(self, tmp_path):
+    def test_own_and_expired_claims_stay_missing(self, tmp_path, clock):
         suite = _suite([2, 3])
         service = _service(tmp_path / "store")
         scheduler = SweepScheduler(service)
@@ -220,7 +429,7 @@ class TestCooperativePlan:
         assert mine.try_claim(service.point_token(suite.scenarios[0].cache_key(), BACKEND))
         dead = service.store.lease_manager("dead", ttl=0.05)
         assert dead.try_claim(service.point_token(suite.scenarios[1].cache_key(), BACKEND))
-        time.sleep(0.12)  # the peer's claim lapses; mine is my own
+        clock.advance(0.12)  # the peer's claim lapses; mine is my own
         plan = scheduler.plan(suite, [BACKEND], leases=mine)
         assert plan.leased == ()
         assert len(plan.missing) == 2
@@ -287,7 +496,7 @@ class TestRunCooperative:
         for outcome in outcomes.values():
             assert all(value > 0 for value in outcome.result.series(BACKEND))
             assert outcome.failed == 0
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _no_leases(store_path)
 
     def test_claim_limit_caps_each_round(self, tmp_path):
         suite = _suite([2, 3, 4])
@@ -339,7 +548,7 @@ class TestRunCooperative:
         assert outcome.claimed == 0
         assert injector.duplicate_evaluations() == 0
         # The yielded leases were released, not stranded.
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _no_leases(store_path)
         assert all(value > 0 for value in outcome.result.series(BACKEND))
 
     def test_terminally_failing_points_do_not_livelock(self, tmp_path):
@@ -405,7 +614,7 @@ class TestFabricChaos:
         assert sum(outcome.evaluated for outcome in outcomes.values()) == 4
         assert injector.duplicate_evaluations() == 0
         # ...and no claim (including the stolen ones) outlived the sweep.
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _no_leases(store_path)
         # The records themselves converged: one usable record per point.
         assert open_store(store_path).refresh().loaded == 4
 
@@ -462,7 +671,7 @@ class TestTwoProcessTakeover:
         whole grid, starts evaluating, and is SIGKILLed while holding every
         lease — no cleanup, no release, exactly what an OOM kill leaves on
         disk.  The survivor must wait out one lease TTL, take the dead
-        claims over through the tombstone-rename path, and finish the grid
+        claims over with the guarded claim upsert, and finish the grid
         with zero duplicate evaluations and zero duplicate records.
         """
         store_path = tmp_path / "store"
@@ -508,7 +717,7 @@ class TestTwoProcessTakeover:
             if victim.poll() is None:
                 victim.kill()
                 victim.wait(timeout=30.0)
-        # The dead worker's claim files are still on disk — takeover territory.
+        # The dead worker's lease rows are still there — takeover territory.
         assert observer.scan()
         survivor = spawn("survivor")
         stdout, stderr = survivor.communicate(timeout=120.0)
@@ -530,7 +739,7 @@ class TestTwoProcessTakeover:
             assert open_store(store_path).refresh().loaded == 3
         finally:
             _REGISTRY.pop("two-proc", None)
-        assert not list((store_path / LEASES_DIR).glob(f"*{LEASE_SUFFIX}"))
+        assert _no_leases(store_path)
 
 
 class TestFabricCli:

@@ -10,6 +10,7 @@ dispatch, and the one-way migration of a legacy sharded-JSON store
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import os
@@ -18,6 +19,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -42,6 +44,8 @@ from repro.api.store import (
     open_store,
     point_token,
 )
+from repro.api.store import leases as leases_module
+from repro.api.store import sqlite_store as sqlite_store_module
 from repro.cli import main
 from repro.exceptions import StoreError, ValidationError
 from repro.units import megabytes
@@ -312,6 +316,21 @@ def test_fork_while_another_thread_writes(tmp_path):
     assert outcomes == [0] * 20
 
 
+def test_collected_store_is_closed_by_the_next_open_not_the_collector(tmp_path):
+    """The collector may run in a thread that another thread forks beside;
+    closing there could leave SQLite's mutexes held in the child."""
+    garbage = open_store(tmp_path / "garbage")
+    assert garbage.get("absent", "aria") is None  # connects
+    conn = garbage._conn
+    garbage.cycle = garbage  # only the cyclic collector frees it
+    del garbage
+    gc.collect()
+    assert conn.execute("SELECT 1").fetchone() == (1,)  # still open
+    assert open_store(tmp_path / "next").get("absent", "aria") is None
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        conn.execute("SELECT 1")
+
+
 class TestOpenStore:
     """One engine: new stores are SQLite, legacy JSON is refused up front."""
 
@@ -552,6 +571,57 @@ class TestQuarantine:
         reopened.put(SMALL.cache_key(), "aria", original)
         assert SqliteResultStore(store_path).get(SMALL.cache_key(), "aria") == original
 
+    def test_first_open_waits_for_a_peer_on_the_new_file(self, tmp_path):
+        """Switching a new file to WAL is not covered by the busy timeout:
+        a peer writing the file (another first open creating the schema)
+        makes the switch fail at once, so the open retries it instead of
+        reporting the store unusable."""
+        store_path = tmp_path / "store"
+        store_path.mkdir()
+        peer = sqlite3.connect(
+            store_path / DB_FILENAME, isolation_level=None, check_same_thread=False
+        )
+        peer.execute("BEGIN IMMEDIATE")  # holds the write lock
+        release = threading.Timer(0.2, peer.commit)
+        release.start()
+        try:
+            store = SqliteResultStore(store_path)
+            store.put(SMALL.cache_key(), "aria", create_backend("aria").predict(SMALL))
+        finally:
+            release.join()
+            peer.close()
+        assert not (store_path / QUARANTINE_DIR).exists()
+        with store._lock:
+            assert store._connect().execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert open_store(store_path).refresh().loaded == 1
+
+    def test_locked_database_is_not_quarantined(self, tmp_path, monkeypatch):
+        """A busy timeout is an error to report, not corruption to move aside."""
+        store_path = tmp_path / "store"
+        service = PredictionService(backends=["aria", "herodotou"], store=store_path)
+        expected = {name: service.evaluate(SMALL, name) for name in ("aria", "herodotou")}
+        service.store.close()
+        holder = sqlite3.connect(store_path / DB_FILENAME, isolation_level=None)
+        real_connect = sqlite3.connect
+        try:
+            holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+            holder.execute("BEGIN EXCLUSIVE")
+            monkeypatch.setattr(
+                sqlite_store_module.sqlite3,
+                "connect",
+                lambda *args, **kwargs: real_connect(*args, **{**kwargs, "timeout": 0.05}),
+            )
+            with pytest.raises(StoreError, match="locked"):
+                SqliteResultStore(store_path).get(SMALL.cache_key(), "aria")
+            monkeypatch.undo()
+        finally:
+            holder.close()
+        assert not (store_path / QUARANTINE_DIR).exists()
+        reopened = open_store(store_path)
+        assert reopened.refresh().loaded == 2
+        for name, result in expected.items():
+            assert reopened.get(SMALL.cache_key(), name) == result
+
     def test_stale_records_are_not_quarantined(self, tmp_path):
         store_path = tmp_path / "store"
         service = PredictionService(backends=["aria"], store=store_path)
@@ -774,14 +844,18 @@ class TestGc:
         assert stats.remaining == 1
         assert open_store(store_path).refresh().loaded == 1
 
-    def test_expired_leases_are_reaped(self, tmp_path):
+    def test_expired_leases_are_reaped(self, tmp_path, monkeypatch):
+        clock = SimpleNamespace(now=time.time())
+        monkeypatch.setattr(leases_module, "time", SimpleNamespace(time=lambda: clock.now))
         store = open_store(tmp_path / "store")
         doomed = store.lease_manager("crashed-worker", ttl=0.05)
         assert doomed.try_claim("a" * 64)
         assert doomed.try_claim("b" * 64)
         live = store.lease_manager("live-worker", ttl=3600.0)
         assert live.try_claim("c" * 64)
-        time.sleep(0.1)  # let the short leases lapse
+        clock.now += 0.1  # the short leases lapse
+        assert store.gc(dry_run=True).leases_removed == 2
+        assert len(store.lease_manager("observer").scan()) == 3
         stats = store.gc()
         assert stats.leases_removed == 2
         # The live worker's claim is untouched.
