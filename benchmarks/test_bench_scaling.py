@@ -34,7 +34,7 @@ import tempfile
 import time
 from unittest import mock
 
-from repro.api import PredictionService, Scenario, ScenarioSuite, SweepScheduler
+from repro.api import PredictionService, Scenario, ScenarioSuite, SuiteResult, SweepScheduler
 from repro.core import EstimatorKind, Hadoop2PerformanceModel, mva_solver
 from repro.units import gigabytes, megabytes
 from repro.workloads import (
@@ -280,6 +280,19 @@ def _static_sweep_suite() -> ScenarioSuite:
     )
 
 
+def _per_point(service, suite, backends):
+    """Evaluate every cell through ``evaluate_point``, never ``predict_batch``.
+
+    The per-point path the daemon and the streaming sweep dispatch: the
+    baseline the batched path is measured against.
+    """
+    rows = [{} for _ in suite.scenarios]
+    for index, name, result in SweepScheduler(service).iter_results(suite, backends):
+        if result is not None:
+            rows[index][name] = result
+    return SuiteResult(suite=suite, backends=tuple(backends), rows=tuple(rows))
+
+
 def test_bench_batched_sweep():
     """Per-scenario vs. batched evaluation of the static-backend grid.
 
@@ -295,9 +308,9 @@ def test_bench_batched_sweep():
     never in isolation).
     """
     suite = _static_sweep_suite()
-    scalar_service = PredictionService(backends=STATIC_BACKENDS, batch=False)
+    scalar_service = PredictionService(backends=STATIC_BACKENDS)
     started = time.perf_counter()
-    scalar = scalar_service.evaluate_suite(suite, STATIC_BACKENDS)
+    scalar = _per_point(scalar_service, suite, STATIC_BACKENDS)
     scalar_seconds = time.perf_counter() - started
     started = time.perf_counter()
     batched_service = PredictionService(backends=STATIC_BACKENDS)
@@ -413,9 +426,9 @@ def test_bench_faulted_sweep():
         # The clean run persists too, so the overhead ratio isolates the cost
         # of injected faults + retries rather than store writes.
         started = time.perf_counter()
-        clean = PredictionService(
-            backends=backends, store=clean_store, batch=False
-        ).evaluate_suite(suite, backends)
+        clean = _per_point(
+            PredictionService(backends=backends, store=clean_store), suite, backends
+        )
         clean_seconds = time.perf_counter() - started
 
         with inject_backend_faults("aria", injector), inject_backend_faults(
@@ -427,10 +440,10 @@ def test_bench_faulted_sweep():
                     max_attempts=6, base_delay=0.001, max_delay=0.01, seed=BENCH_SEED
                 ),
                 store=store_path,
-                batch=False,  # per-point injection exercises the retry loop
             )
             started = time.perf_counter()
-            faulted = service.evaluate_suite(suite, backends)
+            # Per-point injection exercises the retry loop.
+            faulted = _per_point(service, suite, backends)
             faulted_seconds = time.perf_counter() - started
         stored_records = open_store(store_path).refresh().loaded
 

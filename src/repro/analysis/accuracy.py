@@ -14,8 +14,9 @@ The statistics never crash on degenerate grids: a backend missing from some
 (or all) rows degrades to ``status="incomplete"`` with stats over the points
 it does have, points whose baseline value is non-positive are skipped and
 counted, and zero-duration baseline phases are excluded from the per-phase
-attribution.  This module is the computation layer only; the artifact and
-regression-gate machinery on top of it lives in :mod:`repro.api.dashboard`.
+attribution, as are phases a backend declares it does not model.  This
+module is the computation layer only; the artifact and regression-gate
+machinery on top of it lives in :mod:`repro.api.dashboard`.
 
 Results are consumed structurally (``total_seconds`` / ``phases``
 attributes), keeping this module below :mod:`repro.api` in the layering —
@@ -24,7 +25,7 @@ attributes), keeping this module below :mod:`repro.api` in the layering —
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Protocol, runtime_checkable
@@ -279,6 +280,7 @@ def compute_backend_accuracy(
     baselines: Sequence[AccuracyResult | None],
     scenario_labels: Sequence[str],
     baseline: str,
+    phases: Collection[str] | None = None,
 ) -> BackendAccuracy:
     """One backend's error band from aligned estimate / baseline sequences.
 
@@ -286,6 +288,8 @@ def compute_backend_accuracy(
     either may be ``None`` (the point is then counted as missing).  Points
     whose baseline total is not positive are skipped rather than raising —
     a degenerate grid must degrade the report, not crash the dashboard.
+    ``phases`` (default: every baseline phase) are the phases the backend
+    models; the per-phase breakdown scores no others.
     """
     if not (len(estimates) == len(baselines) == len(scenario_labels)):
         raise ValidationError("estimates, baselines and labels must align")
@@ -326,7 +330,8 @@ def compute_backend_accuracy(
         )
     summary = summarize_errors(errors)
     absolute = [abs(error) for error in errors]
-    phase_names = sorted({name for _, reference in pairs for name in reference.phases})
+    measured = {name for _, reference in pairs for name in reference.phases}
+    phase_names = sorted(measured if phases is None else measured.intersection(phases))
     return BackendAccuracy(
         backend=backend,
         status=status,
@@ -351,6 +356,7 @@ def compute_accuracy(
     backends: Sequence[str],
     scenario_labels: Sequence[str],
     baseline: str,
+    phases: Mapping[str, Collection[str]] | None = None,
 ) -> AccuracyReport:
     """Accuracy report over an evaluated grid.
 
@@ -358,7 +364,8 @@ def compute_accuracy(
     absent from a row (not evaluated, not in the store) is treated as a
     missing point and degrades that backend to ``incomplete``.  The baseline
     backend itself is reported too (status ``baseline``, zero errors) so the
-    artifact demonstrably covers every backend of the grid.
+    artifact demonstrably covers every backend of the grid.  ``phases``
+    maps a backend to the phases it models; one it omits is scored on all.
     """
     if len(rows) != len(scenario_labels):
         raise ValidationError("rows and scenario_labels must align")
@@ -378,6 +385,7 @@ def compute_accuracy(
                 baselines,
                 scenario_labels,
                 baseline,
+                None if phases is None else phases.get(name),
             )
             for name in backends
         ),

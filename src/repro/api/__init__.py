@@ -30,8 +30,9 @@ prediction engines:
 * :class:`FailureSpec` — deterministic failure injection (stragglers,
   task-attempt failures, node loss, speculative execution) simulated in
   full by the ``simulator`` backend; analytic backends degrade gracefully —
-  expected-value inflation where the spec admits it, a structured
-  :class:`BackendCapabilityError` where it does not.
+  expected-value inflation where the spec admits it; where it does not, the
+  backend declares so up front (:func:`backend_declines`) and the service
+  returns a structured decline without evaluating the point.
 
 Quick example::
 
@@ -47,6 +48,7 @@ from ..config import FailureSpec
 from ..exceptions import BackendCapabilityError
 from .backends import (
     PredictionBackend,
+    backend_declines,
     backend_is_cpu_bound,
     backend_names,
     backend_supports_batch,
@@ -154,6 +156,7 @@ __all__ = [
     "SweepPlan",
     "SweepScheduler",
     "WORKLOAD_PROFILES",
+    "backend_declines",
     "backend_is_cpu_bound",
     "backend_names",
     "backend_supports_batch",

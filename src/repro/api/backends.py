@@ -17,7 +17,8 @@ its engine from the scenario alone, so instances can be shared across threads
 and a result is a pure function of (scenario, backend, backend version).
 Only the closed-form ``aria`` and ``herodotou`` backends add a vectorised
 ``predict_batch``; the fixed-point and simulation backends evaluate one
-scenario at a time.
+scenario at a time.  What a backend cannot model it declares up front
+(:func:`backend_declines`), and the service checks that before dispatch.
 """
 
 from __future__ import annotations
@@ -44,13 +45,15 @@ from .scenario import Scenario, ScenarioResolver
 #: Sigmas of task-duration spread assumed when deriving ARIA's max durations.
 _ARIA_SPREAD_SIGMAS = 2.0
 
+#: Every phase a result reports, in execution order.
+ALL_PHASES = tuple(task_class.value for task_class in TaskClass.ordered())
+
 
 @runtime_checkable
 class PredictionBackend(Protocol):
     """A named engine that turns a :class:`Scenario` into a :class:`PredictionResult`.
 
-    Backends may additionally declare two class attributes consumed by the
-    service and the persistent store:
+    Backends may additionally declare these class attributes:
 
     * ``version`` (int, default 1) — bump whenever the backend's numerical
       behaviour changes; stored results recorded under an older version are
@@ -58,7 +61,13 @@ class PredictionBackend(Protocol):
     * ``cpu_bound`` (bool, default False) — marks backends whose ``predict``
       does enough Python-level work that the GIL serialises a thread pool;
       the service's ``execution="process"`` mode ships those to a process
-      pool instead.
+      pool instead;
+    * ``modelled_phases`` (default :data:`ALL_PHASES`) — the phases the
+      accuracy report scores;
+    * ``declines(scenario) -> str | None`` (a classmethod; default: none) —
+      why the backend cannot model ``scenario``.  The service never
+      dispatches a declined point; ``predict`` raises the reason as a
+      :class:`~repro.exceptions.BackendCapabilityError` for direct calls.
 
     Backends may also implement an optional batch capability::
 
@@ -114,6 +123,17 @@ def backend_is_cpu_bound(name: str) -> bool:
     return bool(getattr(_REGISTRY.get(name), "cpu_bound", False))
 
 
+def backend_declines(name: str, scenario: Scenario) -> str | None:
+    """Why a registered backend cannot model ``scenario``; ``None`` if it can."""
+    declines = getattr(_REGISTRY.get(name), "declines", None)
+    return None if declines is None else declines(scenario)
+
+
+def backend_phases(name: str) -> tuple[str, ...]:
+    """The phases a backend models (all of :data:`ALL_PHASES` by default)."""
+    return tuple(getattr(_REGISTRY.get(name), "modelled_phases", ALL_PHASES))
+
+
 def backend_supports_batch(name: str) -> bool:
     """Whether a registered backend implements ``predict_batch``."""
     return callable(getattr(_REGISTRY.get(name), "predict_batch", None))
@@ -135,42 +155,45 @@ def create_backend(name: str, **options) -> PredictionBackend:
 # Only the simulator models failures mechanistically.  The analytic backends
 # follow a strict contract: apply an expected-value inflation correction where
 # the model supports it (stragglers + task re-execution are mean-field
-# effects), and *decline* — a structured BackendCapabilityError, never a
-# silently failure-free number — where it doesn't (mid-run node loss and
-# speculative races are scheduling-history dependent).
+# effects), and *decline* — a reason declared by ``declines`` before any
+# dispatch, never a silently failure-free number — where it doesn't (mid-run
+# node loss and speculative races are scheduling-history dependent).
 
 
-def _failure_inflation_factor(scenario: Scenario, backend_name: str) -> float:
-    """Expected-value correction factor for an analytic backend, or raise.
-
-    Returns 1.0 for failure-free scenarios.  Raises
-    :class:`~repro.exceptions.BackendCapabilityError` for spec features with
-    no closed-form correction (node failures, speculative execution).
-    """
+def _failure_inflation_factor(scenario: Scenario) -> float:
+    """Expected-value correction factor of a scenario (1.0 when failure-free)."""
     spec = scenario.failures
-    if spec is None or spec.is_noop:
-        return 1.0
-    if spec.node_failure_times:
-        raise BackendCapabilityError(
-            f"backend {backend_name!r} cannot model mid-run node failures; "
-            "use the simulator backend for this failure spec"
-        )
-    if spec.speculative:
-        raise BackendCapabilityError(
-            f"backend {backend_name!r} cannot model speculative execution; "
-            "use the simulator backend for this failure spec"
-        )
-    return expected_inflation(spec)
+    return 1.0 if spec is None else expected_inflation(spec)
 
 
-def _decline_failures(scenario: Scenario, backend_name: str) -> None:
-    """Refuse any non-noop failure spec (backends without a correction)."""
-    spec = scenario.failures
-    if spec is not None and not spec.is_noop:
-        raise BackendCapabilityError(
-            f"backend {backend_name!r} has no failure model or correction; "
-            "use the simulator backend for this failure spec"
-        )
+class _InflationCorrected:
+    """Analytic backends that inflate mean-field faults and decline the rest."""
+
+    name: ClassVar[str]
+
+    @classmethod
+    def declines(cls, scenario: Scenario) -> str | None:
+        """Node failures and speculative execution have no closed-form correction."""
+        spec = scenario.failures
+        if spec is None or spec.is_noop:
+            return None
+        if spec.node_failure_times:
+            return (
+                f"backend {cls.name!r} cannot model mid-run node failures; "
+                "use the simulator backend for this failure spec"
+            )
+        if spec.speculative:
+            return (
+                f"backend {cls.name!r} cannot model speculative execution; "
+                "use the simulator backend for this failure spec"
+            )
+        return None
+
+    def _checked_factor(self, scenario: Scenario) -> float:
+        """The inflation factor of a scenario this backend accepts, or raise."""
+        if (reason := self.declines(scenario)) is not None:
+            raise BackendCapabilityError(reason)
+        return _failure_inflation_factor(scenario)
 
 
 def _inflate_result(result: PredictionResult, factor: float) -> PredictionResult:
@@ -186,17 +209,16 @@ def _inflate_result(result: PredictionResult, factor: float) -> PredictionResult
     )
 
 
-class _MvaBackend:
+class _MvaBackend(_InflationCorrected):
     """Shared implementation of the two analytic-model backends."""
 
-    name: ClassVar[str]
     kind: ClassVar[EstimatorKind]
     #: 2: the solver places tasks with the array timeline only and always
     #: starts cold (totals moved by ~1e-14 from version 1's scalar path).
     version: ClassVar[int] = 2
 
     def predict(self, scenario: Scenario) -> PredictionResult:
-        factor = _failure_inflation_factor(scenario, self.name)
+        factor = self._checked_factor(scenario)
         prediction = Hadoop2PerformanceModel(scenario.model_input()).predict(self.kind)
         result = PredictionResult(
             backend=self.name,
@@ -236,7 +258,7 @@ class MvaTripathiBackend(_MvaBackend):
 
 
 @register_backend("aria")
-class AriaBackend:
+class AriaBackend(_InflationCorrected):
     """ARIA makespan bounds on a profile derived from the scenario's demands.
 
     Stage averages are the uncontended per-task service demands the analytic
@@ -245,10 +267,8 @@ class AriaBackend:
     cluster's container slots.
     """
 
-    name: ClassVar[str]
-
     def predict(self, scenario: Scenario) -> PredictionResult:
-        factor = _failure_inflation_factor(scenario, self.name)
+        factor = self._checked_factor(scenario)
         resolve = ScenarioResolver()
         model_input = resolve.model_input(scenario)
         spread = 1.0 + _ARIA_SPREAD_SIGMAS * scenario.duration_cv
@@ -300,9 +320,7 @@ class AriaBackend:
         (:func:`~repro.static_models.aria.batch_stage_bounds`), with the
         scalar path's exact arithmetic.
         """
-        factors = [
-            _failure_inflation_factor(scenario, self.name) for scenario in scenarios
-        ]
+        factors = [self._checked_factor(scenario) for scenario in scenarios]
         count = len(scenarios)
         num_maps = np.empty(count)
         num_reduces = np.empty(count)
@@ -365,13 +383,14 @@ class AriaBackend:
 
 
 @register_backend("herodotou")
-class HerodotouBackend:
+class HerodotouBackend(_InflationCorrected):
     """Herodotou static phase model (waves over fair-share slots)."""
 
-    name: ClassVar[str]
+    #: Shuffle-sort is folded into merge; its reported 0.0 is no estimate.
+    modelled_phases: ClassVar[tuple[str, ...]] = ("map", "merge")
 
     def predict(self, scenario: Scenario) -> PredictionResult:
-        factor = _failure_inflation_factor(scenario, self.name)
+        factor = self._checked_factor(scenario)
         resolve = ScenarioResolver()
         estimate = HerodotouJobModel(resolve.herodotou_environment(scenario)).estimate(
             resolve.herodotou_dataflow(scenario)
@@ -402,9 +421,7 @@ class HerodotouBackend:
         (:func:`~repro.static_models.herodotou.batch_estimate`), mirroring
         the scalar model's arithmetic.
         """
-        factors = [
-            _failure_inflation_factor(scenario, self.name) for scenario in scenarios
-        ]
+        factors = [self._checked_factor(scenario) for scenario in scenarios]
         # Per-byte cost statistics, stacked straight off the dataclass so the
         # name list cannot drift from CostStatistics (and batch_estimate's
         # matching keyword raises immediately if it does).
@@ -490,8 +507,19 @@ class ViannaBackend:
         self.map_slots_per_node = map_slots_per_node
         self.reduce_slots_per_node = reduce_slots_per_node
 
+    @classmethod
+    def declines(cls, scenario: Scenario) -> str | None:
+        spec = scenario.failures
+        if spec is not None and not spec.is_noop:
+            return (
+                f"backend {cls.name!r} has no failure model or correction; "
+                "use the simulator backend for this failure spec"
+            )
+        return None
+
     def predict(self, scenario: Scenario) -> PredictionResult:
-        _decline_failures(scenario, self.name)
+        if (reason := self.declines(scenario)) is not None:
+            raise BackendCapabilityError(reason)
         prediction = ViannaHadoop1Model(
             scenario.model_input(),
             map_slots_per_node=self.map_slots_per_node,

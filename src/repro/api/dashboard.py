@@ -44,6 +44,7 @@ from ..config import FailureSpec
 from ..exceptions import ValidationError
 from ..experiments.figures import FIGURE_DEFINITIONS, figure_suite
 from ..experiments.runner import run_suite_grid
+from .backends import backend_phases
 from .scenario import Scenario, ScenarioSuite
 from .service import DEFAULT_BASELINE, PredictionService
 from .store import BaseResultStore
@@ -200,6 +201,7 @@ def _report_from_rows(
         backends=backends,
         scenario_labels=[scenario.describe() for scenario in suite.scenarios],
         baseline=baseline,
+        phases={name: backend_phases(name) for name in backends},
     )
 
 
@@ -211,7 +213,6 @@ def run_dashboard(
     service: PredictionService | None = None,
     store: BaseResultStore | str | os.PathLike | None = None,
     execution: str | None = None,
-    batch: bool = True,
     repetitions: int | None = None,
     base_seed: int = 1234,
     evaluate: bool = True,
@@ -250,7 +251,6 @@ def run_dashboard(
             backends=list(names),
             store=store,
             execution=execution or "thread",
-            batch=batch,
         )
     if evaluate:
         outcome = run_suite_grid(suite, names, service=service, on_error=on_error)

@@ -31,7 +31,9 @@ falls back to the scalar path, a crashed process pool is rebuilt once and
 then replaced by threads (observably — counted and warned), and a point that
 exhausts its retries becomes a structured
 :class:`~repro.api.results.FailedResult` under the suite-level
-``on_error="raise" | "skip" | "record"`` contract.
+``on_error="raise" | "skip" | "record"`` contract.  A point its backend
+declines (:func:`~repro.api.backends.backend_declines`) never enters the
+ladder: it is settled under ``on_error`` before any probe or dispatch.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from ..exceptions import (
 )
 from .backends import (
     PredictionBackend,
+    backend_declines,
     backend_is_cpu_bound,
     backend_names,
     backend_supports_batch,
@@ -154,10 +157,9 @@ class ServiceStats:
     retries: int = 0
     #: Points whose evaluation failed terminally (retries exhausted or fatal).
     failures: int = 0
-    #: Points a backend declined as outside its capability (e.g. an analytic
-    #: model asked for a failure spec it cannot correct for).  Declines are
-    #: expected graceful degradation, not errors: they never trip breakers
-    #: and are counted here instead of :attr:`failures`.
+    #: Points a backend declares outside its capability (e.g. an analytic
+    #: model asked for a failure spec it cannot correct for).  They are
+    #: never dispatched and are counted here instead of :attr:`failures`.
     declined: int = 0
     #: Evaluations that exceeded the configured per-evaluation deadline.
     timeouts: int = 0
@@ -271,7 +273,6 @@ class PredictionService:
         backend_options: dict[str, dict] | None = None,
         store: BaseResultStore | str | os.PathLike | None = None,
         execution: str = "thread",
-        batch: bool = True,
         retry: RetryPolicy | int | None = None,
         timeout: float | None = None,
         breaker: BreakerPolicy | None = None,
@@ -298,10 +299,6 @@ class PredictionService:
         self._cache: dict[tuple[str, str], PredictionResult] = {}
         self._lock = threading.Lock()
         self._execution = execution
-        #: Dispatch suite misses to batch-capable backends in one
-        #: ``predict_batch`` call.  ``batch=False`` forces the per-scenario
-        #: path (the benches use it as the batching baseline).
-        self._batch_enabled = batch
         if store is not None and not isinstance(store, BaseResultStore):
             store = open_store(store)
         self._store = store
@@ -360,11 +357,6 @@ class PredictionService:
         return self._store.point_token(
             key, backend, options=self._backend_options.get(backend, {})
         )
-
-    @property
-    def batch_enabled(self) -> bool:
-        """Whether suite evaluation dispatches to ``predict_batch`` backends."""
-        return self._batch_enabled
 
     def stats(self) -> ServiceStats:
         """Snapshot of cache / evaluation / batch / resilience counters."""
@@ -499,8 +491,8 @@ class PredictionService:
         only — the serving layer maps per-request resilience selections onto
         these knobs.
         """
-        return self._evaluate_resilient(
-            scenario, backend, None, retry=retry, timeout=timeout
+        return self._evaluate_guarded(
+            scenario, backend, None, "raise", retry=retry, timeout=timeout
         )
 
     def evaluate_point(
@@ -530,9 +522,9 @@ class PredictionService:
         scenario: Scenario,
         backend: str,
         holder: "_ProcessPoolState | None",
-        info: dict | None = None,
-        retry: "RetryPolicy | int | None" = None,
-        timeout: float | None = None,
+        info: dict,
+        retry: "RetryPolicy | int | None",
+        timeout: float | None,
     ) -> PredictionResult:
         """Lookup, join an identical in-flight evaluation, or attempt.
 
@@ -541,7 +533,7 @@ class PredictionService:
         later callers block until that outcome is published and share it
         (success *and* failure — a joiner re-raises the owner's terminal
         error rather than hammering a failing backend again).  ``info``
-        (when given) receives the attempt count, so the caller can attribute
+        receives the attempt count, so the caller can attribute
         a terminal failure without re-deriving it.
         """
         key = (scenario.cache_key(), backend)
@@ -559,8 +551,7 @@ class PredictionService:
                 self._coalesced += 1
         if not owner:
             entry.event.wait()
-            if info is not None:
-                info["attempts"] = 0  # the joiner itself attempted nothing
+            info["attempts"] = 0  # the joiner itself attempted nothing
             if entry.error is not None:
                 raise entry.error
             return entry.result
@@ -582,7 +573,7 @@ class PredictionService:
         scenario: Scenario,
         backend: str,
         holder: "_ProcessPoolState | None",
-        info: dict | None,
+        info: dict,
         retry: "RetryPolicy | int | None",
         timeout: float | None,
     ) -> PredictionResult:
@@ -594,19 +585,12 @@ class PredictionService:
         attempt = 0
         while True:
             attempt += 1
-            if info is not None:
-                info["attempts"] = attempt
+            info["attempts"] = attempt
             try:
                 if breaker is not None:
                     breaker.allow()
                 result = self._attempt(scenario, backend, holder, deadline)
             except Exception as exc:
-                if isinstance(exc, BackendCapabilityError):
-                    # A declined capability is the backend working as
-                    # specified, not failing: breaker-neutral, counted apart.
-                    with self._lock:
-                        self._declined += 1
-                    raise
                 if breaker is not None and not isinstance(exc, CircuitOpenError):
                     breaker.record_failure()
                 if attempt < policy.max_attempts and policy.is_retryable(exc):
@@ -784,11 +768,12 @@ class PredictionService:
         timeout: float | None = None,
     ) -> PredictionResult | FailedResult | None:
         """One point under the ``on_error`` contract; ``None`` means skipped."""
+        reason = backend_declines(backend, scenario)
+        if reason is not None:
+            return self._decline(scenario, backend, reason, on_error)
         info: dict = {"attempts": 0}
         try:
-            return self._evaluate_resilient(
-                scenario, backend, holder, info, retry=retry, timeout=timeout
-            )
+            return self._evaluate_resilient(scenario, backend, holder, info, retry, timeout)
         except Exception as exc:
             if on_error == "raise":
                 raise
@@ -808,6 +793,20 @@ class PredictionService:
                 error=str(exc),
                 attempts=max(1, info["attempts"]),
             )
+
+    def _decline(
+        self, scenario: Scenario, backend: str, reason: str, on_error: str
+    ) -> FailedResult | None:
+        """A declined point under ``on_error``: no retry, breaker call or log."""
+        with self._lock:
+            self._declined += 1
+        if on_error == "raise":
+            raise BackendCapabilityError(reason)
+        if on_error == "skip":
+            return None
+        return FailedResult(
+            backend, scenario, error_type=BackendCapabilityError.__name__, error=reason
+        )
 
     def evaluate_many(
         self, scenario: Scenario, backends: Sequence[str] | None = None
@@ -852,7 +851,9 @@ class PredictionService:
         retry/breaker ladder: ``"raise"`` propagates the first failure once
         in-flight points have finished (and persisted), ``"skip"`` omits the
         failed cells from their rows, ``"record"`` fills them with
-        structured :class:`~repro.api.results.FailedResult`\\ s.
+        structured :class:`~repro.api.results.FailedResult`\\ s.  Declined
+        points follow it before anything is dispatched, so under ``"raise"``
+        the first one aborts the suite up front.
 
         A caller that already holds each scenario's cache key (in suite
         order) or store tokens (a :meth:`probe_points` memo) passes them as
@@ -931,12 +932,19 @@ class PredictionService:
         on_error: str = "raise",
         tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], PredictionResult]:
-        """Partition unique points into hits / batch groups / scalar tasks."""
+        """Partition unique points into declines / hits / batch groups / scalar tasks."""
         tokens = {} if tokens is None else tokens  # shared by the probe and the write
         results: dict[tuple[str, str], PredictionResult] = {}
+        accepted: dict[tuple[str, str], Scenario] = {}
+        for point, scenario in unique.items():
+            reason = backend_declines(point[1], scenario)
+            if reason is None:
+                accepted[point] = scenario
+            elif declined := self._decline(scenario, point[1], reason, on_error):
+                results[point] = declined
         misses: dict[tuple[str, str], Scenario] = {}
         with self._lock:
-            for point, scenario in unique.items():
+            for point, scenario in accepted.items():
                 hit = self._cache.get(point) if self._cache_enabled else None
                 if hit is not None:
                     self._memory_hits += 1
@@ -963,7 +971,7 @@ class PredictionService:
         batch_groups: dict[str, list[tuple[tuple[str, str], Scenario]]] = {}
         scalar: dict[tuple[str, str], Scenario] = {}
         for point, scenario in misses.items():
-            if self._batch_enabled and backend_supports_batch(point[1]):
+            if backend_supports_batch(point[1]):
                 batch_groups.setdefault(point[1], []).append((point, scenario))
             else:
                 scalar[point] = scenario

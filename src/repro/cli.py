@@ -34,14 +34,14 @@ deterministic failure-injection knobs — ``--failure-rate``,
 (repeatable), ``--speculative``, ``--max-attempts`` — that attach a
 :class:`~repro.config.FailureSpec` to the scenario.  The simulator models
 the faults mechanistically; analytic backends either apply an
-expected-value inflation or decline the point as a structured failure.
+expected-value inflation or declare up front that they decline the point,
+which then becomes a structured failure without being evaluated.
 
 ``predict`` / ``compare`` / ``sweep`` / ``figure`` accept ``--store PATH``
 (persist results across runs through a SQLite result store; a legacy JSON
 store is imported once with ``repro store migrate PATH``), ``--execution
-{serial,thread,process}`` (suite fan-out strategy), ``--no-batch`` (disable
-one-call ``predict_batch`` dispatch for the batch-capable ``aria`` and
-``herodotou`` backends), and the fault-tolerance knobs ``--retries N`` (retry transient
+{serial,thread,process}`` (suite fan-out strategy), and the fault-tolerance
+knobs ``--retries N`` (retry transient
 failures with exponential backoff), ``--timeout SECONDS`` (per-evaluation
 deadline) and ``--on-error {raise,skip,record}`` (partial-results contract
 for points that fail terminally).  ``sweep`` schedules through
@@ -72,6 +72,7 @@ from .api import (
     ScenarioSuite,
     SweepScheduler,
     WORKLOAD_PROFILES,
+    backend_declines,
     backend_names,
     migrate_store,
     open_store,
@@ -225,12 +226,6 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
         help="suite fan-out strategy (process sidesteps the GIL for the simulator)",
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="evaluate suite points one by one instead of dispatching "
-        "batch-capable backends in one vectorised call",
-    )
-    parser.add_argument(
         "--retries",
         type=int,
         default=0,
@@ -266,7 +261,6 @@ def _service_from_args(
         max_workers=max_workers,
         store=args.store,
         execution=args.execution,
-        batch=not args.no_batch,
         retry=args.retries,
         timeout=args.timeout,
         on_error=args.on_error,
@@ -396,23 +390,18 @@ def _command_compare(args: argparse.Namespace) -> int:
     names = list(backends)
     if args.baseline not in names:
         names = [args.baseline, *names]
-    # Under a failure spec, backends that cannot model it decline rather
-    # than crash or answer wrongly; render their rows as such instead of
-    # aborting the whole comparison.  A declining *baseline* is still fatal
-    # (there is nothing to compare against).
-    declined: dict[str, str] = {}
-    if scenario.failures is not None:
-        kept = []
-        for name in names:
-            try:
-                service.evaluate(scenario, name)  # cached for compare below
-            except BackendCapabilityError as exc:
-                if name == args.baseline:
-                    raise
-                declined[name] = str(exc)
-            else:
-                kept.append(name)
-        names = kept
+    # Under a failure spec, backends that cannot model it declare so up
+    # front; render their rows as declined instead of aborting the whole
+    # comparison.  A declining *baseline* is still fatal (there is nothing
+    # to compare against).
+    declined = {
+        name: reason
+        for name in names
+        if (reason := backend_declines(name, scenario)) is not None
+    }
+    if args.baseline in declined:
+        raise BackendCapabilityError(declined[args.baseline])
+    names = [name for name in names if name not in declined]
     comparison = service.compare(scenario, names, baseline=args.baseline)
     baseline = comparison.baseline_result()
     errors = comparison.relative_errors()

@@ -55,10 +55,10 @@ class BackendError(ReproError):
 class BackendCapabilityError(BackendError):
     """A backend declined a scenario it cannot model faithfully.
 
-    Raised by analytic backends for failure specs they have no correction
-    for (e.g. mid-run node loss).  Deliberately not transient — retrying
-    cannot help — and breaker-neutral: a capability refusal is a correct
-    answer, not a backend fault.
+    Carries the reason a backend's ``declines(scenario)`` declares (e.g.
+    mid-run node loss for an analytic model).  The service settles such
+    points before dispatch and raises this under ``on_error="raise"``; a
+    direct ``predict`` call raises it too.  Deliberately not transient.
     """
 
 

@@ -17,6 +17,7 @@ importantly, *reproducibly* testable:
   real backend, and notes every *successful* inner evaluation so a chaos
   test can assert zero duplicate evaluations.  Batch-capable backends get a
   batch-level transient roll too, exercising the batch→scalar fallback rung.
+  The wrapper forwards the original's class declarations, ``declines`` too.
 * :class:`KillSwitch` hard-kills the evaluating process (``os._exit``) the
   first time a chosen scenario is evaluated — a real SIGKILL-grade worker
   death for the process-pool recovery path.  A marker file latches it so
@@ -43,7 +44,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..api.backends import _REGISTRY
+from ..api.backends import _REGISTRY, ALL_PHASES
 from ..api.scenario import Scenario
 from ..api.store import SqliteResultStore, _canonical_options, point_token
 from ..exceptions import TransientError, ValidationError
@@ -186,6 +187,7 @@ def _wrap_backend_class(
     class FaultyBackend:
         version = getattr(original, "version", 1)
         cpu_bound = bool(getattr(original, "cpu_bound", False))
+        modelled_phases = getattr(original, "modelled_phases", ALL_PHASES)
 
         def __init__(self, **options: object) -> None:
             self._inner = original(**options)
@@ -201,6 +203,10 @@ def _wrap_backend_class(
             result = self._inner.predict(scenario)
             injector.note_success(point)
             return result
+
+    declines = getattr(original, "declines", None)
+    if declines is not None:
+        FaultyBackend.declines = staticmethod(declines)
 
     if callable(getattr(original, "predict_batch", None)):
 

@@ -115,6 +115,14 @@ class TestBackendAccuracy:
         by_name = {phase.phase: phase for phase in accuracy.phases}
         assert by_name["shuffle-sort"].mean_signed == pytest.approx(-1.0)
 
+    def test_phase_the_backend_does_not_model_is_not_scored(self):
+        baselines = [FakeResult(100.0, {"map": 50.0, "shuffle-sort": 20.0})]
+        estimates = [FakeResult(100.0, {"map": 50.0, "shuffle-sort": 0.0})]
+        accuracy = compute_backend_accuracy(
+            "stub", estimates, baselines, labels(1), baseline="sim", phases=("map",)
+        )
+        assert [phase.phase for phase in accuracy.phases] == ["map"]
+
     def test_non_positive_baseline_total_is_skipped(self):
         baselines = [FakeResult(0.0), FakeResult(100.0)]
         estimates = [FakeResult(10.0), FakeResult(110.0)]

@@ -5,7 +5,7 @@ Two layers are pinned down:
 * only the closed-form backends (``aria``, ``herodotou``) are batch-capable,
   and their ``predict_batch`` is bit-equal to per-scenario ``predict``;
 * the service's suite evaluation dispatches misses to ``predict_batch``,
-  falls back per scenario when batching is disabled (or useless), and counts
+  keeps a lone miss on the per-scenario path, and counts
   everything in :meth:`~repro.api.PredictionService.stats` without dropping
   concurrent increments.
 """
@@ -22,6 +22,7 @@ from repro.api import (
     PredictionService,
     Scenario,
     ScenarioSuite,
+    SuiteResult,
     SweepScheduler,
     backend_names,
     backend_supports_batch,
@@ -228,9 +229,13 @@ class TestBatchScalarEquivalence:
         batched = PredictionService(backends=[backend]).evaluate_suite(
             suite, [backend]
         )
-        scalar = PredictionService(backends=[backend], batch=False).evaluate_suite(
-            suite, [backend]
+        # The per-point path the daemon and the streaming sweep dispatch.
+        service = PredictionService(backends=[backend])
+        rows = tuple(
+            {backend: service.evaluate_point(scenario, backend)}
+            for scenario in suite.scenarios
         )
+        scalar = SuiteResult(suite=suite, backends=(backend,), rows=rows)
         assert batched.series(backend) == scalar.series(backend)
 
 
@@ -272,15 +277,6 @@ class TestServiceBatchDispatch:
         service.evaluate_suite(ScenarioSuite("one", (BASE,)), ["aria"])
         assert calls == [1]
         assert service.stats().batch_calls == 0
-
-    def test_batch_disabled_uses_scalar_path(self):
-        service = PredictionService(backends=["aria"], batch=False)
-        assert not service.batch_enabled
-        suite = ScenarioSuite("grid", GRID.scenarios[:3])
-        service.evaluate_suite(suite, ["aria"])
-        stats = service.stats()
-        assert stats.batch_calls == 0
-        assert stats.evaluations == 3
 
     def test_wrong_batch_result_count_is_an_error(self):
         service = PredictionService(backends=["aria"])

@@ -25,6 +25,8 @@ from repro.api import (
     RetryPolicy,
     Scenario,
     ScenarioSuite,
+    SuiteResult,
+    SweepScheduler,
     open_store,
 )
 from repro.api.backends import _REGISTRY
@@ -66,6 +68,19 @@ CHAOS_RETRY = RetryPolicy(max_attempts=6, base_delay=0.001, max_delay=0.01, seed
 
 def _series(result, backends=CHAOS_BACKENDS):
     return {name: result.series(name) for name in backends}
+
+
+def _per_point(service, suite, backends):
+    """Evaluate every cell through ``evaluate_point``, never ``predict_batch``.
+
+    This is the per-point path the daemon and the streaming sweep dispatch,
+    so per-point fault injection reaches the retry loop of every point.
+    """
+    rows = [{} for _ in suite.scenarios]
+    for index, name, result in SweepScheduler(service).iter_results(suite, backends):
+        if result is not None:
+            rows[index][name] = result
+    return SuiteResult(suite=suite, backends=tuple(backends), rows=tuple(rows))
 
 
 @pytest.fixture
@@ -149,9 +164,9 @@ class TestTransientChaosSweep:
                 retry=CHAOS_RETRY,
                 store=tmp_path / "store",
                 execution="thread",
-                batch=False,  # per-point injection; aria/herodotou batch == scalar
             )
-            faulted = service.evaluate_suite(CHAOS_SUITE, CHAOS_BACKENDS)
+            # Per-point injection; aria/herodotou batch == scalar.
+            faulted = _per_point(service, CHAOS_SUITE, CHAOS_BACKENDS)
 
         assert faulted.complete
         assert _series(faulted) == _series(clean)  # bit-identical, not approx
@@ -198,10 +213,8 @@ class TestCorruptWriteChaos:
         spec = FaultSpec(corrupt_rate=0.3, seed=5)
         injector = FaultInjector(spec)
         store = FaultyStore(tmp_path / "store", injector)
-        service = PredictionService(
-            backends=["aria"], store=store, execution="serial", batch=False
-        )
-        first = service.evaluate_suite(CHAOS_SUITE, ["aria"])
+        service = PredictionService(backends=["aria"], store=store)
+        first = _per_point(service, CHAOS_SUITE, ["aria"])
         torn = injector.injected.get("corrupt", 0)
         assert torn > 0  # the seeded schedule tears some writes
         # The sweep itself is unaffected: results come from the evaluation,
@@ -217,10 +230,8 @@ class TestCorruptWriteChaos:
         assert scan.loaded == points - torn
 
         # A resumed sweep re-evaluates exactly the torn points and heals them.
-        resumed = PredictionService(
-            backends=["aria"], store=healthy, execution="serial", batch=False
-        )
-        second = resumed.evaluate_suite(CHAOS_SUITE, ["aria"])
+        resumed = PredictionService(backends=["aria"], store=healthy)
+        second = _per_point(resumed, CHAOS_SUITE, ["aria"])
         assert _series(second, ["aria"]) == _series(first, ["aria"])
         stats = resumed.stats()
         assert stats.store_hits == points - torn

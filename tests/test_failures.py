@@ -15,21 +15,23 @@ Covers the four contract pillars of the failure model:
   any non-zero spec can only slow the jitter-free recovery workload down
   (monotonicity, property-tested over a failure-rate grid);
 * **Degradation** — analytic backends apply the expected-value inflation
-  where they can, decline with a structured
-  :class:`~repro.exceptions.BackendCapabilityError` where they cannot
-  (breaker-neutral, counted as ``declined`` not ``failures``), and the
+  where they can and declare a decline where they cannot; the service
+  settles a declined point before dispatch (no retry, breaker call or log
+  record, counted as ``declined`` not ``failures``), a direct ``predict``
+  raises :class:`~repro.exceptions.BackendCapabilityError`, and the
   ``failure`` dashboard grid completes across all six backends.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api.backends import create_backend
+from repro.api.backends import backend_declines, backend_names, create_backend
 from repro.api.dashboard import DASHBOARD_BACKENDS, failure_grid, run_dashboard
 from repro.api.scenario import Scenario, ScenarioSuite
 from repro.api.service import PredictionService
@@ -410,7 +412,27 @@ class TestGracefulDegradation:
         # A breaker that saw only declines still admits the next call.
         assert service.evaluate_point(base_scenario(), "vianna").ok
 
-    def test_failure_dashboard_runs_all_six_backends(self):
+    @pytest.mark.parametrize("name", backend_names())
+    @pytest.mark.parametrize(
+        "index", range(len(failure_grid().scenarios)), ids=lambda index: f"point{index}"
+    )
+    def test_declines_is_exactly_what_predict_refuses(self, name, index):
+        scenario = failure_grid().scenarios[index]
+        backend = create_backend(name)
+        calls = [backend.predict]
+        if callable(getattr(backend, "predict_batch", None)):
+            calls.append(lambda scenario: backend.predict_batch([scenario]))
+        reason = backend_declines(name, scenario)
+        for call in calls:
+            if reason is None:
+                call(scenario)
+            else:
+                with pytest.raises(BackendCapabilityError) as raised:
+                    call(scenario)
+                assert str(raised.value) == reason
+
+    def test_failure_dashboard_runs_all_six_backends(self, caplog):
+        caplog.set_level(logging.WARNING)
         run = run_dashboard("failure", on_error="record")
         assert run.report.grid == "failure"
         assert set(run.report.backend_names()) == set(DASHBOARD_BACKENDS)
@@ -419,6 +441,8 @@ class TestGracefulDegradation:
         assert by_name["simulator"].count == len(failure_grid().scenarios)
         assert by_name["vianna"].count == 1
         assert by_name["vianna"].status == "incomplete"
+        # Herodotou folds shuffle-sort into merge: that phase is not scored.
+        assert [phase.phase for phase in by_name["herodotou"].phases] == ["map", "merge"]
         # Declines surface as structured failures, never as crashes.
         failures = run.outcome.result.failures()
         assert failures
@@ -426,3 +450,19 @@ class TestGracefulDegradation:
             result.error_type == "BackendCapabilityError"
             for _, _, result in failures
         )
+        # Declared up front: nothing falls back, fails or logs, and the
+        # batch-capable backends each take their three accepted points in
+        # one predict_batch call.
+        stats = run.outcome.stats
+        assert stats.batch_fallbacks == 0
+        assert (stats.batch_calls, stats.batch_points) == (2, 6)
+        assert stats.declined == 12
+        assert stats.failures == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        for scenario, row in zip(run.suite.scenarios, run.outcome.result.rows):
+            for name, result in row.items():
+                if result.ok:
+                    expected = create_backend(name).predict(scenario).to_dict()
+                    assert result.to_dict() == expected
+                else:
+                    assert result.error == backend_declines(name, scenario)

@@ -29,6 +29,7 @@ from repro.api.backends import _REGISTRY
 from repro.api.resilience import BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN
 from repro.api.results import PredictionResult
 from repro.exceptions import (
+    BackendCapabilityError,
     CircuitOpenError,
     EvaluationTimeoutError,
     TransientError,
@@ -415,15 +416,88 @@ class TestBreakerIntegration:
         assert snapshot.rejections == 4
 
     def test_healthy_backend_keeps_its_breaker_closed(self):
-        # batch=False forces the scalar path, which is what breakers guard.
-        service = PredictionService(backends=["aria"], breaker=self.POLICY, batch=False)
-        service.evaluate_suite(SUITE, ["aria"])
+        # Breakers guard the per-point path, which the daemon dispatches.
+        service = PredictionService(backends=["aria"], breaker=self.POLICY)
+        for scenario in SUITE.scenarios:
+            service.evaluate_point(scenario, "aria")
         assert service.breakers()["aria"].state == BREAKER_CLOSED
         assert service.stats().breaker_trips == 0
 
     def test_no_policy_means_no_breakers(self):
         service = PredictionService(backends=["aria"])
         service.evaluate(SMALL, "aria")
+        assert service.breakers() == {}
+
+
+class TestDeclinedPoints:
+    """A declared decline is settled before dispatch, under every ``on_error``."""
+
+    REASON = "odd cluster sizes are out of scope"
+
+    @pytest.mark.parametrize("on_error", ["raise", "skip", "record"])
+    def test_declined_points_never_reach_the_backend(self, temporary_backend, on_error):
+        reason = self.REASON
+
+        class DecliningBackend:
+            #: Every scenario that reached predict or predict_batch.
+            dispatched: list = []
+
+            @classmethod
+            def declines(cls, scenario):
+                return reason if scenario.num_nodes % 2 else None
+
+            def predict(self, scenario):
+                type(self).dispatched.append(scenario)
+                return _result_for(type(self).name, scenario)
+
+            def predict_batch(self, scenarios):
+                type(self).dispatched.extend(scenarios)
+                return [_result_for(type(self).name, scenario) for scenario in scenarios]
+
+        backend = temporary_backend(f"declining-stub-{on_error}", DecliningBackend)
+        service = PredictionService(
+            backends=[backend.name],
+            retry=FAST_RETRY,
+            breaker=TestBreakerIntegration.POLICY,
+            on_error=on_error,
+        )
+        odd = SUITE.scenarios[1]
+        assert backend.declines(odd) == reason
+        if on_error == "raise":
+            with pytest.raises(BackendCapabilityError, match=reason):
+                service.evaluate_suite(SUITE)
+            with pytest.raises(BackendCapabilityError, match=reason):
+                service.evaluate_point(odd, backend.name)
+            expected_declines = 2
+        else:
+            result = service.evaluate_suite(SUITE)
+            outcome = service.evaluate_point(odd, backend.name)
+            cells = [row.get(backend.name) for row in result.rows]
+            assert [cell.total_seconds for cell in cells[::2]] == [2.0, 4.0]
+            if on_error == "skip":
+                assert cells[1::2] == [None, None]
+                assert outcome is None
+            else:
+                for cell in (*cells[1::2], outcome):
+                    assert isinstance(cell, FailedResult)
+                    assert (cell.error_type, cell.error, cell.attempts) == (
+                        "BackendCapabilityError",
+                        reason,
+                        1,
+                    )
+            expected_declines = 3
+        # evaluate and evaluate_many always raise, and dispatch nothing either.
+        with pytest.raises(BackendCapabilityError, match=reason):
+            service.evaluate(odd, backend.name)
+        with pytest.raises(BackendCapabilityError, match=reason):
+            service.evaluate_many(odd, [backend.name])
+        assert not [s for s in backend.dispatched if s.num_nodes % 2]
+        stats = service.stats()
+        assert stats.declined == expected_declines + 2
+        assert stats.retries == 0
+        assert stats.failures == 0
+        # The breaker was never consulted: declines precede the ladder, and
+        # the accepted pair went through one predict_batch.
         assert service.breakers() == {}
 
 
