@@ -15,6 +15,10 @@ The registry maps short string keys to backend classes:
 Backends are stateless: every :meth:`PredictionBackend.predict` call builds
 its engine from the scenario alone, so instances can be shared across threads
 and a result is a pure function of (scenario, backend, backend version).
+Derived inputs come from :meth:`ScenarioResolver.current`, the dispatch's
+resolver inside a service dispatch; in particular the two MVA backends of
+one scenario read one fixed-point trajectory from it.  Every shared value is
+a pure function of the scenario, so sharing it changes no bit of a result.
 Only the closed-form ``aria`` and ``herodotou`` backends add a vectorised
 ``predict_batch``; the fixed-point and simulation backends evaluate one
 scenario at a time.  What a backend cannot model it declares up front
@@ -210,7 +214,11 @@ def _inflate_result(result: PredictionResult, factor: float) -> PredictionResult
 
 
 class _MvaBackend(_InflationCorrected):
-    """Shared implementation of the two analytic-model backends."""
+    """Shared implementation of the two analytic-model backends.
+
+    Both solve over the resolver's trajectory of the scenario, so within
+    one dispatch the second estimator reuses the first one's A2–A5 work.
+    """
 
     kind: ClassVar[EstimatorKind]
     #: 2: the solver places tasks with the array timeline only and always
@@ -219,7 +227,10 @@ class _MvaBackend(_InflationCorrected):
 
     def predict(self, scenario: Scenario) -> PredictionResult:
         factor = self._checked_factor(scenario)
-        prediction = Hadoop2PerformanceModel(scenario.model_input()).predict(self.kind)
+        trajectory = ScenarioResolver.current().mva_trajectory(scenario)
+        prediction = Hadoop2PerformanceModel(trajectory.model_input).predict(
+            self.kind, trajectory=trajectory
+        )
         result = PredictionResult(
             backend=self.name,
             scenario=scenario,
@@ -269,7 +280,7 @@ class AriaBackend(_InflationCorrected):
 
     def predict(self, scenario: Scenario) -> PredictionResult:
         factor = self._checked_factor(scenario)
-        resolve = ScenarioResolver()
+        resolve = ScenarioResolver.current()
         model_input = resolve.model_input(scenario)
         spread = 1.0 + _ARIA_SPREAD_SIGMAS * scenario.duration_cv
 
@@ -332,7 +343,7 @@ class AriaBackend(_InflationCorrected):
         spread = np.empty(count)
         map_slots = np.empty(count, dtype=int)
         reduce_slots = np.empty(count, dtype=int)
-        resolve = ScenarioResolver()
+        resolve = ScenarioResolver.current()
         for index, scenario in enumerate(scenarios):
             model_input = resolve.model_input(scenario)
             num_maps[index] = model_input.num_maps
@@ -391,7 +402,7 @@ class HerodotouBackend(_InflationCorrected):
 
     def predict(self, scenario: Scenario) -> PredictionResult:
         factor = self._checked_factor(scenario)
-        resolve = ScenarioResolver()
+        resolve = ScenarioResolver.current()
         estimate = HerodotouJobModel(resolve.herodotou_environment(scenario)).estimate(
             resolve.herodotou_dataflow(scenario)
         )
@@ -448,7 +459,7 @@ class HerodotouBackend(_InflationCorrected):
                 *cost_names,
             )
         }
-        resolve = ScenarioResolver()
+        resolve = ScenarioResolver.current()
         for scenario in scenarios:
             environment = resolve.herodotou_environment(scenario)
             dataflow = resolve.herodotou_dataflow(scenario)

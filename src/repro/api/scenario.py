@@ -17,9 +17,13 @@ paper's evaluation figures.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import threading
+from collections import OrderedDict
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any
 
@@ -32,6 +36,7 @@ from ..config import (
     SchedulerConfig,
 )
 from ..exceptions import ConfigurationError
+from ..core.mva_solver import Trajectory
 from ..core.parameters import ModelInput
 from ..exceptions import ValidationError
 from ..static_models.herodotou import DataflowStatistics, HadoopEnvironment
@@ -219,7 +224,7 @@ class Scenario:
 
     def model_input(self) -> ModelInput:
         """Analytic-model input built exactly as the experiment runner does."""
-        return ScenarioResolver().model_input(self)
+        return ScenarioResolver.current().model_input(self)
 
     def with_updates(self, **changes) -> "Scenario":
         """Copy of the scenario with ``changes`` applied (convenience for sweeps)."""
@@ -323,19 +328,61 @@ def _fair_share(total: int, num_jobs: int) -> int:
     return max(1, total // num_jobs)
 
 
+#: How many MVA trajectories a resolver keeps after their last use.  The
+#: service dispatches a scenario's backends next to each other, so the
+#: other estimator finds the trajectory among the most recent ones; the
+#: bound keeps a long dispatch from holding every scenario's iterations.
+#: An evicted trajectory is recomputed, with the same bits.
+KEPT_TRAJECTORIES = 4
+
+#: The resolver of the dispatch running in this context, if any.
+_DISPATCH_RESOLVER: ContextVar["ScenarioResolver | None"] = ContextVar(
+    "repro_dispatch_resolver", default=None
+)
+
+
 class ScenarioResolver:
-    """Derived model inputs of scenarios, each built once per distinct value.
+    """Derived model inputs of scenarios, each built once per dispatch.
 
     Every view is memoised on exactly the scenario fields it reads (its key
     below), so a nodes x sizes x jobs grid builds each distinct cluster,
-    profile and job config once.  A resolver serves one dispatch (a
-    ``predict_batch`` call, or a scalar ``predict`` with a resolver of its
-    own) and is then dropped: nothing is cached on a scenario or across
-    dispatches, so a cold evaluation stays cold.
+    profile and job config once, and the two MVA backends of one scenario
+    read one fixed-point trajectory (:meth:`mva_trajectory`).
+
+    One resolver serves one dispatch and is then dropped: nothing is cached
+    on a scenario or across dispatches, so a cold evaluation stays cold.
+    The service opens it (:meth:`dispatch`) around the evaluation of
+    ``evaluate_suite`` and ``evaluate_many``; backends read it through
+    :meth:`current`, which outside a dispatch returns a fresh resolver.  It
+    travels in a context variable: the service's thread pool runs every task
+    in a copy of the dispatching context, so thread-mode workers inherit the
+    dispatch's resolver, while process-pool workers start from an empty
+    context and build their own (they share nothing, and give the same
+    bits).  Views and trajectories are safe to read from several threads.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple, Any] = {}
+        self._lock = threading.Lock()
+        #: The most recently used trajectories, oldest first.
+        self._trajectories: OrderedDict[tuple, Trajectory] = OrderedDict()
+
+    @classmethod
+    def current(cls) -> "ScenarioResolver":
+        """The resolver of the running dispatch, or a fresh one outside any."""
+        resolver = _DISPATCH_RESOLVER.get()
+        return cls() if resolver is None else resolver
+
+    @classmethod
+    @contextlib.contextmanager
+    def dispatch(cls) -> Iterator["ScenarioResolver"]:
+        """A fresh resolver, :meth:`current` for the ``with`` body."""
+        resolver = cls()
+        token = _DISPATCH_RESOLVER.set(resolver)
+        try:
+            yield resolver
+        finally:
+            _DISPATCH_RESOLVER.reset(token)
 
     def _view(self, key: tuple, build: Callable[[], Any]) -> Any:
         try:
@@ -376,6 +423,29 @@ class ScenarioResolver:
             num_jobs=scenario.num_jobs,
             slow_start=self.scheduler(scenario).slowstart_enabled,
         )
+
+    def mva_trajectory(self, scenario: Scenario) -> Trajectory:
+        """The A1–A5 trajectory of the scenario's model input (default seed and tree).
+
+        Keyed on the fields :meth:`model_input` reads, so the fork/join and
+        Tripathi backends of a scenario (and scenarios that differ only in
+        seed, repetitions or failures) extend one trajectory.
+        """
+        key = (
+            "trajectory",
+            *_job_fields(scenario),
+            scenario.cluster or scenario.num_nodes,
+            scenario.num_jobs,
+            self.scheduler(scenario).slowstart_enabled,
+        )
+        with self._lock:
+            trajectory = self._trajectories.pop(key, None)
+            if trajectory is None:
+                trajectory = Trajectory(self.model_input(scenario))
+            self._trajectories[key] = trajectory
+            if len(self._trajectories) > KEPT_TRAJECTORIES:
+                self._trajectories.popitem(last=False)
+            return trajectory
 
     def fair_share_slots(self, scenario: Scenario) -> tuple[int, int]:
         """Per-job ``(map, reduce)`` container slots of the whole cluster."""

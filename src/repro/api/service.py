@@ -39,6 +39,7 @@ ladder: it is settled under ``on_error`` before any probe or dispatch.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import logging
 import multiprocessing
 import os
@@ -74,7 +75,7 @@ from .resilience import (
     RetryPolicy,
 )
 from .results import BackendComparison, FailedResult, PredictionResult
-from .scenario import Scenario, ScenarioSuite
+from .scenario import Scenario, ScenarioResolver, ScenarioSuite
 from .store import BaseResultStore, TokenMemo, open_store
 
 logger = logging.getLogger(__name__)
@@ -814,7 +815,8 @@ class PredictionService:
         """Evaluate one scenario with several backends (per the execution mode)."""
         names = list(backends) if backends is not None else self.backends()
         key = scenario.cache_key()
-        results = self._evaluate_unique({(key, name): scenario for name in names})
+        with ScenarioResolver.dispatch():
+            results = self._evaluate_unique({(key, name): scenario for name in names})
         return {name: results[(key, name)] for name in names}
 
     def _resolve_on_error(self, on_error: str | None) -> str:
@@ -975,39 +977,42 @@ class PredictionService:
                 batch_groups.setdefault(point[1], []).append((point, scenario))
             else:
                 scalar[point] = scenario
-        for backend in sorted(batch_groups):
-            group = batch_groups[backend]
-            if len(group) < 2:
-                # A lone scenario gains nothing from batching; keep it on the
-                # per-scenario path (which also honours instance-level
-                # ``predict`` monkeypatching in tests).
-                scalar.update(group)
-                continue
-            try:
-                batch_results = self._backend(backend).predict_batch(
-                    [scenario for _, scenario in group]
-                )
-            except Exception as exc:  # first rung of the degradation ladder
-                # The scalar path retries per point and records each result
-                # as it completes, so a batch that crashes mid-flight cannot
-                # lose the points that would have succeeded.
-                with self._lock:
-                    self._batch_fallbacks += 1
-                logger.warning(
-                    "batch dispatch of %d %s points failed (%s); "
-                    "falling back to the per-scenario path",
-                    len(group),
-                    backend,
-                    exc,
-                )
-                scalar.update(group)
-                continue
-            # A wrong result count is a malformed backend, not a transient
-            # fault: _record_batch raises it through (no scalar fallback,
-            # which would only mask the bug).
-            results.update(self._record_batch(backend, group, batch_results, tokens))
-        if scalar:
-            results.update(self._evaluate_unique(scalar, on_error))
+        # One resolver for the whole dispatch: the batch paths and every
+        # scalar task (threads included) share its views and MVA trajectories.
+        with ScenarioResolver.dispatch():
+            for backend in sorted(batch_groups):
+                group = batch_groups[backend]
+                if len(group) < 2:
+                    # A lone scenario gains nothing from batching; keep it on the
+                    # per-scenario path (which also honours instance-level
+                    # ``predict`` monkeypatching in tests).
+                    scalar.update(group)
+                    continue
+                try:
+                    batch_results = self._backend(backend).predict_batch(
+                        [scenario for _, scenario in group]
+                    )
+                except Exception as exc:  # first rung of the degradation ladder
+                    # The scalar path retries per point and records each result
+                    # as it completes, so a batch that crashes mid-flight cannot
+                    # lose the points that would have succeeded.
+                    with self._lock:
+                        self._batch_fallbacks += 1
+                    logger.warning(
+                        "batch dispatch of %d %s points failed (%s); "
+                        "falling back to the per-scenario path",
+                        len(group),
+                        backend,
+                        exc,
+                    )
+                    scalar.update(group)
+                    continue
+                # A wrong result count is a malformed backend, not a transient
+                # fault: _record_batch raises it through (no scalar fallback,
+                # which would only mask the bug).
+                results.update(self._record_batch(backend, group, batch_results, tokens))
+            if scalar:
+                results.update(self._evaluate_unique(scalar, on_error))
         return results
 
     def _record_batch(
@@ -1098,8 +1103,10 @@ class PredictionService:
         results: dict[tuple[str, str], PredictionResult] = {}
         first_error: BaseException | None = None
         with ThreadPoolExecutor(max_workers=max(1, max_workers)) as executor:
+            # Each task runs in a copy of this context, so it reads the
+            # dispatch's ScenarioResolver.
             futures = {
-                key: executor.submit(run, key, scenario)
+                key: executor.submit(contextvars.copy_context().run, run, key, scenario)
                 for key, scenario in unique.items()
             }
             for key, future in futures.items():

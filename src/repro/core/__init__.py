@@ -45,7 +45,7 @@ from .estimators import (
 )
 from .fast_timeline import TimelinePlacement, place_tasks
 from .initialization import InitializationStrategy, initialize_from_herodotou, initialize_from_profile
-from .mva_solver import ModifiedMVASolver, Residences, SolverIteration, SolverTrace
+from .mva_solver import ModifiedMVASolver, Residences, SolverIteration, SolverTrace, Trajectory
 from .model import Hadoop2PerformanceModel, PredictionResult
 from .complexity import ComplexityReport, estimate_complexity
 
@@ -86,6 +86,7 @@ __all__ = [
     "ModifiedMVASolver",
     "SolverIteration",
     "SolverTrace",
+    "Trajectory",
     "Hadoop2PerformanceModel",
     "PredictionResult",
     "ComplexityReport",

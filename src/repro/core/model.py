@@ -18,6 +18,7 @@ from .mva_solver import (
     DEFAULT_MAX_ITERATIONS,
     ModifiedMVASolver,
     SolverTrace,
+    Trajectory,
 )
 from .parameters import ModelInput, TaskClass
 from .precedence.metrics import tree_depth, tree_leaves
@@ -79,12 +80,18 @@ class Hadoop2PerformanceModel:
         self,
         estimator: EstimatorKind | str = EstimatorKind.FORK_JOIN,
         initial_response_times: dict[TaskClass, float] | None = None,
+        trajectory: Trajectory | None = None,
     ) -> PredictionResult:
-        """Estimate the average job response time with one estimator."""
+        """Estimate the average job response time with one estimator.
+
+        ``trajectory`` (from :meth:`trajectory`, or shared by a caller that
+        runs both estimators) supplies the estimator-free iterations; without
+        one the solve computes its own.
+        """
         if isinstance(estimator, str):
             estimator = EstimatorKind(estimator)
         solver = self._solver(estimator)
-        trace = solver.solve(self.model_input, initial_response_times)
+        trace = solver.solve(self.model_input, initial_response_times, trajectory)
         self._traces[estimator] = trace
         if trace.final_tree is None or trace.final_timeline is None:
             raise ModelError("solver finished without producing a tree")
@@ -103,11 +110,23 @@ class Hadoop2PerformanceModel:
         self,
         initial_response_times: dict[TaskClass, float] | None = None,
     ) -> dict[EstimatorKind, PredictionResult]:
-        """Run both estimators (fork/join and Tripathi) on the same input."""
+        """Run both estimators (fork/join and Tripathi) over one shared trajectory."""
+        trajectory = self.trajectory(initial_response_times)
         return {
-            kind: self.predict(kind, initial_response_times)
+            kind: self.predict(kind, initial_response_times, trajectory)
             for kind in (EstimatorKind.FORK_JOIN, EstimatorKind.TRIPATHI)
         }
+
+    def trajectory(
+        self, initial_response_times: dict[TaskClass, float] | None = None
+    ) -> Trajectory:
+        """A fresh A1–A5 trajectory of this model's input and tree options."""
+        return Trajectory(
+            self.model_input,
+            initial_response_times,
+            balanced_tree=self.balanced_tree,
+            enforce_merge_after_last_map=self.enforce_merge_after_last_map,
+        )
 
     def trace(self, estimator: EstimatorKind | str) -> SolverTrace:
         """Solver trace of the last :meth:`predict` call for ``estimator``."""

@@ -7,7 +7,8 @@ seeded orders, cut into several seeded partitions, under each execution
 mode -- must give results ``to_dict()``-equal to a lone
 ``backend.predict(scenario)``.  The vectorised ``predict_batch`` of the
 closed-form backends must be bitwise equal to per-scenario ``predict`` in
-any order.
+any order.  The two MVA backends, which share one fixed-point trajectory
+per scenario within a dispatch, must each equal a lone ``predict`` too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.api import (
     backend_names,
     create_backend,
 )
+from repro.api.dashboard import paper_grid
 from repro.units import megabytes
 
 BASE = Scenario(
@@ -96,3 +98,30 @@ def test_predict_batch_is_bitwise_predict(lone, seed, name):
     assert [result.to_dict() for result in batch] == [
         lone[(scenario.cache_key(), name)] for scenario in order
     ]
+
+
+MVA_PAIR = ("mva-forkjoin", "mva-tripathi")
+
+
+@pytest.fixture(scope="module")
+def paper_lone() -> dict[tuple[str, str], dict]:
+    """``(cache key, MVA backend) -> to_dict()`` of one fresh ``predict`` each."""
+    return {
+        (scenario.cache_key(), name): create_backend(name).predict(scenario).to_dict()
+        for name in MVA_PAIR
+        for scenario in paper_grid().scenarios
+    }
+
+
+@pytest.mark.parametrize("execution", ["serial", "thread", "process"])
+@pytest.mark.parametrize("dispatch", ["suite", "many"])
+def test_mva_pair_sharing_a_trajectory_equals_a_lone_predict(paper_lone, dispatch, execution):
+    grid = paper_grid()
+    service = PredictionService(backends=MVA_PAIR, execution=execution, max_workers=2)
+    if dispatch == "suite":
+        rows = service.evaluate_suite(grid, MVA_PAIR).rows
+    else:
+        rows = [service.evaluate_many(scenario, MVA_PAIR) for scenario in grid.scenarios]
+    for scenario, row in zip(grid.scenarios, rows):
+        for name in MVA_PAIR:
+            assert row[name].to_dict() == paper_lone[(scenario.cache_key(), name)]
