@@ -20,8 +20,10 @@ resolver inside a service dispatch; in particular the two MVA backends of
 one scenario read one fixed-point trajectory from it.  Every shared value is
 a pure function of the scenario, so sharing it changes no bit of a result.
 Only the closed-form ``aria`` and ``herodotou`` backends add a vectorised
-``predict_batch``; the fixed-point and simulation backends evaluate one
-scenario at a time.  What a backend cannot model it declares up front
+``predict_batch``: each runs one evaluation body, over NumPy for a grid and
+over Python floats (:data:`~repro.static_models.scalar.scalar`) for
+``predict``.  The fixed-point and simulation backends evaluate one scenario
+at a time.  What a backend cannot model it declares up front
 (:func:`backend_declines`), and the service checks that before dispatch.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import statistics
 from collections.abc import Sequence
+from types import SimpleNamespace
 from typing import ClassVar, Protocol, runtime_checkable
 
 import numpy as np
@@ -40,8 +43,10 @@ from ..core.parameters import TaskClass
 from ..exceptions import BackendCapabilityError, BackendError
 from ..hadoop.failures import expected_inflation
 from ..hadoop.simulator import ClusterSimulator
-from ..static_models.aria import AriaJobProfile, AriaModel, batch_stage_bounds
-from ..static_models.herodotou import CostStatistics, HerodotouJobModel, batch_estimate
+from ..static_models import herodotou
+from ..static_models.aria import stage_bounds
+from ..static_models.herodotou import CostStatistics
+from ..static_models.scalar import scalar
 from ..static_models.vianna import ViannaHadoop1Model
 from .results import PredictionResult
 from .scenario import Scenario, ScenarioResolver
@@ -51,6 +56,21 @@ _ARIA_SPREAD_SIGMAS = 2.0
 
 #: Every phase a result reports, in execution order.
 ALL_PHASES = tuple(task_class.value for task_class in TaskClass.ordered())
+
+#: The herodotou inputs stacked per grid point: the dataflow's sizing, and
+#: every per-byte cost statistic (read off the dataclass, so the list
+#: cannot drift from :class:`~repro.static_models.herodotou.CostStatistics`).
+_DATAFLOW_COLUMNS = (
+    "split_bytes",
+    "map_output_bytes",
+    "sort_buffer_bytes",
+    "reduce_input_bytes",
+    "reduce_output_bytes",
+    "num_maps",
+    "num_reduces",
+    "output_replication",
+)
+_COST_COLUMNS = tuple(field.name for field in dataclasses.fields(CostStatistics))
 
 
 @runtime_checkable
@@ -81,7 +101,9 @@ class PredictionBackend(Protocol):
     service dispatches suite misses to ``predict_batch`` when present (see
     :meth:`~repro.api.service.PredictionService.evaluate_suite`); results
     must be returned in input order, and each must be bitwise equal to
-    per-scenario ``predict`` of the same scenario.
+    per-scenario ``predict`` of the same scenario.  The built-in batch
+    backends get that by construction: ``predict`` and ``predict_batch``
+    run the same formulas, over a scalar namespace or over NumPy.
     """
 
     name: ClassVar[str]
@@ -268,6 +290,25 @@ class MvaTripathiBackend(_MvaBackend):
     version: ClassVar[int] = 3
 
 
+def _points(column) -> list:
+    """One Python number per point of a formula result (float or array)."""
+    return column.tolist() if isinstance(column, np.ndarray) else [column]
+
+
+def _stack(objects: Sequence, names: Sequence[str], xp, **columns):
+    """One ``xp`` column per attribute name over ``objects``, plus ``columns``.
+
+    The scalar namespace holds one point, and that point's object already
+    has its values under those names.
+    """
+    if xp is scalar:
+        (point,) = objects
+        return point
+    for name in names:
+        columns[name] = xp.asarray([getattr(item, name) for item in objects])
+    return SimpleNamespace(**columns)
+
+
 @register_backend("aria")
 class AriaBackend(_InflationCorrected):
     """ARIA makespan bounds on a profile derived from the scenario's demands.
@@ -279,117 +320,77 @@ class AriaBackend(_InflationCorrected):
     """
 
     def predict(self, scenario: Scenario) -> PredictionResult:
-        factor = self._checked_factor(scenario)
-        resolve = ScenarioResolver.current()
-        model_input = resolve.model_input(scenario)
-        spread = 1.0 + _ARIA_SPREAD_SIGMAS * scenario.duration_cv
-
-        def demand_seconds(task_class: TaskClass) -> float:
-            demands = model_input.demands[task_class]
-            return demands.cpu_seconds + demands.disk_seconds + demands.network_seconds
-
-        avg_map = demand_seconds(TaskClass.MAP)
-        avg_shuffle = demand_seconds(TaskClass.SHUFFLE_SORT)
-        avg_reduce = demand_seconds(TaskClass.MERGE)
-        profile = AriaJobProfile(
-            num_maps=model_input.num_maps,
-            num_reduces=model_input.num_reduces,
-            avg_map_seconds=avg_map,
-            max_map_seconds=avg_map * spread,
-            avg_shuffle_seconds=avg_shuffle,
-            max_shuffle_seconds=avg_shuffle * spread,
-            avg_reduce_seconds=avg_reduce,
-            max_reduce_seconds=avg_reduce * spread,
-        )
-        map_slots, reduce_slots = resolve.fair_share_slots(scenario)
-        model = AriaModel(profile)
-        bounds = model.job_bounds(map_slots, reduce_slots)
-        result = PredictionResult(
-            backend=self.name,
-            scenario=scenario,
-            total_seconds=bounds.average_seconds,
-            phases={
-                "map": model.map_stage_bounds(map_slots).average_seconds,
-                "shuffle-sort": model.shuffle_stage_bounds(reduce_slots).average_seconds,
-                "merge": model.reduce_stage_bounds(reduce_slots).average_seconds,
-            },
-            metadata={
-                "lower_seconds": bounds.lower_seconds,
-                "upper_seconds": bounds.upper_seconds,
-                "map_slots": map_slots,
-                "reduce_slots": reduce_slots,
-            },
-        )
-        return _inflate_result(result, factor)
+        return self._evaluate([scenario], scalar)[0]
 
     def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]:
-        """Vectorised sweep: the whole grid's bounds as stacked arrays.
+        """The whole grid at once: each stage's bounds evaluate over NumPy columns."""
+        return self._evaluate(scenarios, np)
 
-        Per-scenario primitives (task counts, demand totals, fair-share
-        slots) are stacked into NumPy arrays and the makespan-theorem bounds
-        evaluate once per stage over the grid
-        (:func:`~repro.static_models.aria.batch_stage_bounds`), with the
-        scalar path's exact arithmetic.
+    def _evaluate(self, scenarios: Sequence[Scenario], xp) -> list[PredictionResult]:
+        """:func:`~repro.static_models.aria.stage_bounds` over ``xp`` columns.
+
+        What an :class:`~repro.static_models.aria.AriaJobProfile` checks
+        holds by construction: the task counts are positive (a scenario's
+        ``input_size_bytes > 0`` gives at least one map, and it requires
+        ``num_reduces > 0``), the averages are sums of demands that
+        ``TaskClassDemands`` keeps non-negative, and ``duration_cv >= 0``
+        makes ``spread >= 1``, so no maximum is below its average.
         """
         factors = [self._checked_factor(scenario) for scenario in scenarios]
-        count = len(scenarios)
-        num_maps = np.empty(count)
-        num_reduces = np.empty(count)
-        stage_avgs = {
-            TaskClass.MAP: np.empty(count),
-            TaskClass.SHUFFLE_SORT: np.empty(count),
-            TaskClass.MERGE: np.empty(count),
-        }
-        spread = np.empty(count)
-        map_slots = np.empty(count, dtype=int)
-        reduce_slots = np.empty(count, dtype=int)
         resolve = ScenarioResolver.current()
-        for index, scenario in enumerate(scenarios):
+        rows = []
+        for scenario in scenarios:
             model_input = resolve.model_input(scenario)
-            num_maps[index] = model_input.num_maps
-            num_reduces[index] = model_input.num_reduces
-            for task_class, values in stage_avgs.items():
-                demands = model_input.demands[task_class]
-                values[index] = (
-                    demands.cpu_seconds + demands.disk_seconds + demands.network_seconds
+            demands = model_input.demands
+            rows.append(
+                (
+                    model_input.num_maps,
+                    model_input.num_reduces,
+                    *resolve.fair_share_slots(scenario),
+                    1.0 + _ARIA_SPREAD_SIGMAS * scenario.duration_cv,
+                    *(demands[task_class].total_seconds for task_class in TaskClass.ordered()),
                 )
-            spread[index] = 1.0 + _ARIA_SPREAD_SIGMAS * scenario.duration_cv
-            map_slots[index], reduce_slots[index] = resolve.fair_share_slots(scenario)
-        stage_tasks = {
-            TaskClass.MAP: (num_maps, map_slots),
-            TaskClass.SHUFFLE_SORT: (num_reduces, reduce_slots),
-            TaskClass.MERGE: (num_reduces, reduce_slots),
-        }
-        averages: dict[TaskClass, np.ndarray] = {}
-        lower_total = np.zeros(count)
-        upper_total = np.zeros(count)
-        for task_class, (tasks, slots) in stage_tasks.items():
-            avg = stage_avgs[task_class]
-            lower, upper = batch_stage_bounds(tasks, avg, avg * spread, slots)
-            averages[task_class] = 0.5 * (lower + upper)
-            lower_total = lower_total + lower
-            upper_total = upper_total + upper
-        total = 0.5 * (lower_total + upper_total)
+            )
+        num_maps, num_reduces, map_slots, reduce_slots, spread, *averages = (
+            xp.asarray(column) for column in zip(*rows)
+        )
+        stage_tasks = (
+            (num_maps, map_slots),
+            (num_reduces, reduce_slots),
+            (num_reduces, reduce_slots),
+        )
+        stages = [
+            stage_bounds(tasks, avg, avg * spread, slots, xp)
+            for avg, (tasks, slots) in zip(averages, stage_tasks)
+        ]
+        job = stages[0] + stages[1] + stages[2]
+        columns = (
+            job.average_seconds,
+            job.lower_seconds,
+            job.upper_seconds,
+            map_slots,
+            reduce_slots,
+            *(stage.average_seconds for stage in stages),
+        )
         return [
             _inflate_result(
                 PredictionResult(
                     backend=self.name,
                     scenario=scenario,
-                    total_seconds=float(total[index]),
-                    phases={
-                        task_class.value: float(averages[task_class][index])
-                        for task_class in TaskClass.ordered()
-                    },
+                    total_seconds=total,
+                    phases=dict(zip(ALL_PHASES, phases)),
                     metadata={
-                        "lower_seconds": float(lower_total[index]),
-                        "upper_seconds": float(upper_total[index]),
-                        "map_slots": int(map_slots[index]),
-                        "reduce_slots": int(reduce_slots[index]),
+                        "lower_seconds": lower,
+                        "upper_seconds": upper,
+                        "map_slots": map_count,
+                        "reduce_slots": reduce_count,
                     },
                 ),
-                factors[index],
+                factor,
             )
-            for index, scenario in enumerate(scenarios)
+            for scenario, factor, (total, lower, upper, map_count, reduce_count, *phases) in zip(
+                scenarios, factors, zip(*map(_points, columns))
+            )
         ]
 
 
@@ -401,108 +402,62 @@ class HerodotouBackend(_InflationCorrected):
     modelled_phases: ClassVar[tuple[str, ...]] = ("map", "merge")
 
     def predict(self, scenario: Scenario) -> PredictionResult:
-        factor = self._checked_factor(scenario)
-        resolve = ScenarioResolver.current()
-        estimate = HerodotouJobModel(resolve.herodotou_environment(scenario)).estimate(
-            resolve.herodotou_dataflow(scenario)
-        )
-        result = PredictionResult(
-            backend=self.name,
-            scenario=scenario,
-            total_seconds=estimate.total_seconds,
-            phases={
-                "map": estimate.map_stage_seconds,
-                "shuffle-sort": 0.0,
-                "merge": estimate.reduce_stage_seconds,
-            },
-            metadata={
-                "map_waves": estimate.map_waves,
-                "reduce_waves": estimate.reduce_waves,
-                "map_task_seconds": estimate.map_phases.total,
-                "reduce_task_seconds": estimate.reduce_phases.total,
-            },
-        )
-        return _inflate_result(result, factor)
+        return self._evaluate([scenario], scalar)[0]
 
     def predict_batch(self, scenarios: Sequence[Scenario]) -> list[PredictionResult]:
-        """Vectorised sweep: all phase costs evaluated as stacked arrays.
+        """All phase costs evaluated once over NumPy columns of the grid."""
+        return self._evaluate(scenarios, np)
 
-        Dataflow and cost statistics are stacked per grid point and the
-        phase-cost formulas run once over the grid
-        (:func:`~repro.static_models.herodotou.batch_estimate`), mirroring
-        the scalar model's arithmetic.
-        """
+    def _evaluate(self, scenarios: Sequence[Scenario], xp) -> list[PredictionResult]:
+        """:func:`~repro.static_models.herodotou.estimate` over ``xp`` columns."""
         factors = [self._checked_factor(scenario) for scenario in scenarios]
-        # Per-byte cost statistics, stacked straight off the dataclass so the
-        # name list cannot drift from CostStatistics (and batch_estimate's
-        # matching keyword raises immediately if it does).
-        cost_names = tuple(
-            field.name for field in dataclasses.fields(CostStatistics)
-        )
-        dataflow_names = (
-            "split_bytes",
-            "map_output_bytes",
-            "sort_buffer_bytes",
-            "reduce_input_bytes",
-            "reduce_output_bytes",
-            "num_maps",
-            "num_reduces",
-            "output_replication",
-        )
-        environment_names = ("total_map_slots", "total_reduce_slots")
-        fields: dict[str, list[float]] = {
-            name: []
-            for name in (
-                *dataflow_names,
-                *environment_names,
-                "remote_fraction",
-                *cost_names,
-            )
-        }
         resolve = ScenarioResolver.current()
-        for scenario in scenarios:
-            environment = resolve.herodotou_environment(scenario)
-            dataflow = resolve.herodotou_dataflow(scenario)
-            for name in dataflow_names:
-                fields[name].append(getattr(dataflow, name))
-            for name in environment_names:
-                fields[name].append(getattr(environment, name))
-            fields["remote_fraction"].append(
-                (environment.num_nodes - 1) / environment.num_nodes
-                if environment.num_nodes > 1
-                else 0.0
-            )
-            for name in cost_names:
-                fields[name].append(getattr(environment.costs, name))
-        estimate = batch_estimate(
-            **{name: np.asarray(values) for name, values in fields.items()}
+        environments = [resolve.herodotou_environment(scenario) for scenario in scenarios]
+        dataflows = [resolve.herodotou_dataflow(scenario) for scenario in scenarios]
+        estimate = herodotou.estimate(
+            _stack(dataflows, _DATAFLOW_COLUMNS, xp),
+            _stack(
+                environments,
+                ("num_nodes", "total_map_slots", "total_reduce_slots"),
+                xp,
+                costs=_stack([item.costs for item in environments], _COST_COLUMNS, xp),
+            ),
+            xp,
         )
-        map_stage = estimate.map_stage_seconds
-        reduce_stage = estimate.reduce_stage_seconds
-        total = estimate.total_seconds
+        columns = (
+            estimate.total_seconds,
+            estimate.map_stage_seconds,
+            estimate.reduce_stage_seconds,
+            estimate.map_waves,
+            estimate.reduce_waves,
+            estimate.map_task_seconds,
+            estimate.reduce_task_seconds,
+        )
         return [
             _inflate_result(
                 PredictionResult(
                     backend=self.name,
                     scenario=scenario,
-                    total_seconds=float(total[index]),
-                    phases={
-                        "map": float(map_stage[index]),
-                        "shuffle-sort": 0.0,
-                        "merge": float(reduce_stage[index]),
-                    },
+                    total_seconds=total,
+                    phases={"map": map_stage, "shuffle-sort": 0.0, "merge": reduce_stage},
                     metadata={
-                        "map_waves": int(estimate.map_waves[index]),
-                        "reduce_waves": int(estimate.reduce_waves[index]),
-                        "map_task_seconds": float(estimate.map_task_seconds[index]),
-                        "reduce_task_seconds": float(
-                            estimate.reduce_task_seconds[index]
-                        ),
+                        "map_waves": int(map_waves),
+                        "reduce_waves": int(reduce_waves),
+                        "map_task_seconds": map_task,
+                        "reduce_task_seconds": reduce_task,
                     },
                 ),
-                factors[index],
+                factor,
             )
-            for index, scenario in enumerate(scenarios)
+            for scenario, factor, (
+                total,
+                map_stage,
+                reduce_stage,
+                map_waves,
+                reduce_waves,
+                map_task,
+                reduce_task,
+            ) in zip(scenarios, factors, zip(*map(_points, columns)))
         ]
 
 

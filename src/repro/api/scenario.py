@@ -23,7 +23,7 @@ import json
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from typing import Any
 
@@ -352,7 +352,8 @@ class ScenarioResolver:
     One resolver serves one dispatch and is then dropped: nothing is cached
     on a scenario or across dispatches, so a cold evaluation stays cold.
     The service opens it (:meth:`dispatch`) around the evaluation of
-    ``evaluate_suite`` and ``evaluate_many``; backends read it through
+    ``evaluate_suite`` and ``evaluate_many``, and a streaming or cooperative
+    sweep keeps one for the whole call; backends read it through
     :meth:`current`, which outside a dispatch returns a fresh resolver.  It
     travels in a context variable: the service's thread pool runs every task
     in a copy of the dispatching context, so thread-mode workers inherit the
@@ -383,6 +384,17 @@ class ScenarioResolver:
             yield resolver
         finally:
             _DISPATCH_RESOLVER.reset(token)
+
+    def run(self, function: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
+        """Call ``function`` in a copy of this context, with this resolver current.
+
+        For work a caller cannot wrap in :meth:`dispatch`: a generator must
+        not hold a context variable across a ``yield``, so each task of the
+        pool a streaming sweep drains enters the resolver in its own context.
+        """
+        context = copy_context()
+        context.run(_DISPATCH_RESOLVER.set, self)
+        return context.run(function, *args, **kwargs)
 
     def _view(self, key: tuple, build: Callable[[], Any]) -> Any:
         try:

@@ -13,8 +13,9 @@ runner, and library users share.  It
   restarts and repeated runs replay completed points from disk;
 * fans a :class:`~repro.api.scenario.ScenarioSuite` out over a pluggable
   executor layer — ``execution="serial"`` (no pool, deterministic debugging),
-  ``"thread"`` (the default; fine for the NumPy-heavy analytic backends,
-  which release the GIL), or ``"process"`` (CPU-bound backends such as the
+  ``"thread"`` (the default, though never measured faster than serial:
+  every backend holds the GIL for nearly all of its work, the closed-form
+  NumPy ones included), or ``"process"`` (CPU-bound backends such as the
   pure-Python simulator are shipped to a
   :class:`~concurrent.futures.ProcessPoolExecutor`, sidestepping the GIL).
 

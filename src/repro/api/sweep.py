@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from ..exceptions import ValidationError
 from .resilience import RetryPolicy
 from .results import FailedResult, PredictionResult
-from .scenario import ScenarioSuite
+from .scenario import ScenarioResolver, ScenarioSuite
 from .service import PredictionService, ServiceStats, SuiteResult
 from .store import SqliteResultStore, TokenMemo
 from .store.leases import LeaseManager
@@ -328,7 +328,9 @@ class SweepScheduler:
         failed_locally: set[SweepPoint] = set()
         claimed = evaluated = released = waits = rounds = 0
         keys = [scenario.cache_key() for scenario in suite.scenarios]
-        with leases.heartbeat():
+        # One resolver for every round: the points a worker evaluates share
+        # derived inputs and the MVA pair's trajectories, as in a dispatch.
+        with ScenarioResolver.dispatch(), leases.heartbeat():
             try:
                 while True:
                     rounds += 1
@@ -441,10 +443,15 @@ class SweepScheduler:
         if not missing:
             return
         workers = max_workers or min(len(missing), os.cpu_count() or 2)
+        # One resolver for the stream's evaluations.  Each pool task enters
+        # it in its own context (none is held across a yield), so the MVA
+        # pair of a scenario shares one trajectory, as in a dispatch.
+        resolver = ScenarioResolver()
         executor = ThreadPoolExecutor(max_workers=max(1, workers))
         try:
             futures = {
                 executor.submit(
+                    resolver.run,
                     self._service.evaluate_point,
                     suite.scenarios[index],
                     name,

@@ -90,22 +90,14 @@ def initialize_from_herodotou(
     The import is local to avoid a package-level import cycle
     (``static_models`` also builds on ``core`` for its Vianna baseline).
     """
-    from ..static_models.herodotou import estimate_map_phases, estimate_reduce_phases
+    from ..static_models.herodotou import estimate
 
-    map_phases = estimate_map_phases(dataflow, environment.costs)
-    remote_fraction = (
-        (environment.num_nodes - 1) / environment.num_nodes
-        if environment.num_nodes > 1
-        else 0.0
-    )
-    reduce_phases = estimate_reduce_phases(
-        dataflow, environment.costs, remote_fraction=remote_fraction
-    )
+    phases = estimate(dataflow, environment)
     return InitialResponseTimes(
         values={
-            TaskClass.MAP: map_phases.total,
-            TaskClass.SHUFFLE_SORT: reduce_phases.shuffle_sort,
-            TaskClass.MERGE: reduce_phases.final_merge + reduce_phases.startup,
+            TaskClass.MAP: phases.map_task_seconds,
+            TaskClass.SHUFFLE_SORT: phases.shuffle,
+            TaskClass.MERGE: phases.final_merge_seconds + phases.startup,
         },
         strategy=InitializationStrategy.HERODOTOU,
     )

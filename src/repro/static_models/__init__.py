@@ -12,23 +12,13 @@ two reasons:
   11–13.5 %.
 """
 
-from .herodotou import (
-    HadoopEnvironment,
-    HerodotouJobEstimate,
-    HerodotouJobModel,
-    MapPhaseCosts,
-    ReducePhaseCosts,
-    WordcountStatistics,
-)
+from .herodotou import HadoopEnvironment, HerodotouEstimate, WordcountStatistics
 from .aria import AriaBounds, AriaJobProfile, AriaModel
 from .vianna import ViannaHadoop1Model, ViannaPrediction
 
 __all__ = [
     "HadoopEnvironment",
-    "HerodotouJobEstimate",
-    "HerodotouJobModel",
-    "MapPhaseCosts",
-    "ReducePhaseCosts",
+    "HerodotouEstimate",
     "WordcountStatistics",
     "AriaBounds",
     "AriaJobProfile",

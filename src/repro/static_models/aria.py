@@ -11,18 +11,23 @@ assignment::
     T_avg  = (T_up + T_low) / 2
 
 ARIA also inverts these bounds to answer "how many slots do I need to finish
-by deadline D", which we expose as :meth:`AriaModel.slots_for_deadline` and
-use in the deadline-provisioning example.
+by deadline D", which we expose as :meth:`AriaModel.slots_for_deadline`.
+``examples/deadline_provisioning.py`` asks the same question of the ``aria``
+backend through the capacity planner, which searches cluster sizes instead.
+
+:func:`stage_bounds` is written once over an array namespace ``xp``: the
+``aria`` backend runs it on stacked NumPy columns for a grid and on Python
+floats for one point, and :class:`AriaModel` runs it on floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Any
 
 from ..exceptions import ConfigurationError, ModelError
+from .scalar import scalar
 
 
 @dataclass(frozen=True)
@@ -55,43 +60,31 @@ class AriaJobProfile:
 
 @dataclass(frozen=True)
 class AriaBounds:
-    """Lower/upper/average completion-time estimates."""
+    """Lower/upper completion-time estimates (floats, or arrays over a grid)."""
 
-    lower_seconds: float
-    upper_seconds: float
+    lower_seconds: Any
+    upper_seconds: Any
 
     @property
-    def average_seconds(self) -> float:
+    def average_seconds(self) -> Any:
         """The T_avg estimate ARIA recommends for deadline planning."""
         return 0.5 * (self.lower_seconds + self.upper_seconds)
 
+    def __add__(self, other: "AriaBounds") -> "AriaBounds":
+        """Bounds of two stages run one after the other."""
+        return AriaBounds(
+            lower_seconds=self.lower_seconds + other.lower_seconds,
+            upper_seconds=self.upper_seconds + other.upper_seconds,
+        )
 
-def _stage_bounds(num_tasks: int, avg: float, maximum: float, slots: int) -> AriaBounds:
+
+def stage_bounds(num_tasks, avg, maximum, slots, xp=scalar) -> AriaBounds:
     """Makespan-theorem bounds for one stage executed on ``slots`` slots."""
-    if slots <= 0:
+    if xp.any(slots <= 0):
         raise ModelError("slots must be positive")
     lower = num_tasks * avg / slots
     upper = (num_tasks - 1) * avg / slots + maximum
     return AriaBounds(lower_seconds=lower, upper_seconds=upper)
-
-
-def batch_stage_bounds(
-    num_tasks: np.ndarray,
-    avg: np.ndarray,
-    maximum: np.ndarray,
-    slots: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`_stage_bounds`: (lower, upper) arrays over a grid.
-
-    Element ``i`` applies the makespan theorem to grid point ``i`` with the
-    exact arithmetic of the scalar path, so the batch values are bit-equal to
-    per-point :meth:`AriaModel.job_bounds` calls.
-    """
-    if np.any(slots <= 0):
-        raise ModelError("slots must be positive")
-    lower = num_tasks * avg / slots
-    upper = (num_tasks - 1) * avg / slots + maximum
-    return lower, upper
 
 
 class AriaModel:
@@ -104,7 +97,7 @@ class AriaModel:
 
     def map_stage_bounds(self, map_slots: int) -> AriaBounds:
         """Bounds for the map stage on ``map_slots`` slots."""
-        return _stage_bounds(
+        return stage_bounds(
             self.profile.num_maps,
             self.profile.avg_map_seconds,
             self.profile.max_map_seconds,
@@ -113,7 +106,7 @@ class AriaModel:
 
     def shuffle_stage_bounds(self, reduce_slots: int) -> AriaBounds:
         """Bounds for the shuffle stage on ``reduce_slots`` slots."""
-        return _stage_bounds(
+        return stage_bounds(
             self.profile.num_reduces,
             self.profile.avg_shuffle_seconds,
             self.profile.max_shuffle_seconds,
@@ -122,7 +115,7 @@ class AriaModel:
 
     def reduce_stage_bounds(self, reduce_slots: int) -> AriaBounds:
         """Bounds for the reduce stage on ``reduce_slots`` slots."""
-        return _stage_bounds(
+        return stage_bounds(
             self.profile.num_reduces,
             self.profile.avg_reduce_seconds,
             self.profile.max_reduce_seconds,
@@ -131,20 +124,10 @@ class AriaModel:
 
     def job_bounds(self, map_slots: int, reduce_slots: int) -> AriaBounds:
         """Bounds for the whole job (map, then shuffle, then reduce stages)."""
-        map_bounds = self.map_stage_bounds(map_slots)
-        shuffle_bounds = self.shuffle_stage_bounds(reduce_slots)
-        reduce_bounds = self.reduce_stage_bounds(reduce_slots)
-        return AriaBounds(
-            lower_seconds=(
-                map_bounds.lower_seconds
-                + shuffle_bounds.lower_seconds
-                + reduce_bounds.lower_seconds
-            ),
-            upper_seconds=(
-                map_bounds.upper_seconds
-                + shuffle_bounds.upper_seconds
-                + reduce_bounds.upper_seconds
-            ),
+        return (
+            self.map_stage_bounds(map_slots)
+            + self.shuffle_stage_bounds(reduce_slots)
+            + self.reduce_stage_bounds(reduce_slots)
         )
 
     def estimate_seconds(self, map_slots: int, reduce_slots: int) -> float:

@@ -19,29 +19,13 @@ The paper uses this model in two ways, and so do we:
 """
 
 from .parameters import CostStatistics, DataflowStatistics, HadoopEnvironment, WordcountStatistics
-from .map_model import MapPhaseCosts, estimate_map_phases
-from .reduce_model import ReducePhaseCosts, estimate_reduce_phases
-from .job_model import HerodotouJobEstimate, HerodotouJobModel
-from .batch import (
-    HerodotouBatchEstimate,
-    batch_estimate,
-    batch_map_task_seconds,
-    batch_reduce_task_seconds,
-)
+from .model import HerodotouEstimate, estimate
 
 __all__ = [
     "CostStatistics",
     "DataflowStatistics",
     "HadoopEnvironment",
     "WordcountStatistics",
-    "MapPhaseCosts",
-    "estimate_map_phases",
-    "ReducePhaseCosts",
-    "estimate_reduce_phases",
-    "HerodotouJobEstimate",
-    "HerodotouJobModel",
-    "HerodotouBatchEstimate",
-    "batch_estimate",
-    "batch_map_task_seconds",
-    "batch_reduce_task_seconds",
+    "HerodotouEstimate",
+    "estimate",
 ]

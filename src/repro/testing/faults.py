@@ -17,7 +17,8 @@ importantly, *reproducibly* testable:
   real backend, and notes every *successful* inner evaluation so a chaos
   test can assert zero duplicate evaluations.  Batch-capable backends get a
   batch-level transient roll too, exercising the batch→scalar fallback rung.
-  The wrapper forwards the original's class declarations, ``declines`` too.
+  The wrapper subclasses the original, so it declares what the original
+  declares (``version``, ``declines``, ...) without copying any of it.
 * :class:`KillSwitch` hard-kills the evaluating process (``os._exit``) the
   first time a chosen scenario is evaluated — a real SIGKILL-grade worker
   death for the process-pool recovery path.  A marker file latches it so
@@ -44,7 +45,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..api.backends import _REGISTRY, ALL_PHASES
+from ..api.backends import _REGISTRY
 from ..api.scenario import Scenario
 from ..api.store import SqliteResultStore, _canonical_options, point_token
 from ..exceptions import TransientError, ValidationError
@@ -184,11 +185,10 @@ def _wrap_backend_class(
 ) -> type:
     """A registry-compatible class injecting faults around ``original``."""
 
-    class FaultyBackend:
-        version = getattr(original, "version", 1)
-        cpu_bound = bool(getattr(original, "cpu_bound", False))
-        modelled_phases = getattr(original, "modelled_phases", ALL_PHASES)
-
+    class FaultyBackend(original):
+        # A subclass inherits every class declaration (version, cpu_bound,
+        # modelled_phases, declines, batch support); calls still go to the
+        # wrapped instance, so the fault schedule wraps the real evaluation.
         def __init__(self, **options: object) -> None:
             self._inner = original(**options)
 
@@ -204,10 +204,6 @@ def _wrap_backend_class(
             injector.note_success(point)
             return result
 
-    declines = getattr(original, "declines", None)
-    if declines is not None:
-        FaultyBackend.declines = staticmethod(declines)
-
     if callable(getattr(original, "predict_batch", None)):
 
         def predict_batch(self, scenarios):  # type: ignore[no-untyped-def]
@@ -219,7 +215,6 @@ def _wrap_backend_class(
 
         FaultyBackend.predict_batch = predict_batch
 
-    FaultyBackend.name = name
     FaultyBackend.__name__ = f"Faulty{getattr(original, '__name__', name.title())}"
     FaultyBackend.__qualname__ = FaultyBackend.__name__
     return FaultyBackend

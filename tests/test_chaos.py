@@ -29,8 +29,16 @@ from repro.api import (
     SweepScheduler,
     open_store,
 )
-from repro.api.backends import _REGISTRY
-from repro.api.dashboard import ARTIFACT_PREFIX, run_dashboard
+from repro.api.backends import (
+    _REGISTRY,
+    backend_declines,
+    backend_is_cpu_bound,
+    backend_names,
+    backend_phases,
+    backend_supports_batch,
+    backend_version,
+)
+from repro.api.dashboard import ARTIFACT_PREFIX, failure_grid, run_dashboard
 from repro.api.results import PredictionResult
 from repro.cli import main
 from repro.exceptions import TransientError
@@ -143,6 +151,26 @@ class TestFaultScheduleDeterminism:
             FaultSpec(transient_rate=1.5)
         with pytest.raises(ValidationError):
             FaultSpec(latency_seconds=-1.0)
+
+
+class TestFaultyBackendDeclarations:
+    @pytest.mark.parametrize("name", backend_names())
+    def test_the_wrapper_declares_what_the_original_does(self, name):
+        scenarios = failure_grid().scenarios
+
+        def declarations():
+            return (
+                backend_version(name),
+                backend_is_cpu_bound(name),
+                backend_phases(name),
+                backend_supports_batch(name),
+                [backend_declines(name, scenario) for scenario in scenarios],
+            )
+
+        original = declarations()
+        with inject_backend_faults(name, FaultSpec()):
+            assert _REGISTRY[name].__name__.startswith("Faulty")
+            assert declarations() == original
 
 
 class TestTransientChaosSweep:

@@ -7,18 +7,9 @@ import pytest
 from repro.config import JobConfig
 from repro.core import ModelInput, TaskClass, TaskClassDemands
 from repro.exceptions import ConfigurationError, ModelError
-from repro.static_models import (
-    AriaJobProfile,
-    AriaModel,
-    HerodotouJobModel,
-    ViannaHadoop1Model,
-)
-from repro.static_models.herodotou import (
-    DataflowStatistics,
-    HadoopEnvironment,
-    estimate_map_phases,
-    estimate_reduce_phases,
-)
+from repro.core.initialization import initialize_from_herodotou
+from repro.static_models import AriaJobProfile, AriaModel, ViannaHadoop1Model
+from repro.static_models.herodotou import DataflowStatistics, HadoopEnvironment, estimate
 from repro.units import MiB, gigabytes, megabytes
 from repro.workloads import paper_cluster, wordcount_profile
 
@@ -41,32 +32,38 @@ def make_environment(num_nodes=4) -> HadoopEnvironment:
 
 class TestHerodotouPhases:
     def test_map_phase_costs_positive(self):
-        costs = estimate_map_phases(make_dataflow(), make_environment().costs)
+        costs = estimate(make_dataflow(), make_environment())
         assert costs.read > 0 and costs.map > 0 and costs.spill > 0
-        assert costs.total == pytest.approx(
-            costs.read + costs.map + costs.collect + costs.spill + costs.merge + costs.startup
+        assert costs.map_task_seconds == pytest.approx(
+            costs.read + costs.map + costs.collect + costs.spill + costs.map_merge + costs.startup
         )
 
     def test_map_phase_scales_with_split_size(self):
-        small = estimate_map_phases(
+        small = estimate(
             DataflowStatistics(
                 input_bytes=512 * MiB, split_bytes=64 * MiB, num_maps=8, num_reduces=2,
                 map_output_ratio=0.4, reduce_output_ratio=0.1,
             ),
-            make_environment().costs,
+            make_environment(),
         )
-        large = estimate_map_phases(make_dataflow(), make_environment().costs)
-        assert large.total > small.total
+        large = estimate(make_dataflow(), make_environment())
+        assert large.map_task_seconds > small.map_task_seconds
 
     def test_reduce_phase_costs(self):
-        costs = estimate_reduce_phases(make_dataflow(), make_environment().costs, remote_fraction=0.75)
+        # Four nodes: a remote fraction of 0.75.
+        dataflow, environment = make_dataflow(), make_environment(num_nodes=4)
+        costs = estimate(dataflow, environment)
         assert costs.shuffle > 0 and costs.reduce > 0 and costs.write > 0
-        assert costs.shuffle_sort == pytest.approx(costs.shuffle)
-        assert costs.final_merge == pytest.approx(costs.merge + costs.reduce + costs.write)
+        seeds = initialize_from_herodotou(dataflow, environment)
+        assert seeds.response_time(TaskClass.SHUFFLE_SORT) == pytest.approx(costs.shuffle)
+        assert costs.final_merge_seconds == pytest.approx(
+            costs.reduce_merge + costs.reduce + costs.write
+        )
 
     def test_remote_fraction_increases_shuffle(self):
-        local = estimate_reduce_phases(make_dataflow(), make_environment().costs, remote_fraction=0.0)
-        remote = estimate_reduce_phases(make_dataflow(), make_environment().costs, remote_fraction=1.0)
+        # One node fetches nothing remotely; four fetch three quarters.
+        local = estimate(make_dataflow(), make_environment(num_nodes=1))
+        remote = estimate(make_dataflow(), make_environment(num_nodes=4))
         assert remote.shuffle > local.shuffle
 
     def test_dataflow_validation(self):
@@ -77,20 +74,19 @@ class TestHerodotouPhases:
             )
 
 
-class TestHerodotouJobModel:
+class TestHerodotouJobEstimate:
     def test_job_estimate_combines_waves(self):
-        model = HerodotouJobModel(make_environment(num_nodes=2))
         dataflow = make_dataflow(num_maps=40)
-        estimate = model.estimate(dataflow)
-        assert estimate.map_waves >= 2
-        assert estimate.total_seconds == pytest.approx(
-            estimate.map_stage_seconds + estimate.reduce_stage_seconds
+        costs = estimate(dataflow, make_environment(num_nodes=2))
+        assert costs.map_waves >= 2
+        assert costs.total_seconds == pytest.approx(
+            costs.map_stage_seconds + costs.reduce_stage_seconds
         )
 
     def test_more_slots_reduce_makespan(self):
         dataflow = make_dataflow(num_maps=40)
-        small = HerodotouJobModel(make_environment(num_nodes=2)).estimate(dataflow)
-        large = HerodotouJobModel(make_environment(num_nodes=8)).estimate(dataflow)
+        small = estimate(dataflow, make_environment(num_nodes=2))
+        large = estimate(dataflow, make_environment(num_nodes=8))
         assert large.total_seconds <= small.total_seconds
 
     def test_from_job_config(self):

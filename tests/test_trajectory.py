@@ -14,7 +14,13 @@ import weakref
 
 import pytest
 
-from repro.api import PredictionService, Scenario, ScenarioSuite, create_backend
+from repro.api import (
+    PredictionService,
+    Scenario,
+    ScenarioSuite,
+    SweepScheduler,
+    create_backend,
+)
 from repro.api.dashboard import paper_grid
 from repro.api.scenario import KEPT_TRAJECTORIES, ScenarioResolver
 from repro.core import (
@@ -76,6 +82,34 @@ def test_evaluate_many_solves_each_iteration_once(solves, execution):
     service = PredictionService(backends=MVA_PAIR, execution=execution, max_workers=2)
     row = service.evaluate_many(UNEVEN, MVA_PAIR)
     assert len(solves) == longest(row) == 11
+
+
+def paper_cells(solves) -> dict:
+    """``evaluate_suite``'s MVA-pair cells of the paper grid; resets ``solves``."""
+    result = PredictionService(backends=MVA_PAIR).evaluate_suite(paper_grid(), MVA_PAIR)
+    assert len(solves) == sum(longest(row) for row in result.rows) == 95
+    solves.clear()
+    return {(index, name): row[name] for index, row in enumerate(result.rows) for name in MVA_PAIR}
+
+
+@pytest.mark.parametrize("max_workers", [1, None])
+def test_streaming_sweep_solves_each_iteration_once(solves, max_workers):
+    expected = paper_cells(solves)
+    scheduler = SweepScheduler(PredictionService(backends=MVA_PAIR))
+    stream = scheduler.iter_results(paper_grid(), MVA_PAIR, max_workers=max_workers)
+    cells = {(index, name): result for index, name, result in stream}
+    assert len(solves) == 95
+    assert cells == expected
+
+
+def test_cooperative_sweep_solves_each_iteration_once(solves, tmp_path):
+    expected = paper_cells(solves)
+    scheduler = SweepScheduler(PredictionService(backends=MVA_PAIR, store=tmp_path))
+    outcome = scheduler.run_cooperative(paper_grid(), MVA_PAIR, worker_id="solo")
+    assert len(solves) == 95
+    assert outcome.evaluated == len(expected)
+    rows = enumerate(outcome.result.rows)
+    assert {(index, name): row[name] for index, row in rows for name in MVA_PAIR} == expected
 
 
 def test_a_dispatch_keeps_at_most_the_bound(monkeypatch):
