@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import statistics
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from types import SimpleNamespace
 from typing import ClassVar, Protocol, runtime_checkable
 
@@ -245,7 +245,9 @@ class _MvaBackend(_InflationCorrected):
     kind: ClassVar[EstimatorKind]
     #: 2: the solver places tasks with the array timeline only and always
     #: starts cold (totals moved by ~1e-14 from version 1's scalar path).
-    version: ClassVar[int] = 2
+    #: 3: the overlap MVA and overlap factors make no BLAS call, so the bits
+    #: no longer depend on the host's OpenBLAS kernel (totals moved <4e-16).
+    version: ClassVar[int] = 3
 
     def predict(self, scenario: Scenario) -> PredictionResult:
         factor = self._checked_factor(scenario)
@@ -287,12 +289,18 @@ class MvaTripathiBackend(_MvaBackend):
     kind = EstimatorKind.TRIPATHI
     #: 3: the P-node maximum of two built-in distributions is exact (closed
     #: form moments instead of a 4,096-point trapezoid; totals moved <1e-12).
-    version: ClassVar[int] = 3
+    #: 4: no BLAS call on the solver path, as for the fork/join version 3.
+    version: ClassVar[int] = 4
 
 
-def _points(column) -> list:
-    """One Python number per point of a formula result (float or array)."""
-    return column.tolist() if isinstance(column, np.ndarray) else [column]
+def _rows(columns: tuple, xp) -> Iterable[tuple]:
+    """One tuple of Python numbers per point of formula result ``columns``.
+
+    The scalar namespace's results are the one point's numbers already.
+    """
+    if xp is scalar:
+        return (columns,)
+    return zip(*(column.tolist() for column in columns))
 
 
 def _stack(objects: Sequence, names: Sequence[str], xp, **columns):
@@ -352,7 +360,7 @@ class AriaBackend(_InflationCorrected):
                 )
             )
         num_maps, num_reduces, map_slots, reduce_slots, spread, *averages = (
-            xp.asarray(column) for column in zip(*rows)
+            rows[0] if xp is scalar else map(xp.asarray, zip(*rows))
         )
         stage_tasks = (
             (num_maps, map_slots),
@@ -389,7 +397,7 @@ class AriaBackend(_InflationCorrected):
                 factor,
             )
             for scenario, factor, (total, lower, upper, map_count, reduce_count, *phases) in zip(
-                scenarios, factors, zip(*map(_points, columns))
+                scenarios, factors, _rows(columns, xp)
             )
         ]
 
@@ -457,7 +465,7 @@ class HerodotouBackend(_InflationCorrected):
                 reduce_waves,
                 map_task,
                 reduce_task,
-            ) in zip(scenarios, factors, zip(*map(_points, columns)))
+            ) in zip(scenarios, factors, _rows(columns, xp))
         ]
 
 
@@ -467,7 +475,8 @@ class ViannaBackend:
 
     name: ClassVar[str]
     #: 2: same solver change as the MVA backends (array timeline, cold start).
-    version: ClassVar[int] = 2
+    #: 3: same solver change as the MVA backends (no BLAS call).
+    version: ClassVar[int] = 3
 
     def __init__(self, map_slots_per_node: int = 2, reduce_slots_per_node: int = 2) -> None:
         self.map_slots_per_node = map_slots_per_node

@@ -47,7 +47,7 @@ import os
 import sys
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -837,6 +837,7 @@ class PredictionService:
         *,
         keys: Sequence[str] | None = None,
         tokens: TokenMemo | None = None,
+        unanswered: Collection[tuple[str, str]] = (),
     ) -> SuiteResult:
         """Evaluate every (scenario, backend) pair of a suite.
 
@@ -860,7 +861,9 @@ class PredictionService:
 
         A caller that already holds each scenario's cache key (in suite
         order) or store tokens (a :meth:`probe_points` memo) passes them as
-        ``keys`` / ``tokens``, so neither is computed twice.
+        ``keys`` / ``tokens``, so neither is computed twice.  The
+        ``(cache key, backend)`` points its probe found unanswered go in
+        ``unanswered``: the store is not probed for them a second time.
         """
         mode = self._resolve_on_error(on_error)
         names = tuple(backends) if backends is not None else tuple(self.backends())
@@ -881,7 +884,7 @@ class PredictionService:
             # across concurrent calls, and counted under the same counter.
             with self._lock:
                 self._coalesced += duplicates
-        results = self._evaluate_points(unique, mode, tokens)
+        results = self._evaluate_points(unique, mode, tokens, unanswered)
         rows = tuple(
             {
                 name: results[(keys[index], name)]
@@ -934,8 +937,12 @@ class PredictionService:
         unique: dict[tuple[str, str], Scenario],
         on_error: str = "raise",
         tokens: TokenMemo | None = None,
+        unanswered: Collection[tuple[str, str]] = (),
     ) -> dict[tuple[str, str], PredictionResult]:
-        """Partition unique points into declines / hits / batch groups / scalar tasks."""
+        """Partition unique points into declines / hits / batch groups / scalar tasks.
+
+        Points in ``unanswered`` skip the store probe (a probe just missed them).
+        """
         tokens = {} if tokens is None else tokens  # shared by the probe and the write
         results: dict[tuple[str, str], PredictionResult] = {}
         accepted: dict[tuple[str, str], Scenario] = {}
@@ -954,12 +961,10 @@ class PredictionService:
                     results[point] = hit
                 else:
                     misses[point] = scenario
-        if self._store is not None and misses:
+        probe = [point for point in misses if point not in unanswered]
+        if self._store is not None and probe:
             stored = self._store.get_many(
-                [
-                    (key, backend, self._backend_options.get(backend, {}))
-                    for key, backend in misses
-                ],
+                [(key, backend, self._backend_options.get(backend, {})) for key, backend in probe],
                 tokens,
             )
             if stored:

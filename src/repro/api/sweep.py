@@ -267,7 +267,12 @@ class SweepScheduler:
             plan = self.plan(suite, backends, keys=keys, tokens=tokens)
         before = self._service.stats()
         result = self._service.evaluate_suite(
-            suite, plan.backends, on_error=on_error, keys=keys, tokens=tokens
+            suite,
+            plan.backends,
+            on_error=on_error,
+            keys=keys,
+            tokens=tokens,
+            unanswered={(keys[index], name) for index, name in plan.missing},
         )
         after = self._service.stats()
         return SweepOutcome(plan=plan, result=result, stats=after.delta(before))

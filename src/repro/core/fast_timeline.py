@@ -149,7 +149,7 @@ class TimelinePlacement:
                     None,
                 )
                 counts = self.map_wave_counts.astype(float)
-                total = float(counts @ overlap @ counts)
+                total = float(((overlap * counts[:, None]).sum(axis=0) * counts).sum())
             elif class_i is TaskClass.MAP or class_j is TaskClass.MAP:
                 other = class_j if class_i is TaskClass.MAP else class_i
                 wave_ends = self.map_wave_starts + self.map_duration
@@ -162,7 +162,7 @@ class TimelinePlacement:
                     0.0,
                     None,
                 )
-                total = float(self.map_wave_counts.astype(float) @ overlap.sum(axis=1))
+                total = float((self.map_wave_counts * overlap.sum(axis=1)).sum())
             else:
                 total = _overlap_sum(*intervals[class_i], *intervals[class_j])
             if class_i is class_j:

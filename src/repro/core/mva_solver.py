@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..exceptions import ModelError
-from ..queueing.mva_overlap import OverlapFactors, solve_mva_with_overlaps
+from ..queueing.mva_overlap import PlainNetwork, OverlapFactors, solve_mva_with_overlaps
 from ..queueing.network import ClosedNetwork
 from ..queueing.service_center import CenterKind, ServiceCenter, ServiceDemand
 from .estimators import EstimatorKind, create_estimator
@@ -304,7 +304,7 @@ def _iterates(
     :class:`Trajectory`, or the pair would form a cycle that only the cyclic
     garbage collector frees.
     """
-    network = _build_network(model_input)
+    network = PlainNetwork.of(_build_network(model_input))
     cv_by_class = {
         task_class: model_input.demands[task_class].coefficient_of_variation
         for task_class in TaskClass.ordered()
@@ -317,7 +317,7 @@ def _iterates(
         for task_class in TaskClass.ordered()
     }
     center_column = {
-        center: network.center_index(center.value) for center in ServiceCenterName.ordered()
+        center: network.center_names.index(center.value) for center in ServiceCenterName.ordered()
     }
 
     # A1: initialise residence times (per center) from the seed values.

@@ -20,7 +20,7 @@ from the ``RMContainerAllocator`` source code:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ from .tasks import (
 )
 
 
-@dataclass(frozen=True)
-class ContainerAsk:
+class ContainerAsk(NamedTuple):
     """A single-container request the AM exposes to the scheduler."""
 
     priority: Priority

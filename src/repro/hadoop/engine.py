@@ -385,6 +385,7 @@ class ExecutionEngine:
             if self._dirty_nodes:
                 self._ensure_fresh()
             node_rates = self._node_rates
+            finish = transitioned.append
             for bucket in self._buckets.values():
                 rate = node_rates[bucket.node_id][bucket.slot]
                 if rate <= 0:
@@ -394,13 +395,13 @@ class ExecutionEngine:
                 for entry in bucket.members.values():
                     stage = entry.stage
                     remaining = stage.remaining - work
-                    if remaining <= stage.finish_threshold:
-                        stage.remaining = 0.0
-                        transitioned.append(entry)
-                    else:
+                    if remaining > stage.finish_threshold:
                         stage.remaining = remaining
                         if remaining < least:
                             least = remaining
+                    else:
+                        stage.remaining = 0.0
+                        finish(entry)
                 bucket.least = least
             for entry in self._network_entries.values():
                 if entry.stalled:
@@ -409,11 +410,12 @@ class ExecutionEngine:
                 if rate <= 0:
                     continue
                 stage = entry.stage
-                stage.remaining -= rate * dt
-                if stage.is_finished:
-                    stage.remaining = 0.0
-                    transitioned.append(entry)
-                entry.attempt.shuffled_bytes = stage.amount - stage.remaining
+                remaining = stage.remaining - rate * dt
+                if remaining <= stage.finish_threshold:
+                    remaining = 0.0
+                    finish(entry)
+                stage.remaining = remaining
+                entry.attempt.shuffled_bytes = stage.amount - remaining
             if len(transitioned) > 1:
                 transitioned.sort(key=_activation_order)
         # Stamp the leading zero-work stages of attempts added since the last

@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..exceptions import SimulationError
 
@@ -26,14 +25,17 @@ class EventKind(enum.Enum):
     NODE_FAILURE = "node-failure"
 
 
-@dataclass(order=True)
-class TimedEvent:
-    """An event scheduled at an absolute simulation time."""
+class TimedEvent(NamedTuple):
+    """An event scheduled at an absolute simulation time.
+
+    Events order as tuples, by ``(time, sequence)``: sequence numbers are
+    unique, so a comparison never reaches ``kind``.
+    """
 
     time: float
     sequence: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventKind
+    payload: Any = None
 
 
 class EventQueue:
@@ -50,9 +52,7 @@ class EventQueue:
             raise SimulationError(
                 f"cannot schedule an event in the past ({time} < {self._last_popped})"
             )
-        heapq.heappush(
-            self._heap, TimedEvent(time=time, sequence=next(self._sequence), kind=kind, payload=payload)
-        )
+        heapq.heappush(self._heap, TimedEvent(time, next(self._sequence), kind, payload))
 
     def peek_time(self) -> float | None:
         """Time of the earliest scheduled event, or ``None`` if empty."""

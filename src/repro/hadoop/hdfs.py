@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from ..config import JobConfig
 from ..exceptions import ConfigurationError
 from ..randomness import make_rng
@@ -85,38 +84,41 @@ class HdfsNamespace:
         if block_size <= 0:
             raise ConfigurationError("block_size must be positive")
         effective_replication = min(self.replication, len(self.cluster))
+        # Each writer's replica tuple, built on its first block of the file.
+        replicas_of: dict[int, tuple[int, ...]] = {}
         blocks: list[Block] = []
         remaining = total_bytes
         while remaining > 0:
             size = min(block_size, remaining)
             remaining -= size
             writer = int(self._rng.integers(0, len(self.cluster)))
-            replicas = [writer]
-            # Prefer nodes in other racks, then remaining nodes, deterministic order.
-            writer_rack = self.cluster.node(writer).rack
-            other_rack_nodes = [
-                node.node_id
-                for node in self.cluster
-                if node.rack != writer_rack and node.node_id != writer
-            ]
-            same_rack_nodes = [
-                node.node_id
-                for node in self.cluster
-                if node.rack == writer_rack and node.node_id != writer
-            ]
-            for candidate in other_rack_nodes + same_rack_nodes:
-                if len(replicas) >= effective_replication:
-                    break
-                replicas.append(candidate)
+            replicas = replicas_of.get(writer)
+            if replicas is None:
+                replicas = replicas_of[writer] = self._replicas(writer, effective_replication)
             block = Block(
                 block_id=self._next_block_id,
                 size_bytes=size,
-                replica_nodes=tuple(replicas),
+                replica_nodes=replicas,
             )
             self._next_block_id += 1
             self._blocks.append(block)
             blocks.append(block)
         return blocks
+
+    def _replicas(self, writer: int, replication: int) -> tuple[int, ...]:
+        """The writer, then nodes in other racks, then the writer's rack."""
+        writer_rack = self.cluster.node(writer).rack
+        other_rack_nodes = [
+            node.node_id
+            for node in self.cluster
+            if node.rack != writer_rack and node.node_id != writer
+        ]
+        same_rack_nodes = [
+            node.node_id
+            for node in self.cluster
+            if node.rack == writer_rack and node.node_id != writer
+        ]
+        return (writer, *other_rack_nodes, *same_rack_nodes)[:replication]
 
     def splits_for_job(self, job_config: JobConfig) -> list[InputSplit]:
         """Place the job's input file and return its input splits."""

@@ -10,7 +10,7 @@ ApplicationManager service); the AM-side behaviour lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..exceptions import SchedulingError
 from .am import MRAppMaster
@@ -19,8 +19,7 @@ from .resources import Container
 from .scheduler import Scheduler
 
 
-@dataclass(frozen=True)
-class Grant:
+class Grant(NamedTuple):
     """One container grant produced by an allocation pass."""
 
     application: MRAppMaster

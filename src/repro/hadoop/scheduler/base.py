@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..cluster import Cluster
 from ..resources import Priority, Resource
@@ -13,8 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking onl
     from ..am import MRAppMaster
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """One container assignment decided by a scheduler pass."""
 
     job_id: int

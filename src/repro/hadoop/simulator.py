@@ -19,6 +19,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..config import ClusterConfig, FailureSpec, JobConfig, SchedulerConfig
 from ..exceptions import SimulationError
@@ -45,17 +46,33 @@ _MAX_ITERATIONS = 2_000_000
 
 @dataclass
 class SimulationResult:
-    """Outcome of one simulation run."""
+    """Outcome of one simulation run.
 
-    job_traces: list[JobTrace]
+    The per-job history traces are built on first access to
+    :attr:`job_traces`: a caller that only needs response times (most
+    repetitions of a prediction) never pays for them.
+    """
+
+    #: The completed jobs, in job-id order.
+    jobs: list[MapReduceJob]
     metrics: SimulationMetrics
     makespan: float
     num_nodes: int
+    #: Launched attempts per task id (failure injection only).
+    attempt_counts: dict[str, int] | None = None
+
+    @cached_property
+    def job_traces(self) -> list[JobTrace]:
+        """History trace of every job, in job-id order."""
+        return [
+            build_job_trace(job, num_nodes=self.num_nodes, attempt_counts=self.attempt_counts)
+            for job in self.jobs
+        ]
 
     @property
     def response_times(self) -> list[float]:
         """Response times of all jobs, in job-id order."""
-        return [trace.response_time for trace in sorted(self.job_traces, key=lambda t: t.job_id)]
+        return [job.response_time for job in self.jobs]
 
     @property
     def mean_response_time(self) -> float:
@@ -218,19 +235,12 @@ class ClusterSimulator:
             raise SimulationError("simulation exceeded the iteration safety bound")
 
         self._finished = True
-        traces = [
-            build_job_trace(
-                job,
-                num_nodes=len(self.cluster),
-                attempt_counts=self._attempt_numbers if self._failure_model else None,
-            )
-            for job in self._jobs.values()
-        ]
         return SimulationResult(
-            job_traces=traces,
+            jobs=list(self._jobs.values()),
             metrics=self.metrics,
             makespan=self.metrics.makespan,
             num_nodes=len(self.cluster),
+            attempt_counts=self._attempt_numbers if self._failure_model else None,
         )
 
     # -- internals ---------------------------------------------------------------------

@@ -58,7 +58,7 @@ class SubtaskLabel(enum.Enum):
     MERGE = "merge"
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkStage:
     """One unit of sequential work within a task attempt.
 

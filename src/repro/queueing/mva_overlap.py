@@ -106,8 +106,40 @@ class OverlapFactors:
         return weight
 
 
+@dataclass(frozen=True)
+class PlainNetwork:
+    """A closed network's solver inputs as plain Python numbers.
+
+    What :func:`solve_mva_with_overlaps` reads of a :class:`ClosedNetwork`,
+    extracted once, so a caller that solves one network many times (once
+    per modified-MVA iteration) does not rebuild the arrays per solve.
+    """
+
+    class_names: tuple[str, ...]
+    center_names: tuple[str, ...]
+    #: ``demands[c][k]``: service demand of class ``c`` at center ``k``.
+    demands: tuple[tuple[float, ...], ...]
+    queueing: tuple[bool, ...]
+    servers: tuple[float, ...]
+    populations: tuple[float, ...]
+    think_times: tuple[float, ...]
+
+    @classmethod
+    def of(cls, network: ClosedNetwork) -> "PlainNetwork":
+        """The inputs of ``network``."""
+        return cls(
+            class_names=tuple(network.class_names),
+            center_names=tuple(center.name for center in network.centers),
+            demands=tuple(map(tuple, network.demand_matrix().tolist())),
+            queueing=tuple(network.queueing_mask().tolist()),
+            servers=tuple(network.server_vector().tolist()),
+            populations=tuple(network.population_vector().astype(float).tolist()),
+            think_times=tuple(network.think_time_vector().tolist()),
+        )
+
+
 def solve_mva_with_overlaps(
-    network: ClosedNetwork,
+    network: ClosedNetwork | PlainNetwork,
     overlaps: OverlapFactors,
     jobs_in_system: int = 1,
     tolerance: float = 1e-9,
@@ -119,69 +151,97 @@ def solve_mva_with_overlaps(
     class ``j`` seen by an arriving class-``i`` task is scaled by the
     effective overlap ``w_{ij}`` (see :meth:`OverlapFactors.combined`).
 
+    The networks the model builds are 3 classes by 3 centers, where NumPy's
+    per-call overhead dwarfs the arithmetic, so the iteration runs on Python
+    floats.  Every sum is accumulated left to right, never by BLAS, whose
+    kernels (and so whose rounding) differ between CPUs: the bits are the
+    same on every host.
+
     Parameters
     ----------
     network:
-        Closed network; class names must match ``overlaps.class_names``.
+        Closed network (or its :class:`PlainNetwork`); class names must
+        match ``overlaps.class_names``.
     overlaps:
         Intra-/inter-job overlap factors.
     jobs_in_system:
         Number of concurrently executing jobs (used to mix alpha and beta).
     """
-    if tuple(network.class_names) != tuple(overlaps.class_names):
+    if isinstance(network, ClosedNetwork):
+        network = PlainNetwork.of(network)
+    if network.class_names != tuple(overlaps.class_names):
         raise ConfigurationError(
             "overlap factors classes "
             f"{overlaps.class_names!r} do not match network classes "
-            f"{tuple(network.class_names)!r}"
+            f"{network.class_names!r}"
         )
-    demands = network.demand_matrix()
-    queueing = network.queueing_mask()
-    servers = network.server_vector()
-    population = network.population_vector().astype(float)
-    think = network.think_time_vector()
-    num_classes, num_centers = demands.shape
-    weights = overlaps.combined(jobs_in_system)
+    demands = network.demands
+    queueing = network.queueing
+    servers = network.servers
+    population = network.populations
+    think = network.think_times
+    weights = overlaps.combined(jobs_in_system).tolist()
+    classes = range(len(demands))
+    centers = range(len(servers))
+    others = classes[1:]
+    # Multi-server correction: only the customers in excess of the free
+    # servers cause waiting (M/M/c-style approximation).
+    spare = [count - 1.0 for count in servers]
+    zero_row = [0.0 for _ in centers]
+    active = [count > 0 for count in population]
+    # Initial guess: each active class spread evenly over the queueing
+    # centers where it has demand.
+    queue = []
+    for c in classes:
+        positive = [k for k in centers if demands[c][k] > 0 and queueing[k]] if active[c] else []
+        queue.append([population[c] / len(positive) if k in positive else 0.0 for k in centers])
+    # The arrival queue a class-``c`` task sees at center ``k`` is
+    # ``sum_j w[c,j] * q[j,k]`` with the Schweitzer (N-1)/N self-correction
+    # on the diagonal term: minus ``w[c,c] * (1 - (N_c - 1)/N_c) * q[c,k]``.
+    self_adjustment = [
+        weights[c][c] * (1.0 - (count - 1.0) / count) if count > 0 else 0.0
+        for c, count in enumerate(population)
+    ]
 
-    active = population > 0
-    queue = np.zeros((num_classes, num_centers))
-    for c in range(num_classes):
-        if not active[c]:
-            continue
-        positive = (demands[c] > 0) & queueing
-        count = int(positive.sum())
-        if count:
-            queue[c, positive] = population[c] / count
-
-    # Vectorised Schweitzer step: the arrival queue seen by class ``c`` at
-    # center ``k`` is ``sum_j w[c,j] * q[j,k]`` with the usual (N-1)/N
-    # self-correction on the diagonal term, i.e. a single ``weights @ queue``
-    # product minus a rank-1 diagonal adjustment (mirrors the vectorised
-    # plain-Schweitzer solver in :mod:`repro.queueing.mva_approximate`).
-    own_correction = np.where(active, (population - 1.0) / np.maximum(population, 1.0), 0.0)
-    diagonal_weights = np.diagonal(weights)
-    self_adjustment = (diagonal_weights * (1.0 - own_correction))[:, None]
-    active_column = active[:, None]
-
-    residence = np.zeros_like(demands)
-    throughput = np.zeros(num_classes)
+    residence = [zero_row for _ in classes]
+    response = [0.0 for _ in classes]
+    throughput = [0.0 for _ in classes]
     for iteration in range(1, max_iterations + 1):
-        seen = weights @ queue - self_adjustment * queue
-        # Multi-server correction: only the customers in excess of the
-        # free servers cause waiting (M/M/c-style approximation).
-        excess = np.maximum(0.0, seen - (servers - 1.0))
-        residence = np.where(
-            queueing, demands * (1.0 + excess / servers), demands
-        )
-        residence = np.where(active_column, residence, 0.0)
-        totals = think + residence.sum(axis=1)
-        throughput = np.divide(
-            population,
-            totals,
-            out=np.zeros_like(population),
-            where=(totals > 0) & active,
-        )
-        new_queue = residence * throughput[:, None]
-        delta = float(np.max(np.abs(new_queue - queue))) if new_queue.size else 0.0
+        columns = list(zip(*queue))
+        new_queue = []
+        for c in classes:
+            row = zero_row
+            total = rate = 0.0
+            if active[c]:
+                weight = weights[c]
+                own = queue[c]
+                adjustment = self_adjustment[c]
+                row = []
+                for k in centers:
+                    demand = demands[c][k]
+                    if queueing[k]:
+                        column = columns[k]
+                        seen = weight[0] * column[0]
+                        for j in others:
+                            seen += weight[j] * column[j]
+                        excess = seen - adjustment * own[k] - spare[k]
+                        if excess > 0.0:
+                            demand = demand * (1.0 + excess / servers[k])
+                    row.append(demand)
+                    total += demand
+                cycle = think[c] + total
+                if cycle > 0:
+                    rate = population[c] / cycle
+            residence[c] = row
+            response[c] = total
+            throughput[c] = rate
+            new_queue.append([value * rate for value in row])
+        delta = 0.0
+        for new_row, old_row in zip(new_queue, queue):
+            for new, old in zip(new_row, old_row):
+                change = abs(new - old)
+                if change > delta:
+                    delta = change
         queue = new_queue
         if delta <= tolerance:
             break
@@ -190,15 +250,15 @@ def solve_mva_with_overlaps(
             f"overlap MVA did not converge in {max_iterations} iterations"
         )
 
-    response = residence.sum(axis=1)
-    utilizations = demands * throughput[:, None]
     return NetworkSolution(
-        class_names=tuple(network.class_names),
-        center_names=tuple(center.name for center in network.centers),
-        residence_times=residence,
-        response_times=response,
-        throughputs=throughput,
-        queue_lengths=queue,
-        utilizations=utilizations,
+        class_names=network.class_names,
+        center_names=network.center_names,
+        residence_times=np.array(residence),
+        response_times=np.array(response),
+        throughputs=np.array(throughput),
+        queue_lengths=np.array(queue),
+        utilizations=np.array(
+            [[demand * rate for demand in row] for row, rate in zip(demands, throughput)]
+        ),
         iterations=iteration,
     )

@@ -25,7 +25,7 @@ the same operations in the same order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..scalar import scalar
@@ -35,7 +35,8 @@ from ..scalar import scalar
 class HerodotouEstimate:
     """Phase costs (seconds) of one map and one reduce task, and their waves.
 
-    Fields are floats for one job and arrays for a grid.
+    Fields are floats for one job and arrays for a grid.  The task, stage
+    and job totals are computed once, when the estimate is built.
     """
 
     read: Any
@@ -51,36 +52,35 @@ class HerodotouEstimate:
     startup: Any
     map_waves: Any
     reduce_waves: Any
+    #: Total map task execution time.
+    map_task_seconds: Any = field(init=False)
+    #: Total reduce task execution time.
+    reduce_task_seconds: Any = field(init=False)
+    #: Map-stage seconds (waves × per-task cost).
+    map_stage_seconds: Any = field(init=False)
+    #: Reduce-stage seconds (waves × per-task cost).
+    reduce_stage_seconds: Any = field(init=False)
+    #: Estimated job execution time (map stage + reduce stage).
+    total_seconds: Any = field(init=False)
 
-    @property
-    def map_task_seconds(self) -> Any:
-        """Total map task execution time."""
-        return self.read + self.map + self.collect + self.spill + self.map_merge + self.startup
-
-    @property
-    def reduce_task_seconds(self) -> Any:
-        """Total reduce task execution time."""
-        return self.shuffle + self.reduce_merge + self.reduce + self.write + self.startup
+    def __post_init__(self) -> None:
+        map_task = self.read + self.map + self.collect + self.spill + self.map_merge + self.startup
+        reduce_task = self.shuffle + self.reduce_merge + self.reduce + self.write + self.startup
+        map_stage = self.map_waves * map_task
+        reduce_stage = self.reduce_waves * reduce_task
+        for name, value in (
+            ("map_task_seconds", map_task),
+            ("reduce_task_seconds", reduce_task),
+            ("map_stage_seconds", map_stage),
+            ("reduce_stage_seconds", reduce_stage),
+            ("total_seconds", map_stage + reduce_stage),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def final_merge_seconds(self) -> Any:
         """Cost of the paper's *merge* subtask (final sort + reduce + write)."""
         return self.reduce_merge + self.reduce + self.write
-
-    @property
-    def map_stage_seconds(self) -> Any:
-        """Map-stage seconds (waves × per-task cost)."""
-        return self.map_waves * self.map_task_seconds
-
-    @property
-    def reduce_stage_seconds(self) -> Any:
-        """Reduce-stage seconds (waves × per-task cost)."""
-        return self.reduce_waves * self.reduce_task_seconds
-
-    @property
-    def total_seconds(self) -> Any:
-        """Estimated job execution time (map stage + reduce stage)."""
-        return self.map_stage_seconds + self.reduce_stage_seconds
 
 
 def estimate(dataflow, environment, xp=scalar) -> HerodotouEstimate:

@@ -18,11 +18,9 @@ def _where(condition, if_true, if_false):
     return if_true if condition else if_false
 
 
-#: The one-point namespace.  ``asarray`` takes a column of one point (a
-#: one-element sequence) to that point's value.
+#: The one-point namespace.
 scalar = SimpleNamespace(
     any=bool,
-    asarray=lambda column: column[0],
     ceil=math.ceil,
     log2=math.log2,
     maximum=max,

@@ -236,12 +236,11 @@ class TestOverlapMVA:
     )
     @settings(max_examples=25, deadline=None)
     def test_vectorised_fixed_point_matches_reference_loop(self, intra, inter, jobs):
-        """The ``weights @ queue`` step must equal the per-element reference.
+        """The solver's Schweitzer step must equal the per-element reference.
 
         Re-implements one overlap-weighted Schweitzer residence update with
-        explicit Python loops (the pre-vectorisation engine) and compares it
-        against the converged solver state, which must be a fixed point of
-        that reference step.
+        explicit Python loops and compares it against the converged solver
+        state, which must be a fixed point of that reference step.
         """
         network = two_class_network()
         factors = OverlapFactors(

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import JobConfig, SchedulerConfig
+from repro.api import Scenario, create_backend
+from repro.config import FailureSpec, JobConfig, SchedulerConfig
 from repro.exceptions import SimulationError
 from repro.hadoop import ClusterSimulator
+from repro.hadoop import simulator as simulator_module
 from repro.hadoop.job import JobResourceProfile
-from repro.hadoop.trace import JobTrace
+from repro.hadoop.trace import JobTrace, build_job_trace
 from repro.units import gigabytes, megabytes
 from repro.workloads import paper_cluster, paper_scheduler, wordcount_profile
 
@@ -133,6 +135,61 @@ class TestTraceSerialisation:
         assert trace.average_map_duration() > 0
         assert trace.average_merge_duration() > 0
         assert trace.average_shuffle_sort_duration() >= 0
+
+
+class TestLazyTraces:
+    """Traces are built on first access, with the bits of an eager build."""
+
+    def _run(self, failures=None):
+        profile = wordcount_profile(duration_cv=0.3)
+        simulator = ClusterSimulator(paper_cluster(4), paper_scheduler(), seed=5, failures=failures)
+        for _ in range(2):
+            job_config = profile.job_config(
+                input_size_bytes=gigabytes(1),
+                block_size_bytes=megabytes(128),
+                num_reduces=3,
+            )
+            simulator.submit_job(job_config, profile.simulator_profile())
+        return simulator, simulator.run()
+
+    @pytest.mark.parametrize(
+        "failures",
+        [None, FailureSpec(task_failure_rate=0.2, straggler_fraction=0.3, speculative=True)],
+        ids=["clean", "failures"],
+    )
+    def test_job_traces_equal_the_eager_build(self, failures):
+        simulator, result = self._run(failures)
+        attempts = simulator._attempt_numbers if failures is not None else None
+        eager = [
+            build_job_trace(job, num_nodes=4, attempt_counts=attempts)
+            for job in simulator._jobs.values()
+        ]
+        assert result.job_traces == eager
+        assert result.job_traces is result.job_traces  # built once
+        assert result.response_times == [trace.response_time for trace in eager]
+        assert result.mean_response_time == sum(result.response_times) / 2
+
+    def test_predict_traces_only_the_first_repetition(self, monkeypatch):
+        built, runs = [], []
+        monkeypatch.setattr(
+            simulator_module,
+            "build_job_trace",
+            lambda job, **kwargs: built.append(job) or build_job_trace(job, **kwargs),
+        )
+        run = ClusterSimulator.run
+        monkeypatch.setattr(ClusterSimulator, "run", lambda self: runs.append(run(self)) or runs[-1])
+        scenario = Scenario(
+            workload="wordcount",
+            input_size_bytes=megabytes(512),
+            num_nodes=3,
+            num_jobs=2,
+            num_reduces=2,
+            repetitions=3,
+        )
+        result = create_backend("simulator").predict(scenario)
+        assert len(runs) == 3
+        assert built == runs[0].jobs
+        assert len(result.metadata["repetition_means"]) == 3
 
 
 class TestErrors:

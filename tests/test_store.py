@@ -674,12 +674,14 @@ class TestVersioning:
         assert reopened.get(key, "aria") is None
 
     def test_analytic_backend_versions_are_pinned(self):
-        # Tripathi's P-node maximum became exact in version 3; fork/join
-        # never takes a maximum of distributions and stays at 2.
-        assert backend_version("mva-tripathi") == 3
-        assert backend_version("mva-forkjoin") == 2
+        # Tripathi's P-node maximum became exact in version 3, which fork/join
+        # (no maximum of distributions) skipped; the BLAS-free overlap MVA
+        # then bumped all three solver backends once more.
+        assert backend_version("mva-tripathi") == 4
+        assert backend_version("mva-forkjoin") == 3
+        assert backend_version("vianna") == 3
 
-    def test_tripathi_version_two_records_are_stale(self, tmp_path):
+    def test_tripathi_version_three_records_are_stale(self, tmp_path):
         store_path = tmp_path / "store"
         service = PredictionService(
             backends=["mva-forkjoin", "mva-tripathi"],
@@ -688,7 +690,7 @@ class TestVersioning:
         for backend in ("mva-forkjoin", "mva-tripathi"):
             service.evaluate(SMALL, backend)
         for which in range(2):
-            _set_version_field(store_path, "backend_version", 2, which)
+            _set_version_field(store_path, "backend_version", 3, which)
         reopened = open_store(store_path)
         scan = reopened.refresh()
         assert (scan.loaded, scan.stale) == (1, 1)
@@ -1118,12 +1120,12 @@ class TestLegacyReader:
         assert _rows(tmp_path / "store") == []
         assert open_store(tmp_path / "store").refresh().loaded == 0
 
-    def test_tripathi_version_two_records_are_stale(self, tmp_path):
+    def test_tripathi_version_three_records_are_stale(self, tmp_path):
         store_path = tmp_path / "store"
         for backend in ("mva-forkjoin", "mva-tripathi"):
             result = create_backend(backend).predict(SMALL)
             _write_legacy_record(
-                store_path, SMALL.cache_key(), backend, result, backend_version=2
+                store_path, SMALL.cache_key(), backend, result, backend_version=3
             )
         reader = ResultStore(store_path)
         scan = reader.refresh()

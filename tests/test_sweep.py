@@ -171,6 +171,21 @@ class TestSweepRun:
         assert outcome.plan.backends == ("aria", "herodotou")
         assert outcome.plan.total_points == 8
 
+    def test_cold_run_probes_the_store_once(self, tmp_path):
+        # The plan's probe already found every point missing: the evaluation
+        # must not SELECT them again, so a cold run costs one indexed SELECT
+        # per 500-token chunk in all.
+        suite = ScenarioSuite.from_sweep("cold", SMALL, num_nodes=list(range(2, 302)))
+        service = PredictionService(backends=["aria", "herodotou"], store=tmp_path / "store")
+        statements: list[str] = []
+        service.store._connect().set_trace_callback(statements.append)
+        outcome = SweepScheduler(service).run(suite)
+        assert outcome.evaluated_points == 600
+        selects = [
+            sql for sql in statements if sql.lstrip().startswith("SELECT") and "FROM records" in sql
+        ]
+        assert len(selects) == -(-600 // 500)
+
     def test_run_uses_batch_dispatch_for_capable_backends(self):
         service = PredictionService(backends=["aria"])
         outcome = SweepScheduler(service).run(SUITE, ["aria"])
