@@ -28,11 +28,6 @@ class ErrorSummary:
     mean_signed: float
     count: int
 
-    @property
-    def overestimates(self) -> bool:
-        """Whether the estimates are, on average, above the measurements."""
-        return self.mean_signed > 0
-
 
 def summarize_errors(errors: list[float]) -> ErrorSummary:
     """Summarise a list of signed relative errors."""

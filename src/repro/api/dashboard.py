@@ -37,16 +37,14 @@ from ..analysis.accuracy import (
     ACCURACY_FORMAT_VERSION,
     STATUS_INCOMPLETE,
     AccuracyReport,
-    BackendAccuracy,
     compute_accuracy,
 )
 from ..config import FailureSpec
 from ..exceptions import ValidationError
 from ..experiments.figures import FIGURE_DEFINITIONS, figure_suite
-from ..experiments.runner import run_suite_grid
 from .backends import backend_phases
 from .scenario import Scenario, ScenarioSuite
-from .service import DEFAULT_BASELINE, PredictionService
+from .service import DEFAULT_BASELINE, DEFAULT_EXECUTION, PredictionService
 from .store import BaseResultStore
 from .sweep import SweepOutcome, SweepScheduler
 
@@ -250,10 +248,10 @@ def run_dashboard(
         service = PredictionService(
             backends=list(names),
             store=store,
-            execution=execution or "thread",
+            execution=execution or DEFAULT_EXECUTION,
         )
     if evaluate:
-        outcome = run_suite_grid(suite, names, service=service, on_error=on_error)
+        outcome = SweepScheduler(service).run(suite, names, on_error=on_error)
         # Failed cells (on_error="record") carry no estimate; dropping them
         # here turns them into missing points, which compute_accuracy
         # degrades to status="incomplete" per backend.
@@ -303,38 +301,6 @@ def render_jsonl(report: AccuracyReport) -> str:
         }
         lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines) + "\n"
-
-
-def parse_jsonl(text: str) -> AccuracyReport:
-    """Rebuild a report from :func:`render_jsonl` output (artifact diffing)."""
-    header: Mapping | None = None
-    entries: list[BackendAccuracy] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(ARTIFACT_PREFIX):
-            line = line[len(ARTIFACT_PREFIX) :].strip()
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid dashboard JSONL line: {exc}") from exc
-        kind = record.get("record")
-        if kind == "report":
-            header = record
-        elif kind == "backend":
-            entries.append(BackendAccuracy.from_dict(record))
-        else:
-            raise ValidationError(f"unknown dashboard record kind {kind!r}")
-    if header is None:
-        raise ValidationError("dashboard JSONL has no report header record")
-    return AccuracyReport(
-        grid=header["grid"],
-        baseline=header["baseline"],
-        num_scenarios=int(header["num_scenarios"]),
-        backends=tuple(entries),
-        format_version=int(header.get("format", ACCURACY_FORMAT_VERSION)),
-    )
 
 
 def _format_error(value: float | None) -> str:

@@ -87,6 +87,9 @@ DEFAULT_BASELINE = "simulator"
 #: Accepted values of the service's ``execution`` parameter.
 EXECUTION_MODES = ("serial", "thread", "process")
 
+#: The execution mode a service, ``--execution`` and the runners default to.
+DEFAULT_EXECUTION = "thread"
+
 
 def _predict_in_subprocess(scenario_data: dict, backend: str, options: dict) -> dict:
     """Worker-side evaluation: plain dicts in, plain dicts out.
@@ -207,6 +210,11 @@ class ServiceStats:
             raise ValidationError(f"invalid service stats: {exc}") from exc
 
 
+#: The counters a service keeps itself; ``breaker_trips`` is summed from
+#: its breakers.
+_COUNTERS = tuple(spec.name for spec in fields(ServiceStats) if spec.name != "breaker_trips")
+
+
 @dataclass(frozen=True)
 class SuiteResult:
     """Results of one suite evaluation: a (scenario × backend) grid."""
@@ -274,7 +282,7 @@ class PredictionService:
         cache: bool = True,
         backend_options: dict[str, dict] | None = None,
         store: BaseResultStore | str | os.PathLike | None = None,
-        execution: str = "thread",
+        execution: str = DEFAULT_EXECUTION,
         retry: RetryPolicy | int | None = None,
         timeout: float | None = None,
         breaker: BreakerPolicy | None = None,
@@ -309,25 +317,13 @@ class PredictionService:
         self._breaker_policy = breaker
         self._breakers: dict[str, CircuitBreaker] = {}
         self._on_error = on_error
-        # All counters below are read and written ONLY under ``self._lock``;
+        # The counters are read and written ONLY under ``self._lock``;
         # thread- and process-mode sweeps bump them from pool threads, so an
         # unlocked increment would drop updates.
-        self._memory_hits = 0
-        self._store_hits = 0
-        self._evaluations = 0
-        self._coalesced = 0
+        self._counts = dict.fromkeys(_COUNTERS, 0)
         #: In-flight evaluations by (cache key, backend); concurrent callers
         #: of a point already being evaluated join the owner's outcome.
         self._inflight: dict[tuple[str, str], _InflightEvaluation] = {}
-        self._batch_calls = 0
-        self._batch_points = 0
-        self._retries = 0
-        self._failures = 0
-        self._declined = 0
-        self._timeouts = 0
-        self._batch_fallbacks = 0
-        self._pool_rebuilds = 0
-        self._pool_fallbacks = 0
         self._pool_fallback_warned = False
 
     # -- introspection --------------------------------------------------------
@@ -356,9 +352,7 @@ class PredictionService:
         """
         if self._store is None:
             raise ValidationError("point_token requires an attached result store")
-        return self._store.point_token(
-            key, backend, options=self._backend_options.get(backend, {})
-        )
+        return self._store.point_token(key, backend, options=self._backend_options.get(backend, {}))
 
     def stats(self) -> ServiceStats:
         """Snapshot of cache / evaluation / batch / resilience counters."""
@@ -366,25 +360,9 @@ class PredictionService:
         # collect the breaker list under the service lock but sum the trips
         # outside it so the two lock families never nest.
         with self._lock:
+            counts = dict(self._counts)
             breakers = list(self._breakers.values())
-        breaker_trips = sum(b.snapshot().trips for b in breakers)
-        with self._lock:
-            return ServiceStats(
-                memory_hits=self._memory_hits,
-                store_hits=self._store_hits,
-                evaluations=self._evaluations,
-                coalesced=self._coalesced,
-                batch_calls=self._batch_calls,
-                batch_points=self._batch_points,
-                retries=self._retries,
-                failures=self._failures,
-                declined=self._declined,
-                timeouts=self._timeouts,
-                batch_fallbacks=self._batch_fallbacks,
-                pool_rebuilds=self._pool_rebuilds,
-                pool_fallbacks=self._pool_fallbacks,
-                breaker_trips=breaker_trips,
-            )
+        return ServiceStats(**counts, breaker_trips=sum(b.snapshot().trips for b in breakers))
 
     def breakers(self) -> dict[str, BreakerSnapshot]:
         """Per-backend circuit-breaker snapshots (empty without a policy)."""
@@ -392,15 +370,9 @@ class PredictionService:
             named = dict(self._breakers)
         return {name: breaker.snapshot() for name, breaker in named.items()}
 
-    def cache_size(self) -> int:
-        """Number of memoised (scenario, backend) evaluations."""
+    def _count(self, counter: str, amount: int = 1) -> None:
         with self._lock:
-            return len(self._cache)
-
-    def clear_cache(self) -> None:
-        """Drop all memoised evaluations (the persistent store is untouched)."""
-        with self._lock:
-            self._cache.clear()
+            self._counts[counter] += amount
 
     # -- evaluation -----------------------------------------------------------
 
@@ -414,40 +386,15 @@ class PredictionService:
                 self._backends[name] = backend
             return backend
 
-    def _lookup(self, key: tuple[str, str]) -> PredictionResult | None:
-        """Memory cache, then persistent store; updates the hit counters."""
-        if self._cache_enabled:
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    self._memory_hits += 1
-                    return cached
-        if self._store is not None:
-            stored = self._store.get(
-                key[0], key[1], options=self._backend_options.get(key[1], {})
-            )
-            if stored is not None:
-                with self._lock:
-                    self._store_hits += 1
-                    if self._cache_enabled:
-                        self._cache[key] = stored
-                return stored
-        return None
-
     def _record_evaluation(self, key: tuple[str, str], result: PredictionResult) -> None:
         """Count one real evaluation and publish it to cache and store."""
         with self._lock:
-            self._evaluations += 1
+            self._counts["evaluations"] += 1
             if self._cache_enabled:
                 self._cache[key] = result
         if self._store is not None:
             try:
-                self._store.put(
-                    key[0],
-                    key[1],
-                    result,
-                    options=self._backend_options.get(key[1], {}),
-                )
+                self._store.put(*key, result, options=self._backend_options.get(key[1], {}))
             except StoreError as exc:
                 # An unwritable store degrades to in-memory caching rather
                 # than killing a long sweep halfway through.
@@ -465,9 +412,7 @@ class PredictionService:
 
     def _resolve_retry(self, retry: "RetryPolicy | int | None") -> RetryPolicy:
         """Per-call retry override; ``None`` keeps the service's policy."""
-        if retry is None:
-            return self._retry
-        return RetryPolicy.resolve(retry)
+        return self._retry if retry is None else RetryPolicy.resolve(retry)
 
     def _resolve_timeout(self, timeout: float | None) -> float | None:
         """Per-call deadline override; ``None`` keeps the service's deadline."""
@@ -493,9 +438,9 @@ class PredictionService:
         only — the serving layer maps per-request resilience selections onto
         these knobs.
         """
-        return self._evaluate_guarded(
-            scenario, backend, None, "raise", retry=retry, timeout=timeout
-        )
+        point = (scenario.cache_key(), backend)
+        results = self._evaluate_points({point: scenario}, "raise", retry=retry, timeout=timeout)
+        return results[point]
 
     def evaluate_point(
         self,
@@ -514,43 +459,43 @@ class PredictionService:
         :class:`~repro.api.results.FailedResult`.  This is the unit of work
         the streaming sweep path and the serving layer dispatch.
         """
+        point = (scenario.cache_key(), backend)
         mode = self._resolve_on_error(on_error)
-        return self._evaluate_guarded(
-            scenario, backend, None, mode, retry=retry, timeout=timeout
-        )
+        results = self._evaluate_points({point: scenario}, mode, retry=retry, timeout=timeout)
+        return results.get(point)
 
     def _evaluate_resilient(
         self,
+        point: tuple[str, str],
         scenario: Scenario,
-        backend: str,
         holder: "_ProcessPoolState | None",
         info: dict,
         retry: "RetryPolicy | int | None",
         timeout: float | None,
     ) -> PredictionResult:
-        """Lookup, join an identical in-flight evaluation, or attempt.
+        """Join an identical in-flight evaluation, or own and attempt it.
 
         Concurrent calls for one (cache key, backend) point coalesce: the
         first caller evaluates under the retry policy and circuit breaker,
         later callers block until that outcome is published and share it
         (success *and* failure — a joiner re-raises the owner's terminal
-        error rather than hammering a failing backend again).  ``info``
-        receives the attempt count, so the caller can attribute
-        a terminal failure without re-deriving it.
+        error rather than hammering a failing backend again).  The
+        registration re-reads the memory cache under the same lock, so a
+        point another thread finished since the probe is a memory hit, not
+        a second evaluation.  ``info`` receives the attempt count, so the
+        caller can attribute a terminal failure without re-deriving it.
         """
-        key = (scenario.cache_key(), backend)
-        cached = self._lookup(key)
-        if cached is not None:
-            return cached
-        owner = False
         with self._lock:
-            entry = self._inflight.get(key)
-            if entry is None:
-                entry = _InflightEvaluation()
-                self._inflight[key] = entry
-                owner = True
+            cached = self._cache.get(point)
+            if cached is not None:
+                self._counts["memory_hits"] += 1
+                return cached
+            entry = self._inflight.get(point)
+            owner = entry is None
+            if owner:
+                entry = self._inflight[point] = _InflightEvaluation()
             else:
-                self._coalesced += 1
+                self._counts["coalesced"] += 1
         if not owner:
             entry.event.wait()
             info["attempts"] = 0  # the joiner itself attempted nothing
@@ -558,7 +503,7 @@ class PredictionService:
                 raise entry.error
             return entry.result
         try:
-            result = self._run_attempts(scenario, backend, holder, info, retry, timeout)
+            result = self._run_attempts(point, scenario, holder, info, retry, timeout)
         except BaseException as exc:
             entry.error = exc
             raise
@@ -567,20 +512,20 @@ class PredictionService:
             return result
         finally:
             with self._lock:
-                self._inflight.pop(key, None)
+                self._inflight.pop(point, None)
             entry.event.set()
 
     def _run_attempts(
         self,
+        point: tuple[str, str],
         scenario: Scenario,
-        backend: str,
         holder: "_ProcessPoolState | None",
         info: dict,
         retry: "RetryPolicy | int | None",
         timeout: float | None,
     ) -> PredictionResult:
         """The retry/breaker attempt loop for one owned evaluation."""
-        key = (scenario.cache_key(), backend)
+        backend = point[1]
         policy = self._resolve_retry(retry)
         deadline = self._resolve_timeout(timeout)
         breaker = self._breaker_for(backend)
@@ -596,9 +541,8 @@ class PredictionService:
                 if breaker is not None and not isinstance(exc, CircuitOpenError):
                     breaker.record_failure()
                 if attempt < policy.max_attempts and policy.is_retryable(exc):
-                    with self._lock:
-                        self._retries += 1
-                    delay = policy.delay(attempt, key=key[0])
+                    self._count("retries")
+                    delay = policy.delay(attempt, key=point[0])
                     logger.warning(
                         "attempt %d/%d for backend %s failed (%s); retrying in %.3fs",
                         attempt,
@@ -610,12 +554,11 @@ class PredictionService:
                     if delay > 0:
                         time.sleep(delay)
                     continue
-                with self._lock:
-                    self._failures += 1
+                self._count("failures")
                 raise
             if breaker is not None:
                 breaker.record_success()
-            self._record_evaluation(key, result)
+            self._record_evaluation(point, result)
             return result
 
     def _attempt(
@@ -649,8 +592,7 @@ class PredictionService:
         if deadline is not None:
             elapsed = time.monotonic() - started
             if elapsed > deadline:
-                with self._lock:
-                    self._timeouts += 1
+                self._count("timeouts")
                 raise EvaluationTimeoutError(
                     f"evaluation of backend {backend!r} took {elapsed:.3f}s, "
                     f"over the {deadline}s deadline"
@@ -694,8 +636,7 @@ class PredictionService:
                 if deadline is None:
                     raise  # a worker-raised timeout, not our deadline
                 future.cancel()
-                with self._lock:
-                    self._timeouts += 1
+                self._count("timeouts")
                 raise EvaluationTimeoutError(
                     f"evaluation of backend {backend!r} exceeded the "
                     f"{deadline}s deadline"
@@ -731,11 +672,8 @@ class PredictionService:
                 pool.shutdown(wait=False, cancel_futures=True)
             if holder.rebuilds < 1:
                 holder.rebuilds += 1
-                with self._lock:
-                    self._pool_rebuilds += 1
-                logger.warning(
-                    "process pool crashed (%s); rebuilding it once", exc
-                )
+                self._count("pool_rebuilds")
+                logger.warning("process pool crashed (%s); rebuilding it once", exc)
                 holder.pool = self._build_process_pool()
                 if holder.pool is None:
                     self._note_pool_fallback(
@@ -750,46 +688,40 @@ class PredictionService:
     def _note_pool_fallback(self, reason: str) -> None:
         """Count (and warn once per service, on stderr) a pool→thread fallback."""
         with self._lock:
-            self._pool_fallbacks += 1
+            self._counts["pool_fallbacks"] += 1
             already_warned = self._pool_fallback_warned
             self._pool_fallback_warned = True
         logger.warning("%s; degrading to thread execution", reason)
         if not already_warned:
-            print(
-                f"repro: {reason}; degrading to thread execution",
-                file=sys.stderr,
-            )
+            print(f"repro: {reason}; degrading to thread execution", file=sys.stderr)
 
     def _evaluate_guarded(
         self,
+        point: tuple[str, str],
         scenario: Scenario,
-        backend: str,
         holder: "_ProcessPoolState | None",
         on_error: str,
-        retry: "RetryPolicy | int | None" = None,
-        timeout: float | None = None,
+        retry: "RetryPolicy | int | None",
+        timeout: float | None,
     ) -> PredictionResult | FailedResult | None:
-        """One point under the ``on_error`` contract; ``None`` means skipped."""
-        reason = backend_declines(backend, scenario)
-        if reason is not None:
-            return self._decline(scenario, backend, reason, on_error)
+        """Evaluate one point under the ``on_error`` contract; ``None`` means skipped."""
         info: dict = {"attempts": 0}
         try:
-            return self._evaluate_resilient(scenario, backend, holder, info, retry, timeout)
+            return self._evaluate_resilient(point, scenario, holder, info, retry, timeout)
         except Exception as exc:
             if on_error == "raise":
                 raise
             logger.warning(
                 "point (%s, %s) failed terminally after %d attempt(s): %s",
                 scenario.describe(),
-                backend,
+                point[1],
                 info["attempts"],
                 exc,
             )
             if on_error == "skip":
                 return None
             return FailedResult(
-                backend=backend,
+                backend=point[1],
                 scenario=scenario,
                 error_type=type(exc).__name__,
                 error=str(exc),
@@ -800,8 +732,7 @@ class PredictionService:
         self, scenario: Scenario, backend: str, reason: str, on_error: str
     ) -> FailedResult | None:
         """A declined point under ``on_error``: no retry, breaker call or log."""
-        with self._lock:
-            self._declined += 1
+        self._count("declined")
         if on_error == "raise":
             raise BackendCapabilityError(reason)
         if on_error == "skip":
@@ -817,7 +748,7 @@ class PredictionService:
         names = list(backends) if backends is not None else self.backends()
         key = scenario.cache_key()
         with ScenarioResolver.dispatch():
-            results = self._evaluate_unique({(key, name): scenario for name in names})
+            results = self._evaluate_points({(key, name): scenario for name in names})
         return {name: results[(key, name)] for name in names}
 
     def _resolve_on_error(self, on_error: str | None) -> str:
@@ -882,9 +813,11 @@ class PredictionService:
             # Duplicate grid cells share one evaluation — the suite-level
             # face of the same coalescing the in-flight registry provides
             # across concurrent calls, and counted under the same counter.
-            with self._lock:
-                self._coalesced += duplicates
-        results = self._evaluate_points(unique, mode, tokens, unanswered)
+            self._count("coalesced", duplicates)
+        # One resolver for the whole dispatch: the batch paths and every
+        # scalar task (threads included) share its views and MVA trajectories.
+        with ScenarioResolver.dispatch():
+            results = self._evaluate_points(unique, mode, tokens, unanswered)
         rows = tuple(
             {
                 name: results[(keys[index], name)]
@@ -912,25 +845,46 @@ class PredictionService:
         second disk read for them; the store tokens of the probed points
         are recorded in ``tokens`` for that evaluation to reuse.
         """
-        sources: dict[tuple[str, str], str] = {}
+        memory, stored = self._probe(points, tokens)
+        return {**dict.fromkeys(memory, "memory"), **dict.fromkeys(stored, "store")}
+
+    def _probe(
+        self,
+        points: Collection[tuple[str, str]],
+        tokens: TokenMemo | None,
+        unanswered: Collection[tuple[str, str]] = (),
+        counted: bool = False,
+    ) -> tuple[dict[tuple[str, str], PredictionResult], dict[tuple[str, str], PredictionResult]]:
+        """One memory pass, then one bulk store probe: ``(memory hits, store hits)``.
+
+        Points in ``unanswered`` skip the store (a probe just missed them).
+        A ``counted`` probe (the partition's) counts its hits and caches
+        what the store answered; :meth:`probe_points`' only looks.
+        """
+        memory: dict[tuple[str, str], PredictionResult] = {}
         misses: list[tuple[str, str]] = []
         with self._lock:
             for point in points:
-                if self._cache_enabled and point in self._cache:
-                    sources[point] = "memory"
-                else:
+                hit = self._cache.get(point)  # empty when caching is off
+                if hit is None:
                     misses.append(point)
-        if self._store is not None and misses:
-            stored = self._store.get_many(
-                [
-                    (key, backend, self._backend_options.get(backend, {}))
-                    for key, backend in misses
-                ],
-                tokens,
-            )
-            for point in stored:
-                sources[point] = "store"
-        return sources
+                else:
+                    memory[point] = hit
+            if counted:
+                self._counts["memory_hits"] += len(memory)
+        probe = [point for point in misses if point not in unanswered]
+        if self._store is None or not probe:
+            return memory, {}
+        stored = self._store.get_many(
+            [(key, backend, self._backend_options.get(backend, {})) for key, backend in probe],
+            tokens,
+        )
+        if counted and stored:
+            with self._lock:
+                self._counts["store_hits"] += len(stored)
+                if self._cache_enabled:
+                    self._cache.update(stored)
+        return memory, stored
 
     def _evaluate_points(
         self,
@@ -938,13 +892,17 @@ class PredictionService:
         on_error: str = "raise",
         tokens: TokenMemo | None = None,
         unanswered: Collection[tuple[str, str]] = (),
-    ) -> dict[tuple[str, str], PredictionResult]:
-        """Partition unique points into declines / hits / batch groups / scalar tasks.
+        retry: "RetryPolicy | int | None" = None,
+        timeout: float | None = None,
+    ) -> dict[tuple[str, str], PredictionResult | FailedResult]:
+        """Settle unique points: declined, memory hit, store hit, batch or scalar task.
 
-        Points in ``unanswered`` skip the store probe (a probe just missed them).
+        Every entry point comes through here, so each point is checked
+        against ``declines`` and probed once.  A point absent from the
+        result was skipped under ``on_error="skip"``.
         """
         tokens = {} if tokens is None else tokens  # shared by the probe and the write
-        results: dict[tuple[str, str], PredictionResult] = {}
+        results: dict[tuple[str, str], PredictionResult | FailedResult] = {}
         accepted: dict[tuple[str, str], Scenario] = {}
         for point, scenario in unique.items():
             reason = backend_declines(point[1], scenario)
@@ -952,73 +910,50 @@ class PredictionService:
                 accepted[point] = scenario
             elif declined := self._decline(scenario, point[1], reason, on_error):
                 results[point] = declined
-        misses: dict[tuple[str, str], Scenario] = {}
-        with self._lock:
-            for point, scenario in accepted.items():
-                hit = self._cache.get(point) if self._cache_enabled else None
-                if hit is not None:
-                    self._memory_hits += 1
-                    results[point] = hit
-                else:
-                    misses[point] = scenario
-        probe = [point for point in misses if point not in unanswered]
-        if self._store is not None and probe:
-            stored = self._store.get_many(
-                [(key, backend, self._backend_options.get(backend, {})) for key, backend in probe],
-                tokens,
-            )
-            if stored:
-                with self._lock:
-                    for point, result in stored.items():
-                        self._store_hits += 1
-                        if self._cache_enabled:
-                            self._cache[point] = result
-                        results[point] = result
-                for point in stored:
-                    misses.pop(point)
+        memory, stored = self._probe(accepted, tokens, unanswered, counted=True)
+        results.update(memory)
+        results.update(stored)
         batch_groups: dict[str, list[tuple[tuple[str, str], Scenario]]] = {}
         scalar: dict[tuple[str, str], Scenario] = {}
-        for point, scenario in misses.items():
+        for point, scenario in accepted.items():
+            if point in results:
+                continue
             if backend_supports_batch(point[1]):
                 batch_groups.setdefault(point[1], []).append((point, scenario))
             else:
                 scalar[point] = scenario
-        # One resolver for the whole dispatch: the batch paths and every
-        # scalar task (threads included) share its views and MVA trajectories.
-        with ScenarioResolver.dispatch():
-            for backend in sorted(batch_groups):
-                group = batch_groups[backend]
-                if len(group) < 2:
-                    # A lone scenario gains nothing from batching; keep it on the
-                    # per-scenario path (which also honours instance-level
-                    # ``predict`` monkeypatching in tests).
-                    scalar.update(group)
-                    continue
-                try:
-                    batch_results = self._backend(backend).predict_batch(
-                        [scenario for _, scenario in group]
-                    )
-                except Exception as exc:  # first rung of the degradation ladder
-                    # The scalar path retries per point and records each result
-                    # as it completes, so a batch that crashes mid-flight cannot
-                    # lose the points that would have succeeded.
-                    with self._lock:
-                        self._batch_fallbacks += 1
-                    logger.warning(
-                        "batch dispatch of %d %s points failed (%s); "
-                        "falling back to the per-scenario path",
-                        len(group),
-                        backend,
-                        exc,
-                    )
-                    scalar.update(group)
-                    continue
-                # A wrong result count is a malformed backend, not a transient
-                # fault: _record_batch raises it through (no scalar fallback,
-                # which would only mask the bug).
-                results.update(self._record_batch(backend, group, batch_results, tokens))
-            if scalar:
-                results.update(self._evaluate_unique(scalar, on_error))
+        for backend in sorted(batch_groups):
+            group = batch_groups[backend]
+            if len(group) < 2:
+                # A lone scenario gains nothing from batching; keep it on the
+                # per-scenario path (which also honours instance-level
+                # ``predict`` monkeypatching in tests).
+                scalar.update(group)
+                continue
+            try:
+                batch_results = self._backend(backend).predict_batch(
+                    [scenario for _, scenario in group]
+                )
+            except Exception as exc:  # first rung of the degradation ladder
+                # The scalar path retries per point and records each result
+                # as it completes, so a batch that crashes mid-flight cannot
+                # lose the points that would have succeeded.
+                self._count("batch_fallbacks")
+                logger.warning(
+                    "batch dispatch of %d %s points failed (%s); "
+                    "falling back to the per-scenario path",
+                    len(group),
+                    backend,
+                    exc,
+                )
+                scalar.update(group)
+                continue
+            # A wrong result count is a malformed backend, not a transient
+            # fault: _record_batch raises it through (no scalar fallback,
+            # which would only mask the bug).
+            results.update(self._record_batch(backend, group, batch_results, tokens))
+        if scalar:
+            results.update(self._evaluate_unique(scalar, on_error, retry, timeout))
         return results
 
     def _record_batch(
@@ -1036,9 +971,9 @@ class PredictionService:
             )
         results = {point: result for (point, _), result in zip(group, batch_results)}
         with self._lock:
-            self._batch_calls += 1
-            self._batch_points += len(group)
-            self._evaluations += len(group)
+            self._counts["batch_calls"] += 1
+            self._counts["batch_points"] += len(group)
+            self._counts["evaluations"] += len(group)
             if self._cache_enabled:
                 self._cache.update(results)
         if self._store is not None:
@@ -1064,66 +999,62 @@ class PredictionService:
     # -- executor layer -------------------------------------------------------
 
     def _evaluate_unique(
-        self, unique: dict[tuple[str, str], Scenario], on_error: str = "raise"
-    ) -> dict[tuple[str, str], PredictionResult]:
-        """Dispatch deduplicated (key, backend) tasks per the execution mode."""
+        self,
+        unique: dict[tuple[str, str], Scenario],
+        on_error: str,
+        retry: "RetryPolicy | int | None",
+        timeout: float | None,
+    ) -> dict[tuple[str, str], PredictionResult | FailedResult]:
+        """Dispatch deduplicated (key, backend) tasks per the execution mode.
+
+        Off the serial path, tasks fan out over a thread pool, and CPU-bound
+        ones hop to a process pool in process mode.  Every future is drained
+        before any failure propagates: each point that finished was already
+        recorded (cache + store) the moment it completed, so a mid-sweep
+        failure under ``on_error="raise"`` loses only the failing point and
+        a store-backed re-run resumes from the rest.
+        """
+        results: dict[tuple[str, str], PredictionResult | FailedResult] = {}
         if self._execution == "serial" or len(unique) <= 1:
-            results: dict[tuple[str, str], PredictionResult] = {}
-            for key, scenario in unique.items():
-                outcome = self._evaluate_guarded(scenario, key[1], None, on_error)
+            for point, scenario in unique.items():
+                outcome = self._evaluate_guarded(point, scenario, None, on_error, retry, timeout)
                 if outcome is not None:
-                    results[key] = outcome
+                    results[point] = outcome
             return results
         holder: _ProcessPoolState | None = None
         if self._execution == "process":
             holder = _ProcessPoolState(self._make_process_pool())
-            if holder.pool is None:
-                holder = None
+        max_workers = self._max_workers or min(len(unique), (os.cpu_count() or 2))
+        first_error: BaseException | None = None
         try:
-            return self._evaluate_threaded(unique, holder, on_error)
+            with ThreadPoolExecutor(max_workers=max(1, max_workers)) as executor:
+                # Each task runs in a copy of this context, so it reads the
+                # dispatch's ScenarioResolver.
+                futures = {
+                    point: executor.submit(
+                        contextvars.copy_context().run,
+                        self._evaluate_guarded,
+                        point,
+                        scenario,
+                        holder,
+                        on_error,
+                        retry,
+                        timeout,
+                    )
+                    for point, scenario in unique.items()
+                }
+                for point, future in futures.items():
+                    try:
+                        outcome = future.result()
+                    except BaseException as exc:  # noqa: BLE001 — re-raised below
+                        if first_error is None:
+                            first_error = exc
+                        continue
+                    if outcome is not None:
+                        results[point] = outcome
         finally:
             if holder is not None and holder.pool is not None:
                 holder.pool.shutdown()
-
-    def _evaluate_threaded(
-        self,
-        unique: dict[tuple[str, str], Scenario],
-        holder: "_ProcessPoolState | None" = None,
-        on_error: str = "raise",
-    ) -> dict[tuple[str, str], PredictionResult]:
-        """Thread-pool fan-out; CPU-bound tasks hop to the process pool if given.
-
-        Every future is drained before any failure propagates: each point
-        that finished was already recorded (cache + store) the moment it
-        completed, so a mid-sweep failure under ``on_error="raise"`` loses
-        only the failing point and a store-backed re-run resumes from the
-        rest.
-        """
-
-        def run(
-            key: tuple[str, str], scenario: Scenario
-        ) -> PredictionResult | FailedResult | None:
-            return self._evaluate_guarded(scenario, key[1], holder, on_error)
-
-        max_workers = self._max_workers or min(len(unique), (os.cpu_count() or 2))
-        results: dict[tuple[str, str], PredictionResult] = {}
-        first_error: BaseException | None = None
-        with ThreadPoolExecutor(max_workers=max(1, max_workers)) as executor:
-            # Each task runs in a copy of this context, so it reads the
-            # dispatch's ScenarioResolver.
-            futures = {
-                key: executor.submit(contextvars.copy_context().run, run, key, scenario)
-                for key, scenario in unique.items()
-            }
-            for key, future in futures.items():
-                try:
-                    outcome = future.result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised below
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                if outcome is not None:
-                    results[key] = outcome
         if first_error is not None:
             raise first_error
         return results

@@ -152,7 +152,7 @@ class BaseResultStore(abc.ABC):
                 f"store path {str(self._path)!r} exists and is not a directory"
             )
         self._lock = threading.Lock()
-        # Populated lazily: get() probes exactly the records it needs, so
+        # Populated lazily: get_many() probes exactly the records it needs, so
         # opening a store stays O(1) however many records it has grown to.
         # refresh() performs the full scan when a complete view is wanted.
         self._index: dict[tuple[str, str, str], PredictionResult] = {}
@@ -199,11 +199,11 @@ class BaseResultStore(abc.ABC):
 
     # -- engine contract -------------------------------------------------------
 
-    @abc.abstractmethod
     def get(
         self, key: str, backend: str, options: dict | None = None
     ) -> "PredictionResult | None":
-        """The stored result of one point, or ``None``."""
+        """The stored result of one point, or ``None`` (a lookup of one)."""
+        return self.get_many([(key, backend, options)]).get((key, backend))
 
     @abc.abstractmethod
     def get_many(
@@ -211,7 +211,12 @@ class BaseResultStore(abc.ABC):
         points: Sequence[tuple[str, str, dict | None]],
         tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], "PredictionResult"]:
-        """Bulk lookup of ``(cache key, backend, options)`` points."""
+        """Bulk lookup of ``(cache key, backend, options)`` points.
+
+        ``options`` are the backend's constructor options: a record is only
+        a hit for the configuration that produced it.  Points without a
+        usable record are absent from the result.
+        """
 
     def put(
         self,

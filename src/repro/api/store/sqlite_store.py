@@ -22,7 +22,7 @@ fatal, at two granularities:
   :class:`~repro.exceptions.StoreError` and leaves the file alone.
 
 Unusable probe outcomes are memoised by the row's ``created`` stamp: a
-stale or corrupt row is decoded once, not on every ``get``, while a peer
+stale or corrupt row is decoded once, not on every probe, while a peer
 overwriting the row (which rewrites ``created``) is still seen at once.
 
 The same file holds the cooperative-sweep ``leases`` table
@@ -287,36 +287,6 @@ class SqliteResultStore(BaseResultStore):
 
     # -- lookup ---------------------------------------------------------------
 
-    def get(
-        self, key: str, backend: str, options: dict | None = None
-    ) -> PredictionResult | None:
-        """The stored result of one point, or ``None``.
-
-        ``options`` are the backend's constructor options: a record is only a
-        hit for the configuration that produced it.  A miss probes the
-        database before giving up, so rows committed by a concurrent process
-        are picked up without an explicit :meth:`refresh`.
-        """
-        options_key = _canonical_options(options)
-        index_key = (key, backend, options_key)
-        token = point_token(key, backend, options_key)
-        with self._lock:
-            hit = self._index.get(index_key)
-            if hit is not None:
-                return hit
-            row = self._fetch_one(token)
-            if row is None:
-                return None
-            if self._stale_rows.get(token) == row[8]:
-                return None  # unchanged since it was last found unusable
-            loaded = self._load_row(row, StoreStats())
-            if loaded is None or loaded[:3] != index_key:
-                self._stale_rows[token] = row[8]
-                return None
-            self._stale_rows.pop(token, None)
-            self._index[index_key] = loaded[3]
-            return loaded[3]
-
     def get_many(
         self,
         points: Sequence[tuple[str, str, dict | None]],
@@ -324,8 +294,11 @@ class SqliteResultStore(BaseResultStore):
     ) -> dict[tuple[str, str], PredictionResult]:
         """Bulk lookup; misses are resolved with batched indexed ``SELECT``\\ s.
 
-        ``tokens`` (see :data:`~repro.api.store.base.TokenMemo`) supplies
-        known point tokens and records the ones computed here.
+        A point missing from the index is looked up in the database before
+        it counts as a miss, so rows committed by a concurrent process are
+        picked up without an explicit :meth:`refresh`.  ``tokens`` (see
+        :data:`~repro.api.store.base.TokenMemo`) supplies known point tokens
+        and records the ones computed here.
         """
         found: dict[tuple[str, str], PredictionResult] = {}
         tokens = {} if tokens is None else tokens
@@ -576,9 +549,6 @@ class SqliteResultStore(BaseResultStore):
                     return conn.execute(sql, params).rowcount
             except sqlite3.Error as exc:
                 raise self._unavailable(exc) from exc
-
-    def _fetch_one(self, token: str) -> tuple | None:
-        return self._execute(f"{_SELECT} WHERE token = ?", (token,)).fetchone()
 
     def _quarantine_row(self, row: tuple, reason: str) -> Path | None:
         """Preserve a corrupt row as a JSON file under ``.quarantine/``."""

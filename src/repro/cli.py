@@ -92,6 +92,7 @@ from .api.dashboard import (
     run_dashboard,
     write_artifacts,
 )
+from .api.service import DEFAULT_EXECUTION
 from .config import FailureSpec
 from .core.estimators import EstimatorKind
 from .exceptions import BackendCapabilityError, ReproError, ValidationError
@@ -221,7 +222,7 @@ def _add_service_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--execution",
-        default="thread",
+        default=DEFAULT_EXECUTION,
         choices=EXECUTION_MODES,
         help="suite fan-out strategy (process sidesteps the GIL for the simulator)",
     )

@@ -320,13 +320,3 @@ class JobConfig:
     def split_size_bytes(self) -> int:
         """Size of a full input split (== block size)."""
         return self.block_size_bytes
-
-    @property
-    def last_split_size_bytes(self) -> int:
-        """Size of the final (possibly short) input split."""
-        remainder = self.input_size_bytes % self.block_size_bytes
-        return remainder if remainder else self.block_size_bytes
-
-    def with_submission_time(self, submission_time: float) -> "JobConfig":
-        """Return a copy with a different submission time."""
-        return replace(self, submission_time=submission_time)

@@ -34,11 +34,6 @@ class ComplexityReport:
         """Timeline operations across all iterations."""
         return self.timeline_operations_per_iteration * self.iterations
 
-    @property
-    def total_operations(self) -> int:
-        """Total operation count of the whole solution."""
-        return self.mva_operations + self.timeline_operations
-
 
 def timeline_task_count(model_input: ModelInput) -> int:
     """The ``C = m + r(m+1)`` task count of the timeline cost formula.

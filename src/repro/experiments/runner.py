@@ -11,15 +11,13 @@ size, and the number of concurrent jobs.  Each point is a
 2. ``mva-forkjoin`` and ``mva-tripathi`` — the analytic model variants built
    from the same workload;
 
-and we record the relative errors of both estimates.  Series evaluation fans
-the sweep points out over the service's thread pool, and the keyed result
-cache makes repeated figure runs (and overlapping sweeps) free.
+and we record the relative errors of both estimates.  Series evaluation runs
+the sweep points through the :class:`~repro.api.SweepScheduler`, and the
+keyed result cache makes repeated figure runs (and overlapping sweeps) free.
 """
 
 from __future__ import annotations
 
-import logging
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..analysis.errors import relative_error
@@ -29,15 +27,13 @@ from ..api import (
     PredictionService,
     Scenario,
     ScenarioSuite,
-    SweepOutcome,
     SweepScheduler,
 )
+from ..api.service import DEFAULT_EXECUTION
 from ..config import ClusterConfig, SchedulerConfig
 from ..core.estimators import EstimatorKind
 from ..exceptions import ExperimentError
 from ..workloads.generators import WorkloadSpec
-
-logger = logging.getLogger(__name__)
 
 #: Number of simulator repetitions per point (the paper uses 5).
 DEFAULT_REPETITIONS = 3
@@ -68,7 +64,7 @@ def _resolve_service(
     return PredictionService(
         backends=list(POINT_BACKENDS),
         store=store,
-        execution=execution or "thread",
+        execution=execution or DEFAULT_EXECUTION,
     )
 
 
@@ -198,32 +194,6 @@ def run_experiment_point(
     return _point_from_results(scenario, results)
 
 
-def run_suite_grid(
-    suite: ScenarioSuite,
-    backends: Sequence[str],
-    service: PredictionService | None = None,
-    store: BaseResultStore | str | None = None,
-    execution: str | None = None,
-    on_error: str | None = None,
-) -> SweepOutcome:
-    """Schedule one ``suite × backends`` grid through the sweep scheduler.
-
-    This is the single grid-execution path shared by the figure series and
-    the accuracy dashboard: with a store-backed service, completed points
-    replay from disk and only the missing remainder is evaluated (the plan
-    is logged at debug level).  ``on_error`` forwards the sweep's
-    partial-results contract (``"raise"`` / ``"skip"`` / ``"record"``;
-    ``None`` keeps the service's configured mode).
-    """
-    if service is None:
-        service = PredictionService(
-            backends=list(backends), store=store, execution=execution or "thread"
-        )
-    outcome = SweepScheduler(service).run(suite, backends, on_error=on_error)
-    logger.debug("%s", outcome.plan.describe())
-    return outcome
-
-
 def run_suite_series(
     suite: ScenarioSuite,
     x_label: str,
@@ -235,11 +205,8 @@ def run_suite_series(
     """Evaluate a scenario suite (aligned with ``x_values``) into a series."""
     if len(suite.scenarios) != len(x_values):
         raise ExperimentError("suite and x_values must align")
-    outcome = run_suite_grid(
-        suite,
-        POINT_BACKENDS,
-        service=_resolve_service(service, store=store, execution=execution),
-    )
+    service = _resolve_service(service, store=store, execution=execution)
+    outcome = SweepScheduler(service).run(suite, POINT_BACKENDS)
     series = ExperimentSeries(x_label=x_label, x_values=list(x_values))
     for scenario, row in zip(suite.scenarios, outcome.result.rows):
         series.points.append(_point_from_results(scenario, row))

@@ -111,18 +111,3 @@ class Cluster:
             return self.nodes[node_id]
         except IndexError as exc:
             raise ConfigurationError(f"unknown node id {node_id}") from exc
-
-    def least_occupied_node(self, fit: Resource | None = None) -> Node | None:
-        """Node with the lowest occupancy rate (ties: lowest id).
-
-        When ``fit`` is given, only nodes that can currently host a container
-        of that size are considered; ``None`` is returned when no node fits.
-        """
-        candidates = [
-            node
-            for node in self.nodes
-            if node.alive and (fit is None or node.can_fit(fit))
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda node: (node.occupancy_rate, node.node_id))

@@ -188,10 +188,6 @@ class ExecutionEngine:
         if entry is not None:
             self._retire(entry, killed=True)
 
-    def has_work(self) -> bool:
-        """Whether any attempt is currently executing."""
-        return bool(self._active)
-
     def _enter(self, entry: _ActiveTask) -> None:
         """File ``entry`` under its current stage: a rate class or the shuffles."""
         if entry.is_reduce_network:
@@ -253,7 +249,7 @@ class ExecutionEngine:
                 continue
             entry.checked_version = version
             entry.checked_remaining = remaining
-            stalled = is_stalled_stage(entry.attempt, entry.stage)
+            stalled = is_stalled_stage(entry.job, entry.attempt, entry.stage)
             if stalled != entry.stalled:
                 entry.stalled = stalled
                 if stalled:
@@ -358,7 +354,7 @@ class ExecutionEngine:
             if rate <= 0:
                 continue
             stage = entry.stage
-            remaining = min(stage.remaining, processable(entry.attempt, stage))
+            remaining = min(stage.remaining, processable(entry.job, entry.attempt, stage))
             if remaining <= _EPSILON:
                 continue
             step = remaining / rate

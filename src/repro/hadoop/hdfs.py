@@ -131,17 +131,3 @@ class HdfsNamespace:
     def blocks(self) -> list[Block]:
         """All blocks placed so far."""
         return list(self._blocks)
-
-    def local_fraction_possible(self, splits: list[InputSplit]) -> float:
-        """Upper bound on the fraction of splits that can be read locally.
-
-        Every split with at least one replica inside the cluster can in
-        principle be scheduled locally, so for a healthy namespace this is
-        1.0; the method exists so tests can check placement sanity.
-        """
-        if not splits:
-            return 1.0
-        local = sum(
-            1 for split in splits if any(0 <= n < len(self.cluster) for n in split.preferred_nodes)
-        )
-        return local / len(splits)

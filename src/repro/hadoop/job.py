@@ -273,14 +273,6 @@ class MapReduceJob:
             raise SimulationError(f"job {self.job_id} has not finished yet")
         return self.finished_at - self.submitted_at
 
-    def shuffle_available_bytes_per_reduce(self) -> float:
-        """Intermediate bytes currently available for each reducer to fetch.
-
-        Grows as map tasks complete; equals :attr:`reduce_input_bytes` once
-        all maps are done.  This drives the pipelined shuffle in the engine.
-        """
-        return self._completed_output_total / self.num_reduces
-
     def shuffle_remote_available_bytes(self, reduce_node: int | None) -> float:
         """Remote intermediate bytes currently fetchable by a reducer on ``reduce_node``.
 

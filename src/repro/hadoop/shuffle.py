@@ -44,29 +44,30 @@ class ShuffleTracker:
             return False
         if task.task_type is not TaskType.REDUCE:
             return False
-        return self.is_stalled_stage(task, stage)
+        return self.is_stalled_stage(self.job_for(task), task, stage)
 
-    def is_stalled_stage(self, task: TaskAttempt, stage: WorkStage) -> bool:
-        """O(1) stall check for a reduce whose *current* stage is ``stage`` (network).
+    def is_stalled_stage(self, job: MapReduceJob, task: TaskAttempt, stage: WorkStage) -> bool:
+        """O(1) stall check for a reduce of ``job`` whose current (network) stage is ``stage``.
 
-        The execution engine caches the current network stage per running
-        reducer, so this avoids the stage rescan of :meth:`is_stalled`.
+        The execution engine caches each running reducer's job and current
+        network stage, so this avoids the job lookup and stage rescan of
+        :meth:`is_stalled`.
         """
-        job = self.job_for(task)
         if job.all_maps_completed():
             return False
         processed = stage.amount - stage.remaining
         cap = min(float(stage.amount), job.shuffle_remote_available_bytes(task.assigned_node))
         return cap - processed <= self._STALL_THRESHOLD_BYTES
 
-    def processable_bytes_stage(self, task: TaskAttempt, stage: WorkStage) -> float:
+    def processable_bytes_stage(
+        self, job: MapReduceJob, task: TaskAttempt, stage: WorkStage
+    ) -> float:
         """Bytes the current network ``stage`` can still process before stalling.
 
-        Before all maps of the job finish, the reducer may only have fetched
+        Before all maps of ``job`` finish, the reducer may only have fetched
         the remote portion of the map output already produced; afterwards the
         cap is the stage's full planned network work.
         """
-        job = self.job_for(task)
         all_done = job.all_maps_completed()
         processed = stage.amount - stage.remaining
         if all_done:

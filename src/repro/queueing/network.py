@@ -179,8 +179,3 @@ class NetworkSolution:
     def throughput(self, class_name: str) -> float:
         """Throughput of one class by name."""
         return float(self.throughputs[self.class_names.index(class_name)])
-
-    def total_utilization(self, center_name: str) -> float:
-        """Total utilisation of a center, summed over classes."""
-        col = self.center_names.index(center_name)
-        return float(self.utilizations[:, col].sum())

@@ -22,7 +22,6 @@ floats for one point, and :class:`AriaModel` runs it on floats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -175,14 +174,3 @@ class AriaModel:
                 f"{max_slots} slots"
             )
         return best
-
-    @staticmethod
-    def minimum_slots(num_tasks: int, avg: float, maximum: float, deadline: float) -> int:
-        """Closed-form lower bound on slots needed for one stage.
-
-        From ``(n - 1) * avg / s + max <= D`` it follows that
-        ``s >= (n - 1) * avg / (D - max)``.
-        """
-        if deadline <= maximum:
-            raise ModelError("deadline must exceed the largest task duration")
-        return max(1, math.ceil((num_tasks - 1) * avg / (deadline - maximum)))

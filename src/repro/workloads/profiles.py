@@ -17,7 +17,7 @@ the paper's use of job-history profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..config import ClusterConfig, JobConfig
 from ..core.parameters import ModelInput, TaskClass, TaskClassDemands
@@ -112,10 +112,6 @@ class ApplicationProfile:
     def herodotou_dataflow(self, job_config: JobConfig) -> DataflowStatistics:
         """Herodotou dataflow statistics of one job of this application."""
         return DataflowStatistics.from_job_config(job_config)
-
-    def with_variability(self, duration_cv: float) -> "ApplicationProfile":
-        """Copy of the profile with a different task-duration CV."""
-        return replace(self, duration_cv=duration_cv)
 
 
 #: Fallback plannable knobs for workloads that do not declare their own:

@@ -236,9 +236,7 @@ class TestPredictionService:
         second = service.evaluate(SMALL, "mva-forkjoin")
         assert first is second
         assert len(calls) == 1
-        assert service.cache_size() == 1
-        service.clear_cache()
-        assert service.cache_size() == 0
+        assert service.stats().memory_hits == 1
 
     def test_suite_parallel_matches_sequential(self):
         suite = ScenarioSuite.from_sweep("grid", SMALL, num_nodes=[2, 3, 4])

@@ -261,7 +261,8 @@ class TestServiceBatchDispatch:
         service = PredictionService(backends=["aria"], store=tmp_path / "store")
         suite = ScenarioSuite("grid", GRID.scenarios[:4])
         service.evaluate_suite(suite, ["aria"])
-        assert service.cache_size() == 4
+        service.evaluate_suite(suite, ["aria"])
+        assert service.stats().memory_hits == 4
         warm = PredictionService(backends=["aria"], store=tmp_path / "store")
         warm.evaluate_suite(suite, ["aria"])
         stats = warm.stats()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
-from repro.api import ScenarioSuite, Scenario, backend_names
-from repro.cli import main
+from repro.api import PredictionService, ScenarioSuite, Scenario, backend_names
+from repro.api.service import DEFAULT_EXECUTION
+from repro.cli import build_parser, main
 from repro.units import megabytes
 
 #: Arguments of a small, fast scenario shared by the CLI tests.
@@ -238,6 +240,12 @@ class TestSweep:
             ) == 0
             outputs[mode] = capsys.readouterr().out
         assert outputs["process"] == outputs["thread"]
+
+    def test_execution_default_is_the_service_default(self):
+        default = inspect.signature(PredictionService).parameters["execution"].default
+        assert default == DEFAULT_EXECUTION
+        for argv in (["predict"], ["sweep", "--suite", "suite.json"], ["dashboard"]):
+            assert build_parser().parse_args(argv).execution == DEFAULT_EXECUTION
 
     def test_unknown_execution_mode_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

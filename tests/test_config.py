@@ -112,18 +112,10 @@ class TestJobConfig:
     def test_num_maps_rounds_up(self):
         job = JobConfig(input_size_bytes=megabytes(300), block_size_bytes=megabytes(128))
         assert job.num_maps == 3
-        assert job.last_split_size_bytes == megabytes(300) - 2 * megabytes(128)
 
     def test_exact_multiple_has_full_last_split(self):
         job = JobConfig(input_size_bytes=megabytes(256), block_size_bytes=megabytes(128))
         assert job.num_maps == 2
-        assert job.last_split_size_bytes == megabytes(128)
-
-    def test_with_submission_time(self):
-        job = JobConfig()
-        later = job.with_submission_time(12.5)
-        assert later.submission_time == 12.5
-        assert job.submission_time == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",

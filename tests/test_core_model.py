@@ -258,7 +258,6 @@ class TestComplexity:
         report = estimate_complexity(model_input, iterations=5)
         assert report.iterations == 5
         assert report.timeline_operations == report.timeline_operations_per_iteration * 5
-        assert report.total_operations == report.mva_operations + report.timeline_operations
 
     def test_mva_cost_grows_quadratically_with_jobs(self):
         one = estimate_complexity(make_input(num_jobs=1), iterations=1).mva_operations

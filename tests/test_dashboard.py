@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.analysis.accuracy import compute_accuracy
+from repro.analysis.accuracy import AccuracyReport, BackendAccuracy, compute_accuracy
 from repro.api import PredictionService, Scenario, ScenarioSuite, backend_names
 from repro.api.backends import _REGISTRY
 from repro.api.dashboard import (
@@ -24,7 +24,6 @@ from repro.api.dashboard import (
     baseline_from_report,
     compare_to_baseline,
     dashboard_grid,
-    parse_jsonl,
     paper_grid,
     render_csv,
     render_jsonl,
@@ -37,6 +36,20 @@ from repro.api.results import PredictionResult
 from repro.cli import main
 from repro.exceptions import ValidationError
 from repro.units import megabytes
+
+
+def parse_jsonl(text: str) -> AccuracyReport:
+    """Rebuild a report from :func:`render_jsonl` output."""
+    header, *entries = [json.loads(line) for line in text.splitlines() if line.strip()]
+    assert header["record"] == "report"
+    assert all(entry["record"] == "backend" for entry in entries)
+    return AccuracyReport(
+        grid=header["grid"],
+        baseline=header["baseline"],
+        num_scenarios=header["num_scenarios"],
+        backends=tuple(BackendAccuracy.from_dict(entry) for entry in entries),
+        format_version=header["format"],
+    )
 
 
 def _register_stub(name: str, cls) -> None:
@@ -244,21 +257,6 @@ class TestRenderers:
         assert header["record"] == "report"
         assert header["format"] == report.format_version
         assert parse_jsonl(text) == report
-
-    def test_parse_accepts_prefixed_stdout_lines(self, stub_backends):
-        report = stub_report(stub_backends).report
-        prefixed = "\n".join(
-            f"{ARTIFACT_PREFIX} {line}" for line in render_jsonl(report).splitlines()
-        )
-        assert parse_jsonl(prefixed) == report
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValidationError):
-            parse_jsonl("not json\n")
-        with pytest.raises(ValidationError):
-            parse_jsonl(json.dumps({"record": "mystery"}) + "\n")
-        with pytest.raises(ValidationError):
-            parse_jsonl("")  # no header record
 
     def test_markdown_mentions_every_backend_and_worst_case(self, stub_backends):
         report = stub_report(stub_backends).report

@@ -138,7 +138,7 @@ class TestIncrementalDemandCounts:
             assert engine.demand_snapshot() == engine.recount_demand()
             for entry in engine._network_entries.values():
                 assert entry.stalled == engine.shuffle.is_stalled_stage(
-                    entry.attempt, entry.stage
+                    entry.job, entry.attempt, entry.stage
                 ), entry.attempt.task_id
             assert check_buckets(engine) == 0
             events += 1
@@ -191,6 +191,30 @@ class TestIncrementalDemandCounts:
         assert metrics.task_failures >= 1
         assert marked >= 1
 
+    def test_cached_reducer_job_is_the_owning_job(self):
+        # The stall check reads each reducer's job from the engine's entry
+        # instead of looking it up; with two jobs a wrong job would show.
+        profile = wordcount_profile(duration_cv=0.3)
+        simulator = ClusterSimulator(paper_cluster(4), paper_scheduler(), seed=17)
+        job_config = profile.job_config(gigabytes(2), megabytes(128), 4)
+        for _ in range(2):
+            simulator.submit_job(job_config, profile.simulator_profile())
+        engine = simulator._engine
+        original = engine.time_to_next_completion
+        checked_jobs = set()
+
+        def checked() -> float:
+            horizon = original()
+            for entry in engine._network_entries.values():
+                assert entry.job is engine.shuffle.job_for(entry.attempt)
+                assert entry.stalled == engine.shuffle.is_stalled(entry.attempt)
+                checked_jobs.add(entry.job.job_id)
+            return horizon
+
+        engine.time_to_next_completion = checked  # type: ignore[method-assign]
+        simulator.run()
+        assert len(checked_jobs) == 2
+
 
 class TestActivationOrder:
     def test_simultaneous_completions_follow_activation_order(self):
@@ -227,4 +251,4 @@ class TestActivationOrder:
         assert engine.advance(1.0, 1.0) == []
         assert engine.time_to_next_completion() == 1.0
         assert engine.advance(1.0, 2.0) == [first, second]
-        assert not engine.has_work()
+        assert engine.time_to_next_completion() == float("inf")

@@ -90,19 +90,6 @@ class TestCluster:
         with pytest.raises(ConfigurationError):
             node.allocate(too_big)
 
-    def test_least_occupied_node(self):
-        cluster = Cluster(small_cluster())
-        request = Resource(memory_bytes=1 * GiB, vcores=1)
-        cluster.node(0).allocate(request)
-        chosen = cluster.least_occupied_node()
-        assert chosen is not None
-        assert chosen.node_id != 0
-
-    def test_least_occupied_with_fit_filter(self):
-        cluster = Cluster(small_cluster())
-        huge = Resource(memory_bytes=10**18, vcores=1)
-        assert cluster.least_occupied_node(fit=huge) is None
-
 
 class TestHdfs:
     def test_splits_match_job_config(self):
@@ -125,7 +112,22 @@ class TestHdfs:
         cluster = Cluster(small_cluster())
         hdfs = HdfsNamespace(cluster, seed=3)
         splits = hdfs.splits_for_job(JobConfig(input_size_bytes=gigabytes(1)))
-        assert hdfs.local_fraction_possible(splits) == pytest.approx(1.0)
+        assert all(any(0 <= n < len(cluster) for n in split.preferred_nodes) for split in splits)
+
+    def test_last_split_holds_the_remainder(self):
+        hdfs = HdfsNamespace(Cluster(small_cluster()), seed=3)
+        short = hdfs.splits_for_job(
+            JobConfig(input_size_bytes=megabytes(300), block_size_bytes=megabytes(128))
+        )
+        assert [split.size_bytes for split in short] == [
+            megabytes(128),
+            megabytes(128),
+            megabytes(300) - 2 * megabytes(128),
+        ]
+        exact = hdfs.splits_for_job(
+            JobConfig(input_size_bytes=megabytes(256), block_size_bytes=megabytes(128))
+        )
+        assert [split.size_bytes for split in exact] == [megabytes(128)] * 2
 
     def test_invalid_inputs(self):
         cluster = Cluster(small_cluster())
@@ -323,7 +325,7 @@ class TestMapReduceJobDataflow:
 
     def test_shuffle_availability_grows_with_completed_maps(self):
         job = self.make_job()
-        assert job.shuffle_available_bytes_per_reduce() == 0.0
+        assert job.shuffle_remote_available_bytes(None) == 0.0
         first = job.map_tasks[0]
         first.mark_scheduled(0.0)
         first.mark_assigned(1.0, node_id=0, container_id=1)
@@ -335,7 +337,7 @@ class TestMapReduceJobDataflow:
         first.mark_completed(2.0)
         job.record_map_completion(first)
         expected = job.map_output_bytes(job.splits[0]) / job.num_reduces
-        assert job.shuffle_available_bytes_per_reduce() == pytest.approx(expected)
+        assert job.shuffle_remote_available_bytes(None) == pytest.approx(expected)
         # Remote availability excludes output produced on the reducer's node.
         assert job.shuffle_remote_available_bytes(0) == pytest.approx(0.0)
         assert job.shuffle_remote_available_bytes(1) == pytest.approx(expected)

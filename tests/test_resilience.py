@@ -383,7 +383,9 @@ class TestOnErrorContract:
         with pytest.raises(ValueError):
             service.evaluate_suite(SUITE)
         assert service.stats().evaluations == 3  # the other points landed
-        assert service.cache_size() == 3
+        before = service.stats()
+        service.evaluate_suite(SUITE, on_error="skip")
+        assert service.stats().delta(before).memory_hits == 3
 
 
 class TestBreakerIntegration:

@@ -132,12 +132,6 @@ class TestAria:
         with pytest.raises(ModelError):
             model.slots_for_deadline(1.0, max_slots=8, reduce_slots=4)
 
-    def test_minimum_slots_formula(self):
-        slots = AriaModel.minimum_slots(num_tasks=40, avg=30.0, maximum=45.0, deadline=200.0)
-        assert slots == pytest.approx(-(-((40 - 1) * 30.0) // (200.0 - 45.0)), abs=1)
-        with pytest.raises(ModelError):
-            AriaModel.minimum_slots(10, 5.0, 10.0, 8.0)
-
     def test_profile_validation(self):
         with pytest.raises(ConfigurationError):
             AriaJobProfile(

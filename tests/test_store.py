@@ -182,6 +182,18 @@ class TestStoreContract:
         store = open_store(tmp_path / "store")
         assert store.get(SMALL.cache_key(), "aria") is None
 
+    def test_get_is_get_many_of_one(self, tmp_path):
+        result = create_backend("aria").predict(SMALL)
+        key = SMALL.cache_key()
+        open_store(tmp_path / "store").put(key, "aria", result, {"mode": "a"})
+        store = open_store(tmp_path / "store")  # cold: the lookup reads the database
+        assert store.get(key, "aria", {"mode": "a"}) == result
+        assert store.get_many([(key, "aria", {"mode": "a"})]) == {(key, "aria"): result}
+        # A record is only a hit for the options that produced it.
+        assert store.get(key, "aria", {"mode": "b"}) is None
+        assert store.get_many([(key, "aria", {"mode": "b"})]) == {}
+        assert store.get(key, "herodotou", {"mode": "a"}) is None
+
     def test_store_path_must_be_directory(self, tmp_path):
         bogus = tmp_path / "file"
         bogus.write_text("not a directory")
@@ -401,12 +413,13 @@ class TestServiceWithStore:
         assert rerun.stats().store_hits == 1
 
     def test_store_survives_cache_clear(self, tmp_path):
+        first = PredictionService(backends=["aria"], store=tmp_path / "store")
+        result = first.evaluate(SMALL, "aria")
+        # A fresh service starts with an empty memory cache.
         service = PredictionService(backends=["aria"], store=tmp_path / "store")
-        first = service.evaluate(SMALL, "aria")
-        service.clear_cache()
-        assert service.evaluate(SMALL, "aria") == first
+        assert service.evaluate(SMALL, "aria") == result
         assert service.stats().store_hits == 1
-        assert service.stats().evaluations == 1
+        assert service.stats().evaluations == 0
 
     def test_concurrent_writers_on_one_store_path(self, tmp_path, temporary_backend):
         counting = temporary_backend("counting-stub", _counting_backend_class())
