@@ -19,9 +19,10 @@ backend missing from the sweep (e.g. probing a store that never ran it)
 degrades its row to ``incomplete`` rather than crashing, and an incomplete
 row always violates the gate.
 
-This module imports :mod:`repro.experiments.figures` for the paper grids, so
-it intentionally stays out of ``repro.api.__init__`` (the experiments layer
-imports that package); import it as ``repro.api.dashboard``.
+The ``paper`` grid is the union of the evaluation figures of
+:mod:`repro.api.figures`; the module imports nothing above ``repro.api``.
+Import it as ``repro.api.dashboard``: it is not re-exported by
+``repro.api``.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from ..analysis.accuracy import (
 )
 from ..config import FailureSpec
 from ..exceptions import ValidationError
-from ..experiments.figures import FIGURE_DEFINITIONS, figure_suite
 from .backends import backend_phases
+from .figures import FIGURE_DEFINITIONS, figure_suite
 from .scenario import Scenario, ScenarioSuite
 from .service import DEFAULT_BASELINE, DEFAULT_EXECUTION, PredictionService
 from .store import BaseResultStore

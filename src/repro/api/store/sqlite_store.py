@@ -46,6 +46,7 @@ the fork hook.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -114,6 +115,14 @@ _ROW_FIELDS = (
 )
 
 _SELECT = f"SELECT {', '.join(_ROW_FIELDS)} FROM records"
+#: Most tokens one bulk-lookup ``SELECT`` binds.
+_LOOKUP_CHUNK = 500
+
+
+@functools.lru_cache(maxsize=_LOOKUP_CHUNK)
+def _select_tokens(count: int) -> str:
+    """The ``SELECT`` of ``count`` tokens, built once per chunk length."""
+    return f"{_SELECT} WHERE token IN ({','.join('?' * count)})"
 
 #: Seconds a statement waits for a peer's lock before it fails.
 _BUSY_TIMEOUT_S = 30.0
@@ -319,12 +328,9 @@ class SqliteResultStore(BaseResultStore):
                 return found
             wanted = list(misses)
             stats = StoreStats()
-            for start in range(0, len(wanted), 500):
-                chunk = wanted[start : start + 500]
-                rows = self._execute(
-                    f"{_SELECT} WHERE token IN ({','.join('?' * len(chunk))})",
-                    chunk,
-                ).fetchall()
+            for start in range(0, len(wanted), _LOOKUP_CHUNK):
+                chunk = wanted[start : start + _LOOKUP_CHUNK]
+                rows = self._execute(_select_tokens(len(chunk)), chunk).fetchall()
                 for row in rows:
                     token = row[0]
                     index_key = misses[token]

@@ -92,11 +92,12 @@ from .api.dashboard import (
     run_dashboard,
     write_artifacts,
 )
+from .api.figures import FIGURE_DEFINITIONS
 from .api.service import DEFAULT_EXECUTION
 from .config import FailureSpec
 from .core.estimators import EstimatorKind
 from .exceptions import BackendCapabilityError, ReproError, ValidationError
-from .experiments.figures import FIGURE_DEFINITIONS, run_figure
+from .experiments.figures import run_figure
 from .experiments.runner import POINT_BACKENDS
 from .hadoop.simulator import ClusterSimulator
 from .units import parse_size

@@ -19,6 +19,7 @@ paper reports in its evaluation.
 from __future__ import annotations
 
 import enum
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from ..queueing.distributions import (
     sum_of,
 )
 from ..queueing.forkjoin import forkjoin_response_time
+from .precedence.metrics import fold_tree
 from .precedence.tree import LeafNode, OperatorKind, PrecedenceNode
 
 
@@ -88,14 +90,19 @@ class ForkJoinEstimator(ResponseTimeEstimator):
         self.literal = literal
 
     def estimate_node(self, node: PrecedenceNode) -> NodeEstimate:
-        if isinstance(node, LeafNode):
-            return NodeEstimate(
-                mean=node.mean_response_time,
-                coefficient_of_variation=node.coefficient_of_variation,
-            )
-        left = self.estimate_node(node.left)
-        right = self.estimate_node(node.right)
-        if node.operator is OperatorKind.SERIAL:
+        return fold_tree(node, self._leaf, self._combine)
+
+    @staticmethod
+    def _leaf(node: LeafNode) -> NodeEstimate:
+        return NodeEstimate(
+            mean=node.mean_response_time,
+            coefficient_of_variation=node.coefficient_of_variation,
+        )
+
+    def _combine(
+        self, operator: OperatorKind, left: NodeEstimate, right: NodeEstimate
+    ) -> NodeEstimate:
+        if operator is OperatorKind.SERIAL:
             mean = left.mean + right.mean
             # Means add and (assuming independence) so do variances: the CV of
             # the sum shrinks relative to the parts.
@@ -124,43 +131,46 @@ class ForkJoinEstimator(ResponseTimeEstimator):
 class TripathiEstimator(ResponseTimeEstimator):
     """Tripathi-based estimator (paper Section 4.2.4, option 1).
 
-    Each fold keeps a table of the P-node maxima it has computed, keyed by
-    the ``(left, right)`` child distributions.  A balanced P-subtree over
-    identical map chains combines the same pair at every level, so the
-    table turns most :func:`maximum_of` calls into a lookup.  The
-    distributions are frozen value types and :func:`maximum_of` is a pure
-    function of them, so a hit returns exactly what the call would.  The
-    table lives for one :meth:`estimate_node` call only: nothing survives
-    across calls, and a result depends on its tree alone.
+    The fold (:func:`~.precedence.metrics.fold_tree`) evaluates each
+    distinct node once, so a subtree the builder shares is folded once.  It
+    also keeps a table of the P-node maxima it has computed, keyed by the
+    ``(left, right)`` child distributions: distinct nodes with equal
+    children (the per-instance leaves of a timeline's tree, or subtrees
+    that differ in shape but not in distribution) turn a :func:`maximum_of`
+    call into a lookup.  The distributions are frozen value types and
+    :func:`maximum_of` is a pure function of them, so a hit returns exactly
+    what the call would.  The memo and table live for one
+    :meth:`estimate_node` call only: nothing survives across calls, and a
+    result depends on its tree alone.
     """
 
     kind = EstimatorKind.TRIPATHI
 
-    def _node_distribution(
+    def estimate_node(self, node: PrecedenceNode) -> NodeEstimate:
+        distribution = fold_tree(node, self._leaf, functools.partial(self._combine, {}))
+        return NodeEstimate(
+            mean=distribution.mean,
+            coefficient_of_variation=distribution.coefficient_of_variation,
+        )
+
+    @staticmethod
+    def _leaf(node: LeafNode) -> ResponseTimeDistribution:
+        return fit_distribution(node.mean_response_time, node.coefficient_of_variation)
+
+    def _combine(
         self,
-        node: PrecedenceNode,
         maxima: dict[tuple, ResponseTimeDistribution],
+        operator: OperatorKind,
+        left: ResponseTimeDistribution,
+        right: ResponseTimeDistribution,
     ) -> ResponseTimeDistribution:
-        if isinstance(node, LeafNode):
-            return fit_distribution(
-                node.mean_response_time, node.coefficient_of_variation
-            )
-        left = self._node_distribution(node.left, maxima)
-        right = self._node_distribution(node.right, maxima)
-        if node.operator is OperatorKind.SERIAL:
+        if operator is OperatorKind.SERIAL:
             return sum_of([left, right])
         key = (left, right)
         maximum = maxima.get(key)
         if maximum is None:
             maximum = maxima[key] = maximum_of([left, right])
         return maximum
-
-    def estimate_node(self, node: PrecedenceNode) -> NodeEstimate:
-        distribution = self._node_distribution(node, {})
-        return NodeEstimate(
-            mean=distribution.mean,
-            coefficient_of_variation=distribution.coefficient_of_variation,
-        )
 
 
 def create_estimator(

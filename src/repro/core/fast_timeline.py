@@ -19,10 +19,14 @@ against), and computes the *same placement* directly:
   per-node availability lists instead of generic lane objects.
 
 The resulting :class:`TimelinePlacement` answers the two questions the MVA
-solver asks of a timeline — the overlap factors (vectorised with NumPy
-instead of the O(entries²) Python double loop) and the full
-:class:`~repro.core.timeline.Timeline` for the precedence tree (materialised
-once per iteration, with entries identical to :func:`build_timeline`'s).
+solver asks of a timeline: the overlap factors (vectorised with NumPy
+instead of the O(entries²) Python double loop) and the precedence tree,
+which :func:`~repro.core.precedence.builder.build_precedence_tree` builds
+from the wave-compressed arrays themselves (one interval group per map
+wave).  :meth:`TimelinePlacement.to_timeline` materialises the full
+:class:`~repro.core.timeline.Timeline`, with entries identical to
+:func:`build_timeline`'s, for tests and the per-entry tree oracle; the
+solver never calls it.
 
 Scalar-path equivalence is pinned by ``tests/test_fast_timeline.py``: the
 placement matches entry for entry (same floats), the overlap matrices
@@ -194,10 +198,10 @@ class TimelinePlacement:
             inter_job=np.clip(beta, 0.0, 1.0),
         )
 
-    # -- materialisation (A5) --------------------------------------------------
+    # -- materialisation -------------------------------------------------------
 
     def to_timeline(self) -> Timeline:
-        """Materialise the full :class:`Timeline` (for the precedence tree).
+        """Materialise the full :class:`Timeline` (one entry per task instance).
 
         Entries are constructed in :func:`build_timeline`'s order — maps by
         index, then shuffle-sort/merge pairs by reduce index — with identical

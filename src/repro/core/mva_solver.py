@@ -9,9 +9,11 @@ Each iteration:
 * **A3** computes the intra-/inter-job overlap factors from that placement;
 * **A4** solves the closed queueing network with the overlap-weighted
   approximate MVA, producing new per-class residence and response times;
-* **A5** rebuilds the timeline and precedence tree with the new estimates and
-  computes the job response time with the selected estimator
-  (fork/join or Tripathi);
+* **A5** places the tasks again with the new estimates, builds the
+  precedence tree straight from that wave-compressed placement (identical
+  subtrees shared, no per-instance :class:`~repro.core.timeline.Timeline`)
+  and computes the job response time with the selected estimator
+  (fork/join or Tripathi), which folds each distinct subtree once;
 * **A6** compares the new job response time against the previous iteration's
   value; the loop stops when the change is below ``epsilon`` (1e-7 by
   default, the value the paper recommends).
@@ -47,12 +49,11 @@ from ..queueing.mva_overlap import PlainNetwork, OverlapFactors, solve_mva_with_
 from ..queueing.network import ClosedNetwork
 from ..queueing.service_center import CenterKind, ServiceCenter, ServiceDemand
 from .estimators import EstimatorKind, create_estimator
-from .fast_timeline import place_tasks
+from .fast_timeline import TimelinePlacement, place_tasks
 from .parameters import ModelInput, ServiceCenterName, TaskClass
 from .precedence.builder import build_precedence_tree
 from .precedence.metrics import tree_depth
 from .precedence.tree import PrecedenceNode
-from .timeline import Timeline
 
 # Unused here; kept resolvable because perfbench/tracing.py wraps them on this module.
 from .overlap import compute_overlap_factors  # noqa: F401
@@ -86,7 +87,8 @@ class SolverTrace:
 
     iterations: list[SolverIteration] = field(default_factory=list)
     converged: bool = False
-    final_timeline: Timeline | None = None
+    #: The A5 placement of the last iteration.
+    final_timeline: TimelinePlacement | None = None
     final_tree: PrecedenceNode | None = None
     final_overlaps: OverlapFactors | None = None
 
@@ -200,7 +202,7 @@ def _timeline_durations(
 
 def _place_tasks(
     model_input: ModelInput, residences: Residences, enforce_merge_after_last_map: bool
-):
+) -> TimelinePlacement:
     """Algorithm 1 placement from the current per-class per-center residences."""
     map_duration, shuffle_base, shuffle_network_full, merge_duration = (
         _timeline_durations(model_input, residences)
@@ -283,7 +285,8 @@ class TrajectoryStep:
     """What one iteration computes before its estimate: A3, A4 and A5's tree."""
 
     class_response_times: dict[TaskClass, float]
-    timeline: Timeline
+    #: The A5 placement the tree is built from.
+    timeline: TimelinePlacement
     tree: PrecedenceNode
     tree_depth: int
     #: The A3 overlap factors of the iteration (before node-sharing scaling).
@@ -347,17 +350,16 @@ def _iterates(
         class_response = {
             task_class: sum(residences[task_class].values()) for task_class in TaskClass.ordered()
         }
-        # A5 up to the estimate: the rebuilt timeline and tree.
+        # A5 up to the estimate: the new placement and its tree.
         placement = _place_tasks(model_input, residences, enforce_merge_after_last_map)
-        timeline = placement.to_timeline()
         tree = build_precedence_tree(
-            timeline,
+            placement,
             coefficient_of_variation=cv_by_class,
             balanced=balanced_tree,
         )
         yield TrajectoryStep(
             class_response_times=class_response,
-            timeline=timeline,
+            timeline=placement,
             tree=tree,
             tree_depth=tree_depth(tree),
             overlaps=overlaps,

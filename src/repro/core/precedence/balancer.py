@@ -9,7 +9,7 @@ both constructions so the ablation bench can quantify the difference.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from ...exceptions import ModelError
 from .tree import LeafNode, OperatorKind, OperatorNode, PrecedenceNode
@@ -33,21 +33,50 @@ def balanced_parallel_tree(nodes: Sequence[PrecedenceNode]) -> PrecedenceNode:
     """
     if not nodes:
         raise ModelError("cannot build a parallel tree from zero nodes")
-    current: list[PrecedenceNode] = list(nodes)
-    while len(current) > 1:
-        paired: list[PrecedenceNode] = []
-        for index in range(0, len(current) - 1, 2):
-            paired.append(
-                OperatorNode(
-                    operator=OperatorKind.PARALLEL,
-                    left=current[index],
-                    right=current[index + 1],
-                )
-            )
-        if len(current) % 2 == 1:
-            paired.append(current[-1])
-        current = paired
-    return current[0]
+    return balanced_parallel_runs([[node, 1] for node in nodes], _parallel)
+
+
+def balanced_parallel_runs(
+    runs: list[list], join: Callable[[PrecedenceNode, PrecedenceNode], PrecedenceNode]
+) -> PrecedenceNode:
+    """:func:`balanced_parallel_tree` of a run-length encoded node sequence.
+
+    ``runs`` holds ``[node, count]`` pairs: ``count`` copies of ``node`` in
+    a row.  Each level pairs positions ``(0, 1), (2, 3), ...`` and carries
+    an odd last node up, exactly as over the expanded sequence, but a run of
+    ``c`` copies becomes one run of ``c // 2`` pairs ``join(node, node)``:
+    one call, not ``c // 2``.  With a ``join`` that returns one node per
+    distinct pair of children, a run of ``k`` identical leaves costs
+    ``O(log k)`` nodes instead of ``k - 1``.
+    """
+    while len(runs) > 1 or runs[0][1] > 1:
+        paired: list[list] = []
+        carry = None
+        for node, count in runs:
+            if carry is not None:
+                _append_run(paired, join(carry, node), 1)
+                count -= 1
+                carry = None
+            if count > 1:
+                _append_run(paired, join(node, node), count // 2)
+            if count % 2:
+                carry = node
+        if carry is not None:
+            _append_run(paired, carry, 1)
+        runs = paired
+    return runs[0][0]
+
+
+def _append_run(runs: list[list], node: PrecedenceNode, count: int) -> None:
+    """Append ``count`` copies of ``node``, extending the last run if it is ``node``."""
+    if runs and runs[-1][0] is node:
+        runs[-1][1] += count
+    else:
+        runs.append([node, count])
+
+
+def _parallel(left: PrecedenceNode, right: PrecedenceNode) -> PrecedenceNode:
+    return OperatorNode(operator=OperatorKind.PARALLEL, left=left, right=right)
 
 
 def balance_parallel_subtrees(node: PrecedenceNode) -> PrecedenceNode:

@@ -2,15 +2,49 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import TypeVar
+
 from ..parameters import TaskClass
 from .tree import LeafNode, OperatorKind, PrecedenceNode
+
+T = TypeVar("T")
+
+
+def fold_tree(
+    tree: PrecedenceNode,
+    leaf: Callable[[LeafNode], T],
+    combine: Callable[[OperatorKind, T, T], T],
+) -> T:
+    """Fold ``tree`` bottom-up, evaluating each distinct node once.
+
+    ``leaf(node)`` gives a leaf's value and ``combine(operator, left,
+    right)`` an operator node's from its children's.  A subtree shared by
+    several parents (the builder shares equal ones) is evaluated once; both
+    callables must be pure, so every parent sees the value a separate
+    evaluation would give.  The memo is keyed by ``id(node)``, never by
+    node value (a frozen dataclass hashes its whole subtree), and lives for
+    this call only: the tree keeps every node alive meanwhile, and no state
+    is left on the (possibly shared between threads) tree.
+    """
+    memo: dict[int, T] = {}
+
+    def visit(node: PrecedenceNode) -> T:
+        value = memo.get(id(node))
+        if value is None:
+            if isinstance(node, LeafNode):
+                value = leaf(node)
+            else:
+                value = combine(node.operator, visit(node.left), visit(node.right))
+            memo[id(node)] = value
+        return value
+
+    return visit(tree)
 
 
 def tree_depth(node: PrecedenceNode) -> int:
     """Depth of the tree (a single leaf has depth 0)."""
-    if isinstance(node, LeafNode):
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
+    return fold_tree(node, lambda leaf: 0, lambda operator, left, right: 1 + max(left, right))
 
 
 def tree_leaves(node: PrecedenceNode) -> list[LeafNode]:

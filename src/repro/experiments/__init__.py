@@ -2,9 +2,9 @@
 
 :mod:`repro.experiments.runner` evaluates experiment points through the
 unified prediction API (simulate the workload, evaluate both model variants,
-compute errors); :mod:`repro.experiments.figures` defines the parameter grids
-of every figure of the paper as :class:`~repro.api.ScenarioSuite` objects and
-knows how to regenerate the corresponding series.
+compute errors); :mod:`repro.experiments.figures` regenerates the series of
+every figure of the paper, whose grids :mod:`repro.api.figures` defines as
+:class:`~repro.api.ScenarioSuite` objects.
 """
 
 from .runner import (
@@ -15,13 +15,13 @@ from .runner import (
     run_suite_series,
     scenario_for_workload,
 )
-from .figures import (
+from ..api.figures import (
     FIGURE_DEFINITIONS,
     FigureDefinition,
     figure_definition,
     figure_suite,
-    run_figure,
 )
+from .figures import run_figure
 
 __all__ = [
     "ExperimentPoint",

@@ -29,6 +29,7 @@ from ..api import (
     ScenarioSuite,
     SweepScheduler,
 )
+from ..api.figures import DEFAULT_BASE_SEED
 from ..api.service import DEFAULT_EXECUTION
 from ..config import ClusterConfig, SchedulerConfig
 from ..core.estimators import EstimatorKind
@@ -37,8 +38,6 @@ from ..workloads.generators import WorkloadSpec
 
 #: Number of simulator repetitions per point (the paper uses 5).
 DEFAULT_REPETITIONS = 3
-#: Base seed from which the per-repetition seeds are derived.
-DEFAULT_BASE_SEED = 1234
 
 #: Backends an experiment point evaluates (measurement + both estimators).
 POINT_BACKENDS = ("simulator", "mva-forkjoin", "mva-tripathi")
