@@ -17,73 +17,38 @@ The package is organised in layers (see DESIGN.md):
 * :mod:`repro.experiments` / :mod:`repro.analysis` — the evaluation harness
   regenerating every figure of the paper.
 
-The most common entry points are re-exported here.  The :mod:`repro.api`
-names are loaded lazily (PEP 562): they transitively pull in every engine,
-and ``import repro`` must stay cheap for consumers that only need the
-configuration and unit helpers.
+The most common entry points are re-exported here, lazily (PEP 562):
+``import repro`` imports none of them until one is first read.
 """
 
-from .config import ClusterConfig, ContainerSpec, JobConfig, NodeSpec, SchedulerConfig
-from .units import gigabytes, megabytes
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-_API_EXPORTS = {
-    "BackendComparison",
-    "CapacityPlanner",
-    "Constraint",
-    "Objective",
-    "PlanReport",
-    "PlanSpec",
-    "PredictionBackend",
-    "PredictionResult",
-    "PredictionService",
-    "Scenario",
-    "ScenarioSuite",
-    "SearchSpace",
-    "SuiteResult",
-    "backend_names",
-    "create_backend",
-    "register_backend",
-    "register_workload_profile",
-}
-
-
-def __getattr__(name: str):
-    if name in _API_EXPORTS:
-        from . import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _API_EXPORTS)
-
-__all__ = [
-    "BackendComparison",
-    "CapacityPlanner",
-    "ClusterConfig",
-    "Constraint",
-    "ContainerSpec",
-    "JobConfig",
-    "NodeSpec",
-    "Objective",
-    "PlanReport",
-    "PlanSpec",
-    "PredictionBackend",
-    "PredictionResult",
-    "PredictionService",
-    "Scenario",
-    "ScenarioSuite",
-    "SchedulerConfig",
-    "SearchSpace",
-    "SuiteResult",
-    "backend_names",
-    "create_backend",
-    "gigabytes",
-    "megabytes",
-    "register_backend",
-    "register_workload_profile",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("ClusterConfig", "ContainerSpec", "JobConfig", "NodeSpec", "SchedulerConfig"),
+        ".units": ("gigabytes", "megabytes"),
+        ".api": (
+            "BackendComparison",
+            "CapacityPlanner",
+            "Constraint",
+            "Objective",
+            "PlanReport",
+            "PlanSpec",
+            "PredictionBackend",
+            "PredictionResult",
+            "PredictionService",
+            "Scenario",
+            "ScenarioSuite",
+            "SearchSpace",
+            "SuiteResult",
+            "backend_names",
+            "create_backend",
+            "register_backend",
+            "register_workload_profile",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -42,128 +42,77 @@ Quick example::
     scenario = Scenario(workload="wordcount", num_nodes=4, input_size_bytes=10**9)
     result = service.evaluate(scenario, "mva-forkjoin")
     print(result.summary())
+
+Every name is exported lazily (PEP 562): it is imported from its submodule
+on first access, so ``import repro.api.store`` or
+``from repro.api import Scenario`` loads no prediction engine.  The
+backends' own modules load when a backend is first created (see
+:mod:`repro.api.backends`).
 """
 
-from ..config import FailureSpec
-from ..exceptions import BackendCapabilityError
-from .backends import (
-    PredictionBackend,
-    backend_declines,
-    backend_is_cpu_bound,
-    backend_names,
-    backend_supports_batch,
-    backend_version,
-    create_backend,
-    register_backend,
-)
-from .resilience import (
-    NO_RETRY,
-    ON_ERROR_MODES,
-    BreakerPolicy,
-    BreakerSnapshot,
-    CircuitBreaker,
-    RetryPolicy,
-)
-from .results import BackendComparison, FailedResult, PredictionResult
-from .scenario import (
-    SCENARIO_SPEC_VERSION,
-    WORKLOAD_PROFILES,
-    Scenario,
-    ScenarioSuite,
-    register_workload_profile,
-)
-from .service import (
-    DEFAULT_BASELINE,
-    EXECUTION_MODES,
-    PredictionService,
-    ServiceStats,
-    SuiteResult,
-)
-from .store import (
-    QUARANTINE_DIR,
-    STORE_FORMAT_VERSION,
-    BaseResultStore,
-    GcStats,
-    LeaseManager,
-    SqliteResultStore,
-    StoreStats,
-    migrate_store,
-    open_store,
-)
-from .sweep import CooperativeOutcome, SweepOutcome, SweepPlan, SweepScheduler
+from .._lazy import lazy_exports
 
-#: Capacity-planner names re-exported lazily (PEP 562): ``repro.plan`` builds
-#: on this package, so an eager import here would be circular.  Importing any
-#: of these from ``repro.api`` resolves through :func:`__getattr__` below.
-_PLANNER_EXPORTS = (
-    "CapacityPlanner",
-    "Constraint",
-    "Objective",
-    "PlanPoint",
-    "PlanProbe",
-    "PlanReport",
-    "PlanSpec",
-    "SearchSpace",
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "..config": ("FailureSpec",),
+        "..exceptions": ("BackendCapabilityError",),
+        ".backends": (
+            "PredictionBackend",
+            "backend_declines",
+            "backend_is_cpu_bound",
+            "backend_names",
+            "backend_supports_batch",
+            "backend_version",
+            "create_backend",
+            "register_backend",
+        ),
+        ".resilience": (
+            "NO_RETRY",
+            "ON_ERROR_MODES",
+            "BreakerPolicy",
+            "BreakerSnapshot",
+            "CircuitBreaker",
+            "RetryPolicy",
+        ),
+        ".results": ("BackendComparison", "FailedResult", "PredictionResult"),
+        ".scenario": (
+            "SCENARIO_SPEC_VERSION",
+            "WORKLOAD_PROFILES",
+            "Scenario",
+            "ScenarioSuite",
+            "register_workload_profile",
+        ),
+        ".service": (
+            "DEFAULT_BASELINE",
+            "EXECUTION_MODES",
+            "PredictionService",
+            "ServiceStats",
+            "SuiteResult",
+        ),
+        ".store": (
+            "QUARANTINE_DIR",
+            "STORE_FORMAT_VERSION",
+            "BaseResultStore",
+            "GcStats",
+            "LeaseManager",
+            "SqliteResultStore",
+            "StoreStats",
+            "migrate_store",
+            "open_store",
+        ),
+        ".sweep": ("CooperativeOutcome", "SweepOutcome", "SweepPlan", "SweepScheduler"),
+        # ``repro.plan`` builds on this package; being lazy, these cannot
+        # make a circular import.
+        "..plan": (
+            "CapacityPlanner",
+            "Constraint",
+            "Objective",
+            "PlanPoint",
+            "PlanProbe",
+            "PlanReport",
+            "PlanSpec",
+            "SearchSpace",
+        ),
+    },
 )
-
-
-def __getattr__(name: str):
-    if name in _PLANNER_EXPORTS:
-        from .. import plan
-
-        return getattr(plan, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BackendCapabilityError",
-    "BackendComparison",
-    "BaseResultStore",
-    "BreakerPolicy",
-    "BreakerSnapshot",
-    "CapacityPlanner",
-    "CircuitBreaker",
-    "Constraint",
-    "CooperativeOutcome",
-    "DEFAULT_BASELINE",
-    "EXECUTION_MODES",
-    "FailedResult",
-    "FailureSpec",
-    "GcStats",
-    "LeaseManager",
-    "NO_RETRY",
-    "ON_ERROR_MODES",
-    "Objective",
-    "PlanPoint",
-    "PlanProbe",
-    "PlanReport",
-    "PlanSpec",
-    "PredictionBackend",
-    "PredictionResult",
-    "PredictionService",
-    "QUARANTINE_DIR",
-    "RetryPolicy",
-    "SCENARIO_SPEC_VERSION",
-    "STORE_FORMAT_VERSION",
-    "Scenario",
-    "ScenarioSuite",
-    "SearchSpace",
-    "ServiceStats",
-    "SqliteResultStore",
-    "StoreStats",
-    "SuiteResult",
-    "SweepOutcome",
-    "SweepPlan",
-    "SweepScheduler",
-    "WORKLOAD_PROFILES",
-    "backend_declines",
-    "backend_is_cpu_bound",
-    "backend_names",
-    "backend_supports_batch",
-    "backend_version",
-    "create_backend",
-    "migrate_store",
-    "open_store",
-    "register_backend",
-    "register_workload_profile",
-]

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..config import (
     ClusterConfig,
@@ -35,10 +35,8 @@ from ..config import (
     NodeSpec,
     SchedulerConfig,
 )
-from ..exceptions import ConfigurationError
-from ..core.mva_solver import Trajectory
 from ..core.parameters import ModelInput
-from ..exceptions import ValidationError
+from ..exceptions import ConfigurationError, ValidationError
 from ..static_models.herodotou import DataflowStatistics, HadoopEnvironment
 from ..units import GiB, MiB, parse_size
 from ..workloads.generators import WorkloadSpec, paper_cluster, paper_scheduler
@@ -48,6 +46,9 @@ from ..workloads.profiles import ApplicationProfile, model_input_from_profile
 from ..workloads.recovery import recovery_profile
 from ..workloads.terasort import terasort_profile
 from ..workloads.wordcount import wordcount_profile
+
+if TYPE_CHECKING:
+    from ..core.mva_solver import Trajectory
 
 #: Version of the scenario specification semantics.  Bump whenever the
 #: meaning of a scenario field (or how backends consume one) changes in a way
@@ -443,6 +444,8 @@ class ScenarioResolver:
         Tripathi backends of a scenario (and scenarios that differ only in
         seed, repetitions or failures) extend one trajectory.
         """
+        from ..core.mva_solver import Trajectory  # the solver loads on first use
+
         key = (
             "trajectory",
             *_job_fields(scenario),

@@ -95,11 +95,7 @@ from .api.dashboard import (
 from .api.figures import FIGURE_DEFINITIONS
 from .api.service import DEFAULT_EXECUTION
 from .config import FailureSpec
-from .core.estimators import EstimatorKind
 from .exceptions import BackendCapabilityError, ReproError, ValidationError
-from .experiments.figures import run_figure
-from .experiments.runner import POINT_BACKENDS
-from .hadoop.simulator import ClusterSimulator
 from .units import parse_size
 
 #: Backends ``predict`` evaluates when no ``--backend`` is given (both
@@ -352,6 +348,10 @@ def _command_list(_: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
+    from .core.estimators import EstimatorKind
+    from .experiments.figures import run_figure
+    from .experiments.runner import POINT_BACKENDS
+
     service = _service_from_args(args, list(POINT_BACKENDS))
     series = run_figure(
         args.figure_id,
@@ -710,6 +710,8 @@ def _command_store_migrate(args: argparse.Namespace) -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from .hadoop.simulator import ClusterSimulator
+
     scenario = _scenario_from_args(args)
     workload = scenario.workload_spec()
     simulator = ClusterSimulator(

@@ -18,77 +18,56 @@ Pipeline (modified MVA, Figure 4 of the paper):
 ``A5`` estimate the job response time over the tree (Tripathi or fork/join) →
 ``A6`` convergence test (ε = 1e-7), iterate from A2 if not converged.
 
-Entry point: :class:`~repro.core.model.Hadoop2PerformanceModel`.
+Entry point: :class:`~repro.core.model.Hadoop2PerformanceModel`.  The names
+below are exported lazily (PEP 562): ``import repro.core.parameters`` loads
+no solver, and no NumPy.
 """
 
-from .parameters import ModelInput, ServiceCenterName, TaskClass, TaskClassDemands
-from .task_instances import TaskInstance, expand_task_instances
-from .timeline import Timeline, TimelineEntry, build_timeline
-from .phases import Phase, segment_phases
-from .precedence import (
-    LeafNode,
-    OperatorKind,
-    OperatorNode,
-    PrecedenceNode,
-    balance_parallel_subtrees,
-    build_precedence_tree,
-    tree_depth,
-    tree_leaves,
-)
-from .overlap import compute_intra_job_overlaps, compute_inter_job_overlaps, compute_overlap_factors
-from .estimators import (
-    EstimatorKind,
-    ForkJoinEstimator,
-    ResponseTimeEstimator,
-    TripathiEstimator,
-    create_estimator,
-)
-from .fast_timeline import TimelinePlacement, place_tasks
-from .initialization import InitializationStrategy, initialize_from_herodotou, initialize_from_profile
-from .mva_solver import ModifiedMVASolver, Residences, SolverIteration, SolverTrace, Trajectory
-from .model import Hadoop2PerformanceModel, PredictionResult
-from .complexity import ComplexityReport, estimate_complexity
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ModelInput",
-    "ServiceCenterName",
-    "TaskClass",
-    "TaskClassDemands",
-    "TaskInstance",
-    "expand_task_instances",
-    "Timeline",
-    "TimelineEntry",
-    "TimelinePlacement",
-    "build_timeline",
-    "place_tasks",
-    "Residences",
-    "Phase",
-    "segment_phases",
-    "LeafNode",
-    "OperatorKind",
-    "OperatorNode",
-    "PrecedenceNode",
-    "balance_parallel_subtrees",
-    "build_precedence_tree",
-    "tree_depth",
-    "tree_leaves",
-    "compute_intra_job_overlaps",
-    "compute_inter_job_overlaps",
-    "compute_overlap_factors",
-    "EstimatorKind",
-    "ForkJoinEstimator",
-    "ResponseTimeEstimator",
-    "TripathiEstimator",
-    "create_estimator",
-    "InitializationStrategy",
-    "initialize_from_herodotou",
-    "initialize_from_profile",
-    "ModifiedMVASolver",
-    "SolverIteration",
-    "SolverTrace",
-    "Trajectory",
-    "Hadoop2PerformanceModel",
-    "PredictionResult",
-    "ComplexityReport",
-    "estimate_complexity",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".parameters": ("ModelInput", "ServiceCenterName", "TaskClass", "TaskClassDemands"),
+        ".task_instances": ("TaskInstance", "expand_task_instances"),
+        ".timeline": ("Timeline", "TimelineEntry", "build_timeline"),
+        ".phases": ("Phase", "segment_phases"),
+        ".precedence": (
+            "LeafNode",
+            "OperatorKind",
+            "OperatorNode",
+            "PrecedenceNode",
+            "balance_parallel_subtrees",
+            "build_precedence_tree",
+            "tree_depth",
+            "tree_leaves",
+        ),
+        ".overlap": (
+            "compute_intra_job_overlaps",
+            "compute_inter_job_overlaps",
+            "compute_overlap_factors",
+        ),
+        ".estimators": (
+            "EstimatorKind",
+            "ForkJoinEstimator",
+            "ResponseTimeEstimator",
+            "TripathiEstimator",
+            "create_estimator",
+        ),
+        ".fast_timeline": ("TimelinePlacement", "place_tasks"),
+        ".initialization": (
+            "InitializationStrategy",
+            "initialize_from_herodotou",
+            "initialize_from_profile",
+        ),
+        ".mva_solver": (
+            "ModifiedMVASolver",
+            "Residences",
+            "SolverIteration",
+            "SolverTrace",
+            "Trajectory",
+        ),
+        ".model": ("Hadoop2PerformanceModel", "PredictionResult"),
+        ".complexity": ("ComplexityReport", "estimate_complexity"),
+    },
+)

@@ -21,7 +21,7 @@ from .mva_solver import (
     Trajectory,
 )
 from .parameters import ModelInput, TaskClass
-from .precedence.metrics import tree_depth, tree_leaves
+from .precedence.metrics import tree_depth, tree_leaf_count
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class Hadoop2PerformanceModel:
             iterations=trace.num_iterations,
             converged=trace.converged,
             tree_depth=tree_depth(trace.final_tree),
-            num_leaves=len(tree_leaves(trace.final_tree)),
+            num_leaves=tree_leaf_count(trace.final_tree),
             timeline_makespan=trace.final_timeline.makespan,
         )
 

@@ -47,6 +47,11 @@ def tree_depth(node: PrecedenceNode) -> int:
     return fold_tree(node, lambda leaf: 0, lambda operator, left, right: 1 + max(left, right))
 
 
+def tree_leaf_count(node: PrecedenceNode) -> int:
+    """Number of leaves, ``len(tree_leaves(node))``, counted per distinct node."""
+    return fold_tree(node, lambda leaf: 1, lambda operator, left, right: left + right)
+
+
 def tree_leaves(node: PrecedenceNode) -> list[LeafNode]:
     """All leaves of the tree in left-to-right order."""
     if isinstance(node, LeafNode):

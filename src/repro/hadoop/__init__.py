@@ -21,32 +21,21 @@ identifies as relevant for performance:
   analytic model has to predict.
 
 The public entry point is :class:`~repro.hadoop.simulator.ClusterSimulator`.
+The names below are exported lazily (PEP 562), so the job and task
+descriptions the workload profiles use load without the simulator.
 """
 
-from .cluster import Cluster, Node
-from .hdfs import Block, HdfsNamespace, InputSplit
-from .resources import Container, Priority, Resource, ResourceRequest
-from .tasks import TaskAttempt, TaskState, TaskType
-from .job import MapReduceJob
-from .simulator import ClusterSimulator, SimulationResult
-from .trace import JobTrace, TaskTrace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "Node",
-    "Block",
-    "HdfsNamespace",
-    "InputSplit",
-    "Container",
-    "Priority",
-    "Resource",
-    "ResourceRequest",
-    "TaskAttempt",
-    "TaskState",
-    "TaskType",
-    "MapReduceJob",
-    "ClusterSimulator",
-    "SimulationResult",
-    "JobTrace",
-    "TaskTrace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".cluster": ("Cluster", "Node"),
+        ".hdfs": ("Block", "HdfsNamespace", "InputSplit"),
+        ".resources": ("Container", "Priority", "Resource", "ResourceRequest"),
+        ".tasks": ("TaskAttempt", "TaskState", "TaskType"),
+        ".job": ("MapReduceJob",),
+        ".simulator": ("ClusterSimulator", "SimulationResult"),
+        ".trace": ("JobTrace", "TaskTrace"),
+    },
+)

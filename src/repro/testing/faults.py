@@ -17,8 +17,9 @@ importantly, *reproducibly* testable:
   real backend, and notes every *successful* inner evaluation so a chaos
   test can assert zero duplicate evaluations.  Batch-capable backends get a
   batch-level transient roll too, exercising the batch→scalar fallback rung.
-  The wrapper subclasses the original, so it declares what the original
-  declares (``version``, ``declines``, ...) without copying any of it.
+  The wrapped backend's registry record is the original's record with the
+  wrapper as its implementation, so it declares what the original declares
+  (``version``, ``declines``, ...) without copying any of it.
 * :class:`KillSwitch` hard-kills the evaluating process (``os._exit``) the
   first time a chosen scenario is evaluated — a real SIGKILL-grade worker
   death for the process-pool recovery path.  A marker file latches it so
@@ -29,13 +30,14 @@ importantly, *reproducibly* testable:
   whose writes are sometimes torn: the row's ``result`` is cut short,
   simulating a crash mid-write that the store's quarantine path must absorb.
 
-The wrappers swap classes in the backend registry directly (the same idiom
+The wrappers swap entries in the backend registry directly (the same idiom
 the test suite's throwaway-backend fixtures use); the context manager
-restores the original class on exit.
+restores the original entry on exit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import threading
@@ -45,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..api.backends import _REGISTRY
+from ..api.backends import _REGISTRY, backend_capability
 from ..api.scenario import Scenario
 from ..api.store import SqliteResultStore, _canonical_options, point_token
 from ..exceptions import TransientError, ValidationError
@@ -186,9 +188,9 @@ def _wrap_backend_class(
     """A registry-compatible class injecting faults around ``original``."""
 
     class FaultyBackend(original):
-        # A subclass inherits every class declaration (version, cpu_bound,
-        # modelled_phases, declines, batch support); calls still go to the
-        # wrapped instance, so the fault schedule wraps the real evaluation.
+        # A subclass inherits the class declarations that ``predict`` reads
+        # (``name``, ``declines``); calls still go to the wrapped instance,
+        # so the fault schedule wraps the real evaluation.
         def __init__(self, **options: object) -> None:
             self._inner = original(**options)
 
@@ -237,11 +239,12 @@ def inject_backend_faults(
     pristine registry and evaluate the *real* backend.
     """
     injector = spec if isinstance(spec, FaultInjector) else FaultInjector(spec)
-    try:
-        original = _REGISTRY[name]
-    except KeyError as exc:
-        raise ValidationError(f"unknown backend {name!r}") from exc
-    _REGISTRY[name] = _wrap_backend_class(name, original, injector, kill_switch)
+    record = backend_capability(name)
+    if record is None:
+        raise ValidationError(f"unknown backend {name!r}")
+    original = _REGISTRY[name]
+    wrapper = _wrap_backend_class(name, record.load(), injector, kill_switch)
+    _REGISTRY[name] = dataclasses.replace(record, implementation=wrapper)
     try:
         yield injector
     finally:

@@ -14,7 +14,8 @@ from repro.api import (
     backend_names,
     create_backend,
 )
-from repro.api.backends import SimulatorBackend, register_backend
+from repro.api.backends import register_backend
+from repro.api.simulator_backend import SimulatorBackend
 from repro.config import SchedulerConfig
 from repro.core.estimators import EstimatorKind
 from repro.core.model import Hadoop2PerformanceModel

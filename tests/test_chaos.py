@@ -169,7 +169,7 @@ class TestFaultyBackendDeclarations:
 
         original = declarations()
         with inject_backend_faults(name, FaultSpec()):
-            assert _REGISTRY[name].__name__.startswith("Faulty")
+            assert _REGISTRY[name].load().__name__.startswith("Faulty")
             assert declarations() == original
 
 

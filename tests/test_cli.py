@@ -256,10 +256,11 @@ class TestSweep:
 class TestResilienceFlags:
     @pytest.fixture
     def flaky_backend(self):
-        from repro.api.backends import _REGISTRY
+        from repro.api.backends import _REGISTRY, register_backend
         from repro.api.results import PredictionResult
         from repro.exceptions import TransientError
 
+        @register_backend("cli-flaky-stub")
         class FlakyBackend:
             failures_per_point = 1
             calls: dict[str, int] = {}
@@ -277,8 +278,6 @@ class TestResilienceFlags:
                     phases={"map": 1.0},
                 )
 
-        FlakyBackend.name = "cli-flaky-stub"
-        _REGISTRY["cli-flaky-stub"] = FlakyBackend
         try:
             yield FlakyBackend
         finally:
@@ -338,9 +337,10 @@ class TestResilienceFlags:
         assert capsys.readouterr().out.count("skipped") == 2
 
     def test_timeout_flag_reports_failed_points(self, tmp_path, capsys):
-        from repro.api.backends import _REGISTRY
+        from repro.api.backends import _REGISTRY, register_backend
         from repro.api.results import PredictionResult
 
+        @register_backend("cli-slow-stub")
         class SlowBackend:
             def predict(self, scenario):
                 import time
@@ -350,8 +350,6 @@ class TestResilienceFlags:
                     backend=type(self).name, scenario=scenario, total_seconds=1.0
                 )
 
-        SlowBackend.name = "cli-slow-stub"
-        _REGISTRY["cli-slow-stub"] = SlowBackend
         try:
             args = [
                 "sweep", "--suite", self._suite_path(tmp_path),

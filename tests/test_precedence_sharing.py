@@ -6,8 +6,9 @@ distinct ``(class, duration, CV)`` and one node per distinct subtree.
 ``tests/precedence_oracle.py`` keeps the per-entry builder over
 ``placement.to_timeline()`` as the oracle.  Both trees must fold to the same
 estimates bit for bit (``==``), have the same depth, leaves per class and
-shape; the folds must evaluate each distinct node once; and the solver must
-never materialise a timeline.
+shape; the folds must evaluate each distinct node once; the solver must
+never materialise a timeline; and a result's ``num_leaves`` must be the
+expanded tree's leaf count.
 """
 
 from __future__ import annotations
@@ -21,10 +22,16 @@ from repro.api import create_backend
 from repro.api.backends import backend_declines
 from repro.api.dashboard import DASHBOARD_BACKENDS, dashboard_grid, paper_grid, run_dashboard
 from repro.core import mva_solver
-from repro.core.estimators import ForkJoinEstimator, TripathiEstimator
+from repro.core.estimators import EstimatorKind, ForkJoinEstimator, TripathiEstimator
 from repro.core.fast_timeline import TimelinePlacement, place_tasks
+from repro.core.model import Hadoop2PerformanceModel
 from repro.core.parameters import ModelInput, TaskClass, TaskClassDemands
-from repro.core.precedence import build_precedence_tree, tree_depth, trees_isomorphic
+from repro.core.precedence import (
+    build_precedence_tree,
+    tree_depth,
+    tree_leaves,
+    trees_isomorphic,
+)
 from repro.core.precedence.metrics import leaves_per_class
 from repro.core.precedence.tree import LeafNode
 
@@ -157,6 +164,27 @@ class TestFoldCounts:
         monkeypatch.setattr(estimators, "maximum_of", counting)
         run_dashboard(paper_grid(), backends=DASHBOARD_BACKENDS, execution="serial")
         assert len(calls) == PAPER_DASHBOARD_MAXIMUM_OF_CALLS
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_num_leaves_counts_the_expanded_leaves(self, grid):
+        # ``num_leaves`` is folded per distinct node; it must equal the length
+        # of the fully expanded leaf list it was computed from before.
+        checked = 0
+        for name, kind in (
+            ("mva-forkjoin", EstimatorKind.FORK_JOIN),
+            ("mva-tripathi", EstimatorKind.TRIPATHI),
+        ):
+            backend = create_backend(name)
+            for scenario in dashboard_grid(grid).scenarios:
+                if backend_declines(name, scenario) is not None:
+                    continue
+                model = Hadoop2PerformanceModel(scenario.model_input())
+                prediction = model.predict(kind)
+                expanded = len(tree_leaves(model.trace(kind).final_tree))
+                assert prediction.num_leaves == expanded
+                assert backend.predict(scenario).metadata["num_leaves"] == expanded
+                checked += 1
+        assert checked >= 4
 
 
 # -- hand-built placements on the builder's edge cases ------------------------------
