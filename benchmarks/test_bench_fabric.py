@@ -137,7 +137,7 @@ def test_bench_cooperative_drain(tmp_path):
                     worker_id=worker_id,
                     lease_ttl=10.0,
                     poll_interval=0.02,
-                    claim_limit=1,  # re-plan per point so the load balances
+                    claim_limit=1,  # one scenario per slice so the load balances
                 )
             except BaseException as exc:  # noqa: BLE001 — surfaced via the list
                 errors.append(exc)

@@ -283,13 +283,15 @@ def _static_sweep_suite() -> ScenarioSuite:
 def _per_point(service, suite, backends):
     """Evaluate every cell through ``evaluate_point``, never ``predict_batch``.
 
-    The per-point path the daemon and the streaming sweep dispatch: the
-    baseline the batched path is measured against.
+    The per-point path the daemon's ``/predict`` dispatches: the baseline
+    the batched path is measured against.
     """
     rows = [{} for _ in suite.scenarios]
-    for index, name, result in SweepScheduler(service).iter_results(suite, backends):
-        if result is not None:
-            rows[index][name] = result
+    for index, scenario in enumerate(suite.scenarios):
+        for name in backends:
+            result = service.evaluate_point(scenario, name)
+            if result is not None:
+                rows[index][name] = result
     return SuiteResult(suite=suite, backends=tuple(backends), rows=tuple(rows))
 
 

@@ -23,7 +23,7 @@ import json
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from contextvars import ContextVar, copy_context
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -333,7 +333,8 @@ def _fair_share(total: int, num_jobs: int) -> int:
 #: service dispatches a scenario's backends next to each other, so the
 #: other estimator finds the trajectory among the most recent ones; the
 #: bound keeps a long dispatch from holding every scenario's iterations.
-#: An evicted trajectory is recomputed, with the same bits.
+#: Eviction prefers a trajectory both estimators have read; an evicted one
+#: is recomputed, with the same bits.
 KEPT_TRAJECTORIES = 4
 
 #: The resolver of the dispatch running in this context, if any.
@@ -354,20 +355,21 @@ class ScenarioResolver:
     on a scenario or across dispatches, so a cold evaluation stays cold.
     The service opens it (:meth:`dispatch`) around the evaluation of
     ``evaluate_suite`` and ``evaluate_many``, and a streaming or cooperative
-    sweep keeps one for the whole call; backends read it through
-    :meth:`current`, which outside a dispatch returns a fresh resolver.  It
-    travels in a context variable: the service's thread pool runs every task
-    in a copy of the dispatching context, so thread-mode workers inherit the
-    dispatch's resolver, while process-pool workers start from an empty
-    context and build their own (they share nothing, and give the same
-    bits).  Views and trajectories are safe to read from several threads.
+    sweep opens one per scenario slice (a scenario's backends always share
+    a slice); backends read it through :meth:`current`, which outside a
+    dispatch returns a fresh resolver.  It travels in a context variable:
+    the service's thread pool runs every task in a copy of the dispatching
+    context, so thread-mode workers inherit the dispatch's resolver, while
+    process-pool workers start from an empty context and build their own
+    (they share nothing, and give the same bits).  Views and trajectories
+    are safe to read from several threads.
     """
 
     def __init__(self) -> None:
         self._memo: dict[tuple, Any] = {}
         self._lock = threading.Lock()
-        #: The most recently used trajectories, oldest first.
-        self._trajectories: OrderedDict[tuple, Trajectory] = OrderedDict()
+        #: The most recently used trajectories and their read counts, oldest first.
+        self._trajectories: OrderedDict[tuple, list] = OrderedDict()
 
     @classmethod
     def current(cls) -> "ScenarioResolver":
@@ -385,17 +387,6 @@ class ScenarioResolver:
             yield resolver
         finally:
             _DISPATCH_RESOLVER.reset(token)
-
-    def run(self, function: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
-        """Call ``function`` in a copy of this context, with this resolver current.
-
-        For work a caller cannot wrap in :meth:`dispatch`: a generator must
-        not hold a context variable across a ``yield``, so each task of the
-        pool a streaming sweep drains enters the resolver in its own context.
-        """
-        context = copy_context()
-        context.run(_DISPATCH_RESOLVER.set, self)
-        return context.run(function, *args, **kwargs)
 
     def _view(self, key: tuple, build: Callable[[], Any]) -> Any:
         try:
@@ -454,13 +445,16 @@ class ScenarioResolver:
             self.scheduler(scenario).slowstart_enabled,
         )
         with self._lock:
-            trajectory = self._trajectories.pop(key, None)
-            if trajectory is None:
-                trajectory = Trajectory(self.model_input(scenario))
-            self._trajectories[key] = trajectory
+            entry = self._trajectories.pop(key, None) or [Trajectory(self.model_input(scenario)), 0]
+            entry[1] += 1
+            self._trajectories[key] = entry
             if len(self._trajectories) > KEPT_TRAJECTORIES:
-                self._trajectories.popitem(last=False)
-            return trajectory
+                # Evict the least recently used one both estimators have read:
+                # one whose second reader has not come yet (a stalled thread)
+                # stays, unless every kept trajectory is waiting.
+                done = (kept for kept, (_, reads) in self._trajectories.items() if reads > 1)
+                del self._trajectories[next(done, next(iter(self._trajectories)))]
+            return entry[0]
 
     def fair_share_slots(self, scenario: Scenario) -> tuple[int, int]:
         """Per-job ``(map, reduce)`` container slots of the whole cluster."""

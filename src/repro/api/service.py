@@ -457,7 +457,7 @@ class PredictionService:
         contract instead of always raising: ``"skip"`` returns ``None`` and
         ``"record"`` returns a structured
         :class:`~repro.api.results.FailedResult`.  This is the unit of work
-        the streaming sweep path and the serving layer dispatch.
+        the serving layer's ``/predict`` dispatches.
         """
         point = (scenario.cache_key(), backend)
         mode = self._resolve_on_error(on_error)

@@ -12,16 +12,17 @@ A lease is one row of the ``leases`` table in the store's SQLite file,
 keyed by the point's token.  Every transition is a guard plus an action
 written as **one statement**, so SQLite's write lock makes it atomic across
 threads, processes and store objects — there is no read-then-write window
-for a peer to slip into:
+for a peer to slip into.  Claim and release take a whole slice of tokens
+in that one statement:
 
-* **Claim** — insert the row, or overwrite it *only where* the current
-  owner's lease has expired or the owner is this worker; the changed-row
-  count says whether the claim was won.
+* **Claim** — insert each row, or overwrite it *only where* the current
+  owner's lease has expired or the owner is this worker; the tokens the
+  statement returns are the claims won.
 * **Renew** — push ``expires_at`` forward *only where* this worker still
   owns the row; a token that no longer matches was taken over and moves to
   :attr:`LeaseManager.lost`.  :meth:`LeaseManager.heartbeat` renews on a
   background thread so one long evaluation cannot expire its own lease.
-* **Release** — delete the row *only where* this worker owns it, after the
+* **Release** — delete each row *only where* this worker owns it, after the
   point's result is durably in the store, so the "claimed" and "answered"
   states never gap and a loser can never delete the winner's claim.
 * **Reap** — ``store gc`` deletes every row whose ``expires_at`` has passed.
@@ -37,7 +38,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -53,24 +54,26 @@ DEFAULT_LEASE_TTL = 30.0
 
 _FIELDS = "token, worker, acquired, renewed, expires_at"
 
+#: Parameters: ``?1`` worker, ``?2`` now, ``?3`` expiry, then one per token.
 _CLAIM = f"""
-INSERT INTO leases ({_FIELDS}) VALUES (:token, :me, :now, :now, :expires_at)
+INSERT INTO leases ({_FIELDS}) VALUES {{rows}}
 ON CONFLICT (token) DO UPDATE SET
     worker = excluded.worker,
     acquired = excluded.acquired,
     renewed = excluded.renewed,
     expires_at = excluded.expires_at
-WHERE leases.expires_at < :now OR leases.worker = :me
+WHERE leases.expires_at < ?2 OR leases.worker = ?1
+RETURNING token
 """
 
 _RENEW = """
 UPDATE leases SET renewed = :now, expires_at = :expires_at
-WHERE token = :token AND worker = :me
+WHERE token = :token AND worker = :me RETURNING token
 """
 
-_RELEASE = "DELETE FROM leases WHERE token = :token AND worker = :me"
+_RELEASE = "DELETE FROM leases WHERE worker = ? AND token IN ({tokens})"
 
-_REAP = "DELETE FROM leases WHERE expires_at < :now"
+_REAP = "DELETE FROM leases WHERE expires_at < :now RETURNING token"
 
 _COUNT_EXPIRED = "SELECT COUNT(*) FROM leases WHERE expires_at < :now"
 
@@ -127,12 +130,6 @@ class LeaseManager:
         with self._lock:
             return sorted(self._held)
 
-    def _params(self, token: str) -> dict:
-        if not token:
-            raise ValidationError("lease token must be a non-empty string")
-        now = time.time()
-        return {"token": token, "me": self.worker_id, "now": now, "expires_at": now + self.ttl}
-
     def _mark_lost(self, token: str) -> None:
         with self._lock:
             if token in self._held:
@@ -148,21 +145,33 @@ class LeaseManager:
         """All current claims in the namespace (any owner), by token."""
         return [LeaseInfo(*row) for row in self._store._query(f"{_SELECT} ORDER BY token")]
 
-    def try_claim(self, token: str) -> bool:
-        """Claim one point; ``True`` iff this worker now owns the lease.
+    def claim_many(self, tokens: Iterable[str]) -> set[str]:
+        """Claim a slice of points in one statement; the tokens now this worker's.
 
         Wins an unclaimed point, re-claims one of this worker's own, and
-        takes over an expired claim; a live peer's claim is left alone
-        (``False``).  A token this manager believed it held but a peer now
-        owns moves to :attr:`lost`.
+        takes over an expired claim; a live peer's claim is left alone.  A
+        token this manager believed it held but a peer now owns moves to
+        :attr:`lost`.
         """
-        if self._store._write(_CLAIM, self._params(token)) == 0:
-            self._mark_lost(token)
-            return False
+        wanted = list(dict.fromkeys(tokens))
+        if not all(wanted):
+            raise ValidationError("lease token must be a non-empty string")
+        if not wanted:
+            return set()
+        now = time.time()
+        rows = ", ".join(f"(?{n}, ?1, ?2, ?2, ?3)" for n in range(4, 4 + len(wanted)))
+        params = (self.worker_id, now, now + self.ttl, *wanted)
+        won = {row[0] for row in self._store._write(_CLAIM.format(rows=rows), params)}
         with self._lock:
-            self._held.add(token)
-            self.lost.discard(token)
-        return True
+            self._held.update(won)
+            self.lost.difference_update(won)
+        for token in set(wanted) - won:
+            self._mark_lost(token)
+        return won
+
+    def try_claim(self, token: str) -> bool:
+        """Claim one point (:meth:`claim_many` of one); ``True`` iff won."""
+        return token in self.claim_many([token])
 
     def renew(self, token: str) -> bool:
         """Refresh one held lease's TTL; ``False`` when the lease was lost.
@@ -175,7 +184,9 @@ class LeaseManager:
         with self._lock:
             if token not in self._held:
                 return False
-        if self._store._write(_RENEW, self._params(token)) == 0:
+        now = time.time()
+        params = {"token": token, "me": self.worker_id, "now": now, "expires_at": now + self.ttl}
+        if not self._store._write(_RENEW, params):
             self._mark_lost(token)
             return False
         return True
@@ -184,29 +195,33 @@ class LeaseManager:
         """Refresh every held lease; returns how many renewals succeeded."""
         return sum(1 for token in self.held() if self.renew(token))
 
-    def release(self, token: str) -> None:
-        """Drop one held lease (after the point's result is in the store).
+    def release_many(self, tokens: Iterable[str]) -> None:
+        """Drop held leases in one statement (after their results are stored).
 
         A claim a peer took over in the meantime is not this worker's to
         delete, and stays.
         """
         with self._lock:
-            if token not in self._held:
-                return
-            self._held.discard(token)
-        self._store._write(_RELEASE, self._params(token))
+            mine = [token for token in dict.fromkeys(tokens) if token in self._held]
+            self._held.difference_update(mine)
+        if mine:
+            marks = ", ".join("?" * len(mine))
+            self._store._write(_RELEASE.format(tokens=marks), (self.worker_id, *mine))
+
+    def release(self, token: str) -> None:
+        """Drop one held lease (:meth:`release_many` of one)."""
+        self.release_many([token])
 
     def release_all(self) -> None:
         """Drop every held lease."""
-        for token in self.held():
-            self.release(token)
+        self.release_many(self.held())
 
     def reap_expired(self, dry_run: bool = False) -> int:
         """Delete every expired claim (any owner); how many there were."""
         params = {"now": time.time()}
         if dry_run:
             return self._store._query(_COUNT_EXPIRED, params)[0][0]
-        return self._store._write(_REAP, params)
+        return len(self._store._write(_REAP, params))
 
     @contextlib.contextmanager
     def heartbeat(self, interval: float | None = None) -> Iterator["LeaseManager"]:

@@ -546,13 +546,13 @@ class SqliteResultStore(BaseResultStore):
                 return []
             return self._execute(sql, params).fetchall()
 
-    def _write(self, sql: str, params: Sequence | dict = ()) -> int:
-        """Commit one statement in its own transaction; the rows it changed."""
+    def _write(self, sql: str, params: Sequence | dict = ()) -> list[tuple]:
+        """Commit one statement in its own transaction; the rows it returned."""
         with self._lock:
             conn = self._connect()
             try:
                 with conn:
-                    return conn.execute(sql, params).rowcount
+                    return conn.execute(sql, params).fetchall()
             except sqlite3.Error as exc:
                 raise self._unavailable(exc) from exc
 

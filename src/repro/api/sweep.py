@@ -20,11 +20,17 @@ makes that explicit:
 Interrupting a store-backed sweep and re-running it therefore re-executes
 only the remainder: every completed point was persisted when it finished.
 
-:meth:`SweepScheduler.run_cooperative` extends the same resume contract to
-*k concurrent workers* draining one grid against one shared store: each
-worker claims points through the store's lease namespace
-(:mod:`repro.api.store.leases`) before evaluating them, heartbeats its
-claims while it works, and re-plans after each drained batch.  A crashed
+:meth:`SweepScheduler.iter_results` (the daemon's streaming sweep) and
+:meth:`SweepScheduler.run_cooperative` (*k concurrent workers* draining one
+grid against one shared store) settle the missing points in **scenario
+slices** of 1, 2, 4, ... up to :data:`SLICE_SCENARIOS` scenarios.  A
+scenario's backends always share a slice, and each slice is one
+``_evaluate_points`` call in a resolver dispatch of its own: one
+``predict_batch`` and one store transaction per batch backend.  A stream
+yields each slice as soon as it is settled.  A cooperative worker claims a
+slice through the store's lease namespace (:mod:`repro.api.store.leases`)
+with one guarded statement, heartbeats the claims while it works, and
+releases the slice with one more once its results are stored.  A crashed
 worker's leases expire and its points are re-claimed by the survivors, so
 the grid always completes — with zero duplicate evaluations among live
 workers.
@@ -32,10 +38,8 @@ workers.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
 from ..exceptions import ValidationError
@@ -48,6 +52,25 @@ from .store.leases import LeaseManager
 
 #: One sweep point: (scenario index in the suite, backend name).
 SweepPoint = tuple[int, str]
+
+#: The most scenarios one slice of a streaming or cooperative sweep holds.
+#: Slices grow 1, 2, 4, ... up to it, so a stream's first points wait for
+#: one scenario while a long grid still settles in few batches.
+SLICE_SCENARIOS = 256
+
+
+def _slices(points: Sequence[SweepPoint], limit: int) -> Iterator[list[SweepPoint]]:
+    """Cut index-major ``points`` into slices of 1, 2, 4, ... up to ``limit`` scenarios."""
+    size, count, last, chunk = 1, 0, None, []
+    for point in points:
+        if point[0] != last:
+            if count == size:
+                yield chunk
+                size, count, chunk = min(2 * size, limit), 0, []
+            count, last = count + 1, point[0]
+        chunk.append(point)
+    if chunk:
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -127,9 +150,9 @@ class CooperativeOutcome(SweepOutcome):
     """
 
     worker_id: str = "?"
-    #: Plan → claim → evaluate → release cycles this worker ran.
+    #: Claim → evaluate → release cycles (one per slice) plus empty plans.
     rounds: int = 0
-    #: Leases this worker won (including points that then failed).
+    #: Leases this worker won and settled (including points that then failed).
     claimed: int = 0
     #: Points this worker successfully evaluated.
     evaluated: int = 0
@@ -185,7 +208,7 @@ class SweepScheduler:
         With ``leases`` (a cooperative worker's manager), missing points
         whose lease is currently held by a *live peer* move to
         :attr:`SweepPlan.leased` — advisory only; the atomic claim still
-        happens through :meth:`~repro.api.store.leases.LeaseManager.try_claim`
+        happens through :meth:`~repro.api.store.leases.LeaseManager.claim_many`
         at evaluation time.
 
         A caller that goes on to evaluate the suite passes each scenario's
@@ -290,33 +313,31 @@ class SweepScheduler:
     ) -> "CooperativeOutcome":
         """Drain the grid cooperatively with every peer sharing the store.
 
-        The worker loops *plan → claim → evaluate → release* until nothing
-        is left: each round it re-plans against the shared store (points
-        peers completed since the last round become store hits), atomically
-        claims a batch of unanswered points through the lease namespace,
-        evaluates exactly the points it won, and releases each claim only
-        after the result is durably in the store.  A background heartbeat
-        renews held claims, so one slow evaluation cannot silently expire
-        its own lease; when every remaining point is leased to live peers
-        the worker sleeps ``poll_interval`` (default ``lease_ttl / 10``) and
-        re-plans — a *crashed* peer's claims expire within one TTL and are
-        taken over, so the sweep always completes.
-
-        ``claim_limit`` caps how many points one round may claim.  Without
-        it the first worker to plan claims every unanswered point (a claim
-        is one small SQL upsert, far faster than an evaluation), which leaves
-        late-starting peers nothing to do; with ``claim_limit=n`` each
-        worker takes at most ``n`` points per round and re-plans, so a
-        k-worker fabric load-balances at the cost of one extra plan per
-        batch.
+        Each pass plans once against the shared store (points peers
+        completed become store hits), then works through the plan's
+        unanswered points slice by slice: it claims the slice with one
+        guarded statement, probes the won points once, releases those a
+        peer already answered, settles the rest in one batch, and releases
+        the slice once the results are durably in the store.  Points a peer
+        claimed first are skipped, not waited on.  Slices grow 1, 2, 4, ...
+        scenarios, so even without a cap late-starting peers find work;
+        ``claim_limit=n`` caps a slice at ``n`` scenarios.  The worker
+        re-plans only when the pass runs out, to pick up peer results and
+        expired leases.  A background heartbeat renews held claims, so one
+        slow slice cannot expire its own leases; when every remaining point
+        is leased to live peers the worker sleeps ``poll_interval`` (default
+        ``lease_ttl / 10``) and re-plans — a *crashed* peer's claims expire
+        within one TTL and are taken over, so the sweep always completes.
 
         Requires a store-backed service (the store carries both the results
-        and the claim namespace).  Under ``on_error="skip"``/``"record"``
-        a point that fails terminally never reaches the store; such points
-        are remembered locally and not re-claimed, so a failing backend
-        cannot livelock the loop.  The returned outcome replays the full
-        grid (one final :meth:`~PredictionService.evaluate_suite`, all store
-        hits) and reports this worker's share of the work.
+        and the claim namespace).  Under ``on_error="raise"`` a failing
+        slice raises with the points it evaluated persisted and its claims
+        released.  Under ``"skip"``/``"record"`` a point that fails
+        terminally never reaches the store; such points are remembered
+        locally and not re-claimed, so a failing backend cannot livelock
+        the loop.  The returned outcome replays the full grid (one final
+        :meth:`~PredictionService.evaluate_suite`, all store hits) and
+        reports this worker's share of the work.
         """
         if not isinstance(self._service.store, SqliteResultStore):
             raise ValidationError(
@@ -329,67 +350,61 @@ class SweepScheduler:
             raise ValidationError(f"poll_interval must be positive, got {wait}")
         if claim_limit is not None and claim_limit < 1:
             raise ValidationError(f"claim_limit must be at least 1, got {claim_limit}")
+        mode = self._service._resolve_on_error(on_error)
+        limit = min(claim_limit or SLICE_SCENARIOS, SLICE_SCENARIOS)
         before = self._service.stats()
         failed_locally: set[SweepPoint] = set()
-        claimed = evaluated = released = waits = rounds = 0
+        claimed = evaluated = waits = rounds = 0
         keys = [scenario.cache_key() for scenario in suite.scenarios]
-        # One resolver for every round: the points a worker evaluates share
-        # derived inputs and the MVA pair's trajectories, as in a dispatch.
-        with ScenarioResolver.dispatch(), leases.heartbeat():
+        tokens: TokenMemo = {}
+        with leases.heartbeat():
             try:
                 while True:
-                    rounds += 1
-                    plan = self.plan(suite, backends, leases=leases, keys=keys)
+                    plan = self.plan(suite, backends, leases=leases, keys=keys, tokens=tokens)
                     todo = [p for p in plan.missing if p not in failed_locally]
+                    rounds += not todo
                     if not todo and not plan.leased:
                         break  # grid complete (or only locally-failed points left)
-                    won: list[SweepPoint] = []
-                    for index, name in todo:
-                        if claim_limit is not None and len(won) >= claim_limit:
-                            break
-                        token = self._service.point_token(keys[index], name)
-                        if not leases.try_claim(token):
+                    settled = False
+                    for points in _slices(todo, limit):
+                        rounds += 1
+                        unique = {(keys[i], name): suite.scenarios[i] for i, name in points}
+                        named = {self._service.point_token(*point): point for point in unique}
+                        claims = leases.claim_many(named)
+                        won = {point: token for token, point in named.items() if token in claims}
+                        # A peer may have answered a point between our plan and
+                        # our claim.  Peers persist *before* releasing, so
+                        # holding the lease makes this probe definitive: yield
+                        # such points back instead of counting them as ours.
+                        answered = self._service.probe_points(list(won), tokens)
+                        leases.release_many([won.pop(point) for point in answered])
+                        claimed += len(won)
+                        if not won:
                             continue
-                        if (keys[index], name) in self._service.probe_points(
-                            [(keys[index], name)]
-                        ):
-                            # A peer answered this point in the plan→claim
-                            # window (it claimed, evaluated, persisted, and
-                            # released while our plan was in flight).  Peers
-                            # persist *before* releasing, so holding the
-                            # lease makes this probe definitive: yield the
-                            # point back instead of counting it as our work.
-                            leases.release(token)
-                            continue
-                        won.append((index, name))
-                    claimed += len(won)
-                    if not won:
-                        # Everything unanswered is leased to live peers:
-                        # wait for them to finish (or their leases to
-                        # expire) and re-plan.
+                        settled = True
+                        try:
+                            with ScenarioResolver.dispatch():
+                                results = self._service._evaluate_points(
+                                    {point: unique[point] for point in won}, mode, tokens, won
+                                )
+                        finally:
+                            # Successes are durably stored before this release;
+                            # a failed point's release lets a peer retry it —
+                            # this worker won't (failed_locally).
+                            leases.release_many(won.values())
+                        failed = {p for p in won if not getattr(results.get(p), "ok", False)}
+                        evaluated += len(won) - len(failed)
+                        failed_locally.update(p for p in points if (keys[p[0]], p[1]) in failed)
+                    if not settled:
+                        # Everything unanswered is leased to live peers: wait
+                        # for them to finish (or their leases to expire).
                         waits += 1
                         time.sleep(wait)
-                        continue
-                    for index, name in won:
-                        token = self._service.point_token(keys[index], name)
-                        try:
-                            outcome = self._service.evaluate_point(
-                                suite.scenarios[index], name, on_error=on_error
-                            )
-                        finally:
-                            # Success is durably in the store before this
-                            # release (evaluate_point persists on completion);
-                            # on failure the release lets a peer retry the
-                            # point — this worker won't (failed_locally).
-                            leases.release(token)
-                            released += 1
-                        if outcome is None or not outcome.ok:
-                            failed_locally.add((index, name))
-                        else:
-                            evaluated += 1
             finally:
                 leases.release_all()
-        result = self._service.evaluate_suite(suite, plan.backends, on_error=on_error, keys=keys)
+        result = self._service.evaluate_suite(
+            suite, plan.backends, on_error=on_error, keys=keys, tokens=tokens
+        )
         after = self._service.stats()
         return CooperativeOutcome(
             plan=plan,
@@ -411,66 +426,42 @@ class SweepScheduler:
         *,
         on_error: str | None = None,
         plan: SweepPlan | None = None,
-        max_workers: int | None = None,
         retry: "RetryPolicy | int | None" = None,
         timeout: float | None = None,
     ) -> Iterator[tuple[int, str, "PredictionResult | FailedResult | None"]]:
-        """Stream the sweep: yield each point the moment its answer exists.
+        """Stream the sweep: yield each slice of points the moment it is settled.
 
         Yields ``(scenario index, backend, result)`` tuples — first every
-        already-answered point (memory/store hits replay instantly), then
-        the missing points in *completion* order, evaluated concurrently on
-        a private thread pool.  This is the serving layer's sweep path: an
-        HTTP client sees points arrive incrementally instead of waiting for
-        the whole grid.
+        already-answered point (memory/store hits, settled together without
+        evaluating anything), then the missing points slice by slice, each
+        slice as soon as its one batch completes.  This is the serving
+        layer's sweep path: an HTTP client sees points arrive incrementally
+        instead of waiting for the whole grid.  Concurrency inside a slice
+        follows the service's execution mode.
 
         Points that fail terminally follow ``on_error`` exactly as
         :meth:`~repro.api.service.PredictionService.evaluate_point` does
         (``"skip"`` yields ``None``, ``"record"`` yields a
-        :class:`~repro.api.results.FailedResult`, ``"raise"`` propagates).
-        ``retry`` / ``timeout`` are per-call policy overrides.  Closing the
-        generator early (a disconnected client) cancels the not-yet-started
-        points and waits for in-flight ones — each of those still records to
-        cache and store, so an abandoned sweep leaves the store consistent
-        and a re-run resumes from what completed.
+        :class:`~repro.api.results.FailedResult`), except that under
+        ``"raise"`` a failing slice yields none of its points; those it
+        evaluated are persisted when the error propagates.  ``retry`` /
+        ``timeout`` are per-call policy overrides.  Closing the generator
+        early (a disconnected client) evaluates nothing more; every settled
+        slice is already in cache and store, so a re-run resumes from it.
         """
+        keys = [scenario.cache_key() for scenario in suite.scenarios]
+        tokens: TokenMemo = {}
         if plan is None:
-            plan = self.plan(suite, backends)
-        for index, name in (*plan.memory_hits, *plan.store_hits):
-            yield (
-                index,
-                name,
-                self._service.evaluate(
-                    suite.scenarios[index], name, retry=retry, timeout=timeout
-                ),
-            )
-        missing = list(plan.missing)
-        if not missing:
-            return
-        workers = max_workers or min(len(missing), os.cpu_count() or 2)
-        # One resolver for the stream's evaluations.  Each pool task enters
-        # it in its own context (none is held across a yield), so the MVA
-        # pair of a scenario shares one trajectory, as in a dispatch.
-        resolver = ScenarioResolver()
-        executor = ThreadPoolExecutor(max_workers=max(1, workers))
-        try:
-            futures = {
-                executor.submit(
-                    resolver.run,
-                    self._service.evaluate_point,
-                    suite.scenarios[index],
-                    name,
-                    on_error=on_error,
-                    retry=retry,
-                    timeout=timeout,
-                ): (index, name)
-                for index, name in missing
-            }
-            for future in as_completed(futures):
-                index, name = futures[future]
-                yield index, name, future.result()
-        finally:
-            # On normal exhaustion this is a no-op; on early close or a
-            # raising point it cancels the queued remainder and waits for
-            # in-flight evaluations (which persist their results) to finish.
-            executor.shutdown(wait=True, cancel_futures=True)
+            plan = self.plan(suite, backends, keys=keys, tokens=tokens)
+        mode = self._service._resolve_on_error(on_error)
+        unanswered = {(keys[index], name) for index, name in plan.missing}
+        hits = [*plan.memory_hits, *plan.store_hits]
+        for points in (hits, *_slices(plan.missing, SLICE_SCENARIOS)):
+            unique = {(keys[index], name): suite.scenarios[index] for index, name in points}
+            with ScenarioResolver.dispatch():
+                results = self._service._evaluate_points(
+                    unique, mode, tokens, unanswered, retry, timeout
+                )
+            unanswered.difference_update(results)
+            for index, name in points:
+                yield index, name, results.get((keys[index], name))

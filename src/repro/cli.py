@@ -848,8 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="claim at most N points per cooperative round (default: all "
-        "available; small values load-balance a k-worker fabric)",
+        help="claim at most N scenarios per cooperative slice (default: "
+        "slices that grow 1, 2, 4, ... scenarios)",
     )
     _add_service_arguments(sweep_parser)
     sweep_parser.set_defaults(handler=_command_sweep)

@@ -23,11 +23,10 @@ Serving semantics:
   server's ceilings (:attr:`ServeConfig.max_retries`,
   :attr:`ServeConfig.max_timeout`).
 * **Streaming sweeps.** ``POST /sweep`` answers NDJSON over chunked
-  transfer: a ``plan`` line, one ``point`` line per grid point *as it
-  completes* (via :meth:`~repro.api.sweep.SweepScheduler.iter_results`), and
-  a ``done`` line.  A client that disconnects mid-stream cancels the
-  not-yet-started points; finished points are already persisted, so the
-  store stays consistent and a re-run resumes from them.
+  transfer: a ``plan`` line, one ``point`` line per grid point *as its
+  slice completes* (:meth:`~repro.api.sweep.SweepScheduler.iter_results`),
+  and a ``done`` line.  A client that disconnects finishes the current
+  slice only; settled points are persisted, so a re-run resumes from them.
 * **Capacity planning.** ``POST /plan`` runs a
   :class:`~repro.plan.PlanSpec` search through the resident service under
   the same admission gate and returns the full
@@ -579,9 +578,9 @@ class PredictionDaemon:
         The generator runs on a daemon pool thread; each yielded point hops
         to the event loop through a bounded queue (so a slow client applies
         backpressure to evaluation draining, not memory).  On client
-        disconnect the pump stops and closes the generator, which cancels
-        the unstarted points and waits for in-flight ones — those still land
-        in the cache and store, so the scheduler and store stay consistent.
+        disconnect the pump stops after the point in hand and closes the
+        generator: the current scenario slice is already settled (in cache
+        and store, so a re-run replays it), and no further slice starts.
         """
         loop = asyncio.get_running_loop()
         before = self.service.stats()
@@ -605,9 +604,9 @@ class PredictionDaemon:
             error: BaseException | None = None
             try:
                 for point in generator:
+                    emit(point)
                     if stop.is_set():
                         break
-                    emit(point)
             except BaseException as exc:  # surfaced as the stream's error line
                 error = exc
             finally:

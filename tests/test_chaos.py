@@ -26,7 +26,6 @@ from repro.api import (
     Scenario,
     ScenarioSuite,
     SuiteResult,
-    SweepScheduler,
     open_store,
 )
 from repro.api.backends import (
@@ -81,13 +80,15 @@ def _series(result, backends=CHAOS_BACKENDS):
 def _per_point(service, suite, backends):
     """Evaluate every cell through ``evaluate_point``, never ``predict_batch``.
 
-    This is the per-point path the daemon and the streaming sweep dispatch,
-    so per-point fault injection reaches the retry loop of every point.
+    This is the daemon's ``/predict`` path, so per-point fault injection
+    reaches the retry loop of every point.
     """
     rows = [{} for _ in suite.scenarios]
-    for index, name, result in SweepScheduler(service).iter_results(suite, backends):
-        if result is not None:
-            rows[index][name] = result
+    for index, scenario in enumerate(suite.scenarios):
+        for name in backends:
+            result = service.evaluate_point(scenario, name)
+            if result is not None:
+                rows[index][name] = result
     return SuiteResult(suite=suite, backends=tuple(backends), rows=tuple(rows))
 
 

@@ -282,7 +282,7 @@ class LeaseMachine(RuleBasedStateMachine):
 
     WORKERS = ("w0", "w1", "w2")
     TTLS = {"w0": 1.0, "w1": 2.0, "w2": 1.0}
-    TOKENS = ("t0", "t1")
+    TOKENS = ("t0", "t1", "t2")
 
     def __init__(self) -> None:
         super().__init__()
@@ -320,8 +320,8 @@ class LeaseMachine(RuleBasedStateMachine):
             assert now > previous[1], f"{worker} granted {token} inside {previous}"
         self.granted[token] = (worker, now + self.TTLS[worker])
 
-    @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
-    def claim(self, worker, token):
+    def _claim(self, worker: str, token: str) -> bool:
+        """The claim guard and action on the model; whether the claim wins."""
         now = self.clock.now
         row = self.table.get(token)
         wins = row is None or row[3] < now or row[0] == worker
@@ -331,9 +331,29 @@ class LeaseMachine(RuleBasedStateMachine):
             self.lost[worker].discard(token)
         else:
             self._lose(worker, token)
+        return wins
+
+    def _release(self, worker: str, token: str) -> None:
+        row = self.table.get(token)
+        if token in self.held[worker]:
+            self.held[worker].discard(token)
+            if row is not None and row[0] == worker:
+                del self.table[token]
+
+    @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
+    def claim(self, worker, token):
+        wins = self._claim(worker, token)
         won = self.managers[worker].try_claim(token)
         assert won == wins
         if won:
+            self._grant(worker, token)
+
+    @rule(worker=st.sampled_from(WORKERS), tokens=st.lists(st.sampled_from(TOKENS), max_size=4))
+    def claim_many(self, worker, tokens):
+        wins = {token for token in dict.fromkeys(tokens) if self._claim(worker, token)}
+        won = self.managers[worker].claim_many(tokens)
+        assert won == wins
+        for token in sorted(won):
             self._grant(worker, token)
 
     @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
@@ -352,12 +372,14 @@ class LeaseMachine(RuleBasedStateMachine):
 
     @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
     def release(self, worker, token):
-        row = self.table.get(token)
-        if token in self.held[worker]:
-            self.held[worker].discard(token)
-            if row is not None and row[0] == worker:
-                del self.table[token]
+        self._release(worker, token)
         self.managers[worker].release(token)
+
+    @rule(worker=st.sampled_from(WORKERS), tokens=st.lists(st.sampled_from(TOKENS), max_size=4))
+    def release_many(self, worker, tokens):
+        for token in tokens:
+            self._release(worker, token)
+        self.managers[worker].release_many(tokens)
 
     @rule(worker=st.sampled_from(WORKERS))
     def reap(self, worker):
@@ -522,22 +544,22 @@ class TestRunCooperative:
         the worker's plan was computed.  Evaluating it would be a store hit
         — not duplicate work — but it must not count as this worker's
         *evaluated* share, or k workers' shares sum past the grid size.
-        Deterministic reproduction: the first ``try_claim`` is intercepted
+        Deterministic reproduction: the first ``claim_many`` is intercepted
         and a peer drains the whole grid (plain, lease-free ``run``) before
         the claim proceeds.
         """
         suite = _suite([2, 3])
         store_path = tmp_path / "store"
-        real_try_claim = LeaseManager.try_claim
+        real_claim_many = LeaseManager.claim_many
         raced = []
 
-        def racing_try_claim(self, token):
+        def racing_claim_many(self, tokens):
             if not raced:
-                raced.append(token)
+                raced.append(tokens)
                 SweepScheduler(_service(store_path)).run(suite, [BACKEND])
-            return real_try_claim(self, token)
+            return real_claim_many(self, tokens)
 
-        monkeypatch.setattr(LeaseManager, "try_claim", racing_try_claim)
+        monkeypatch.setattr(LeaseManager, "claim_many", racing_claim_many)
         with inject_backend_faults(BACKEND, FaultSpec(seed=11)) as injector:
             outcome = SweepScheduler(_service(store_path)).run_cooperative(
                 suite, [BACKEND], worker_id="late", lease_ttl=5.0

@@ -23,8 +23,10 @@ from repro.api import (
     open_store,
 )
 from repro.api.backends import _REGISTRY
+from repro.api.dashboard import smoke_grid
 from repro.api.results import PredictionResult
 from repro.api.store import DB_FILENAME
+from repro.api.sweep import SLICE_SCENARIOS, _slices
 from repro.units import megabytes
 
 #: Small, fast scenario shared by the scheduler tests.
@@ -193,6 +195,101 @@ class TestSweepRun:
         assert outcome.stats.batch_points == 4
 
 
+class TestSlices:
+    """Streaming and cooperative sweeps settle whole scenario slices in bulk.
+
+    Counters, not timers: store writes per slice, lease statements per
+    slice, and the order of yields and batch calls.
+    """
+
+    #: 40 scenarios: slices of 1, 2, 4, 8, 16 and 9 scenarios.
+    GRID = ScenarioSuite.from_sweep("sliced", SMALL, num_nodes=list(range(2, 42)))
+    SLICES = 6
+    BATCHED = ("aria", "herodotou")
+
+    def test_slices_double_up_to_the_bound(self):
+        points = [(index, name) for index in range(17) for name in ("a", "b")]
+        scenarios = [len({index for index, _ in chunk}) for chunk in _slices(points, 256)]
+        assert scenarios == [1, 2, 4, 8, 2]
+        assert [len(chunk) for chunk in _slices(points, 3)] == [2, 4, 6, 6, 6, 6, 4]
+        assert SLICE_SCENARIOS >= 8
+
+    @pytest.mark.parametrize("path", ["stream", "cooperative"])
+    def test_a_cold_slice_writes_once_per_batch_backend(self, tmp_path, monkeypatch, path):
+        service = PredictionService(backends=self.BATCHED, store=tmp_path / "store")
+        writes: list[int] = []
+        put_many = service.store.put_many
+
+        def counted(*args, **kwargs):
+            writes.append(len(args[0]))
+            return put_many(*args, **kwargs)
+
+        monkeypatch.setattr(service.store, "put_many", counted)
+        scheduler = SweepScheduler(service)
+        if path == "stream":
+            assert len(list(scheduler.iter_results(self.GRID, self.BATCHED))) == 80
+        else:
+            outcome = scheduler.run_cooperative(
+                self.GRID, self.BATCHED, worker_id="solo", lease_ttl=60.0
+            )
+            assert outcome.evaluated == 80
+        assert len(writes) == self.SLICES * len(self.BATCHED)
+        assert sum(writes) == 80
+
+    def test_a_cooperative_slice_issues_at_most_three_lease_statements(self, tmp_path):
+        service = PredictionService(backends=self.BATCHED, store=tmp_path / "store")
+        statements: list[str] = []
+        service.store._connect().set_trace_callback(statements.append)
+        outcome = SweepScheduler(service).run_cooperative(
+            self.GRID, self.BATCHED, worker_id="solo", lease_ttl=60.0
+        )
+        assert outcome.evaluated == outcome.claimed == 80
+        lease_writes = [
+            sql.lstrip().split()[0]
+            for sql in statements
+            if "leases" in sql and not sql.lstrip().startswith("SELECT")
+        ]
+        claims = [at for at, verb in enumerate(lease_writes) if verb == "INSERT"]
+        assert len(claims) == self.SLICES
+        for start, end in zip(claims, [*claims[1:], len(lease_writes)]):
+            assert end - start <= 3
+
+    def test_a_stream_yields_before_the_last_slice_is_batched(self, monkeypatch):
+        events: list[str] = []
+        backend = type(create_backend("aria"))
+        predict_batch = backend.predict_batch
+
+        def logged(self, scenarios):
+            events.append("batch")
+            return predict_batch(self, scenarios)
+
+        monkeypatch.setattr(backend, "predict_batch", logged)
+        scheduler = SweepScheduler(PredictionService(backends=["aria"]))
+        for _ in scheduler.iter_results(self.GRID, ["aria"]):
+            events.append("yield")
+        # The lone first scenario takes the per-point path; every later
+        # slice is one batch.
+        assert events.count("batch") == self.SLICES - 1
+        last_batch = len(events) - 1 - events[::-1].index("batch")
+        assert events.index("yield") < last_batch
+
+    def test_sliced_cells_equal_the_suites(self, tmp_path):
+        grid = smoke_grid()
+        names = tuple(PredictionService().backends())
+
+        def cells(rows) -> dict:
+            return {(index, name): row[name] for index, row in enumerate(rows) for name in row}
+
+        expected = cells(PredictionService(backends=names).evaluate_suite(grid, names).rows)
+        stream = SweepScheduler(PredictionService(backends=names)).iter_results(grid, names)
+        assert {(index, name): result for index, name, result in stream} == expected
+        cooperative = SweepScheduler(
+            PredictionService(backends=names, store=tmp_path / "store")
+        ).run_cooperative(grid, names, worker_id="solo", lease_ttl=60.0)
+        assert cells(cooperative.result.rows) == expected
+        assert len(expected) == len(grid) * len(names)
+
+
 class TestFlushOnFailure:
     """A sweep that dies mid-run must not lose its completed points."""
 
@@ -232,6 +329,19 @@ class TestFlushOnFailure:
         assert open_store(store_path).refresh().loaded == 3
         assert service.stats().evaluations == 3
         assert service.stats().failures == 1
+
+    def test_a_failing_stream_slice_yields_nothing_but_persists(self, partial_backend, tmp_path):
+        name = partial_backend.name
+        partial_backend.cursed_nodes = 3
+        store_path = tmp_path / "store"
+        scheduler = SweepScheduler(PredictionService(backends=[name], store=store_path))
+        yielded = []
+        with pytest.raises(ValueError):
+            for index, _, _ in scheduler.iter_results(SUITE, [name], on_error="raise"):
+                yielded.append(index)
+        # Slices hold scenarios [0], [1, 2] and [3]; the second fails on 3 nodes.
+        assert yielded == [0]
+        assert open_store(store_path).refresh().loaded == 2
 
     def test_resumed_sweep_reevaluates_only_the_failed_point(
         self, partial_backend, tmp_path

@@ -92,11 +92,10 @@ def paper_cells(solves) -> dict:
     return {(index, name): row[name] for index, row in enumerate(result.rows) for name in MVA_PAIR}
 
 
-@pytest.mark.parametrize("max_workers", [1, None])
-def test_streaming_sweep_solves_each_iteration_once(solves, max_workers):
+def test_streaming_sweep_solves_each_iteration_once(solves):
     expected = paper_cells(solves)
     scheduler = SweepScheduler(PredictionService(backends=MVA_PAIR))
-    stream = scheduler.iter_results(paper_grid(), MVA_PAIR, max_workers=max_workers)
+    stream = scheduler.iter_results(paper_grid(), MVA_PAIR)
     cells = {(index, name): result for index, name, result in stream}
     assert len(solves) == 95
     assert cells == expected
@@ -109,6 +108,46 @@ def test_cooperative_sweep_solves_each_iteration_once(solves, tmp_path):
     assert len(solves) == 95
     assert outcome.evaluated == len(expected)
     rows = enumerate(outcome.result.rows)
+    assert {(index, name): row[name] for index, row in rows for name in MVA_PAIR} == expected
+
+
+def test_a_stalled_reader_keeps_its_trajectory(solves, monkeypatch):
+    """A thread held before it reads scenario 0's trajectory still finds it.
+
+    Thread mode with two workers: the first caller for scenario 0 waits
+    until the other worker has read five more trajectories, more than the
+    resolver keeps.  The trajectory the other estimator of scenario 0
+    already extended must still be there, not solved again.
+    """
+    expected = paper_cells(solves)
+    grid = paper_grid()
+    read = ScenarioResolver.mva_trajectory
+    lock = threading.Lock()
+    held: list[int] = []
+    others: set[int] = set()
+    resumed = threading.Event()
+
+    def stalling(self, scenario):
+        with lock:
+            hold = scenario is grid.scenarios[0] and not held
+            if hold:
+                held.append(threading.get_ident())
+        if hold:
+            assert resumed.wait(timeout=60.0)
+        trajectory = read(self, scenario)
+        with lock:
+            if held and threading.get_ident() != held[0] and scenario is not grid.scenarios[0]:
+                others.add(id(scenario))
+                if len(others) >= 5:
+                    resumed.set()
+        return trajectory
+
+    monkeypatch.setattr(ScenarioResolver, "mva_trajectory", stalling)
+    service = PredictionService(backends=MVA_PAIR, execution="thread", max_workers=2)
+    result = service.evaluate_suite(grid, MVA_PAIR)
+    assert resumed.is_set()
+    assert len(solves) == 95
+    rows = enumerate(result.rows)
     assert {(index, name): row[name] for index, row in rows for name in MVA_PAIR} == expected
 
 
