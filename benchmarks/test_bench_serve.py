@@ -11,7 +11,9 @@ multi-client load generator the way a serving fleet would:
   matter how many requests asked for them;
 * a **burst** phase against a deliberately tiny admission gate
   (``max_inflight=1``, ``queue_depth=0``) asserting the daemon answers 429
-  backpressure instead of buffering unbounded work.
+  backpressure instead of buffering unbounded work.  Repeats of a point
+  already answered are served from memory on the event loop and never
+  bounce; only first-time points (evaluations) compete for the one slot.
 
 Each phase prints one machine-readable ``BENCH_SERVE {json}`` line; CI greps
 them into the bench artifact in smoke mode (``BENCH_SMOKE=1`` shrinks the
@@ -134,8 +136,9 @@ def test_bench_serve_backpressure_burst():
     clients = 6
     requests_per_client = 3 if _smoke_mode() else 10
     service = PredictionService(backends=["simulator"])
-    # One slot, no queue: with 6 clients bursting simulator evaluations
-    # (tens of ms each), most concurrent requests must bounce.
+    # One slot, no queue: with 6 clients bursting first-time simulator
+    # evaluations (tens of ms each), most of them must bounce; a repeat of
+    # an answered point is a memory hit and is answered without a slot.
     config = ServeConfig(port=0, max_inflight=1, queue_depth=0, retry_after=0.05)
     with daemon_in_thread(service, config) as daemon:
         report = run_predict_load(

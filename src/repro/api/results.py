@@ -10,6 +10,7 @@ side-by-side comparison and caching possible.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -79,6 +80,17 @@ class PredictionResult:
             "phases": dict(self.phases),
             "metadata": dict(self.metadata),
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as sorted-key JSON, encoded on first request only.
+
+        Kept in the instance dict (outside the fields, so equality ignores
+        it): a result the service cache answers many times is encoded once.
+        """
+        text = self.__dict__.get("_canonical_json")
+        if text is None:
+            text = self.__dict__["_canonical_json"] = json.dumps(self.to_dict(), sort_keys=True)
+        return text
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PredictionResult":
@@ -150,6 +162,11 @@ class FailedResult:
             "error": self.error,
             "attempts": self.attempts,
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as sorted-key JSON (failures are never cached, so
+        there is nothing to keep)."""
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self) -> str:
         """One-line human-readable summary."""

@@ -297,8 +297,16 @@ class Scenario:
         return cls.from_dict(data)
 
     def cache_key(self) -> str:
-        """Stable key identifying this scenario (used by the prediction cache)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """Stable key identifying this scenario (used by the prediction cache).
+
+        Computed once per instance and kept in the instance dict, outside the
+        dataclass fields, so equality, hashing and ``replace`` ignore it.
+        """
+        key = self.__dict__.get("_cache_key")
+        if key is None:
+            key = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            object.__setattr__(self, "_cache_key", key)
+        return key
 
     def describe(self) -> str:
         """Short human-readable label for tables and logs."""

@@ -464,6 +464,24 @@ class PredictionService:
         results = self._evaluate_points({point: scenario}, mode, retry=retry, timeout=timeout)
         return results.get(point)
 
+    def recall_point(
+        self, scenario: Scenario, backend: str, *, on_error: str | None = None
+    ) -> tuple[bool, PredictionResult | FailedResult | None]:
+        """What :meth:`evaluate_point` would answer from memory alone.
+
+        ``(True, answer)`` when the point is settled without the store or a
+        backend: it is declined (the answer follows ``on_error``, counted as
+        ``declined``) or cached (counted as a memory hit).  ``(False, None)``
+        when answering needs the store or an evaluation.  Nothing here
+        blocks beyond the service lock around one dict lookup, so the
+        daemon calls it on its event loop.
+        """
+        point = (scenario.cache_key(), backend)
+        results, accepted = self._screen({point: scenario}, self._resolve_on_error(on_error))
+        if accepted:
+            results = self._recall(accepted, counted=True)
+        return point in results or not accepted, results.get(point)
+
     def _evaluate_resilient(
         self,
         point: tuple[str, str],
@@ -728,6 +746,25 @@ class PredictionService:
                 attempts=max(1, info["attempts"]),
             )
 
+    def _screen(
+        self, unique: dict[tuple[str, str], Scenario], on_error: str
+    ) -> tuple[
+        dict[tuple[str, str], PredictionResult | FailedResult], dict[tuple[str, str], Scenario]
+    ]:
+        """Settle the points their backend declines: ``(declined, accepted)``.
+
+        A declined point skipped under ``on_error`` is in neither.
+        """
+        results: dict[tuple[str, str], PredictionResult | FailedResult] = {}
+        accepted: dict[tuple[str, str], Scenario] = {}
+        for point, scenario in unique.items():
+            reason = backend_declines(point[1], scenario)
+            if reason is None:
+                accepted[point] = scenario
+            elif declined := self._decline(scenario, point[1], reason, on_error):
+                results[point] = declined
+        return results, accepted
+
     def _decline(
         self, scenario: Scenario, backend: str, reason: str, on_error: str
     ) -> FailedResult | None:
@@ -766,7 +803,6 @@ class PredictionService:
         backends: Sequence[str] | None = None,
         on_error: str | None = None,
         *,
-        keys: Sequence[str] | None = None,
         tokens: TokenMemo | None = None,
         unanswered: Collection[tuple[str, str]] = (),
     ) -> SuiteResult:
@@ -790,16 +826,15 @@ class PredictionService:
         points follow it before anything is dispatched, so under ``"raise"``
         the first one aborts the suite up front.
 
-        A caller that already holds each scenario's cache key (in suite
-        order) or store tokens (a :meth:`probe_points` memo) passes them as
-        ``keys`` / ``tokens``, so neither is computed twice.  The
-        ``(cache key, backend)`` points its probe found unanswered go in
-        ``unanswered``: the store is not probed for them a second time.
+        A caller that already holds the store tokens (a
+        :meth:`probe_points` memo) passes them as ``tokens``, so none is
+        computed twice.  The ``(cache key, backend)`` points its probe found
+        unanswered go in ``unanswered``: the store is not probed for them a
+        second time.
         """
         mode = self._resolve_on_error(on_error)
         names = tuple(backends) if backends is not None else tuple(self.backends())
-        if keys is None:
-            keys = [scenario.cache_key() for scenario in suite.scenarios]
+        keys = [scenario.cache_key() for scenario in suite.scenarios]
         unique: dict[tuple[str, str], Scenario] = {}
         duplicates = 0
         for index, scenario in enumerate(suite.scenarios):
@@ -848,6 +883,16 @@ class PredictionService:
         memory, stored = self._probe(points, tokens)
         return {**dict.fromkeys(memory, "memory"), **dict.fromkeys(stored, "store")}
 
+    def _recall(
+        self, points: Collection[tuple[str, str]], counted: bool = False
+    ) -> dict[tuple[str, str], PredictionResult]:
+        """One memory pass: the cached points (memory hits, if ``counted``)."""
+        with self._lock:
+            memory = {point: hit for point in points if (hit := self._cache.get(point)) is not None}
+            if counted:
+                self._counts["memory_hits"] += len(memory)
+        return memory
+
     def _probe(
         self,
         points: Collection[tuple[str, str]],
@@ -861,18 +906,8 @@ class PredictionService:
         A ``counted`` probe (the partition's) counts its hits and caches
         what the store answered; :meth:`probe_points`' only looks.
         """
-        memory: dict[tuple[str, str], PredictionResult] = {}
-        misses: list[tuple[str, str]] = []
-        with self._lock:
-            for point in points:
-                hit = self._cache.get(point)  # empty when caching is off
-                if hit is None:
-                    misses.append(point)
-                else:
-                    memory[point] = hit
-            if counted:
-                self._counts["memory_hits"] += len(memory)
-        probe = [point for point in misses if point not in unanswered]
+        memory = self._recall(points, counted)
+        probe = [point for point in points if point not in memory and point not in unanswered]
         if self._store is None or not probe:
             return memory, {}
         stored = self._store.get_many(
@@ -902,14 +937,7 @@ class PredictionService:
         result was skipped under ``on_error="skip"``.
         """
         tokens = {} if tokens is None else tokens  # shared by the probe and the write
-        results: dict[tuple[str, str], PredictionResult | FailedResult] = {}
-        accepted: dict[tuple[str, str], Scenario] = {}
-        for point, scenario in unique.items():
-            reason = backend_declines(point[1], scenario)
-            if reason is None:
-                accepted[point] = scenario
-            elif declined := self._decline(scenario, point[1], reason, on_error):
-                results[point] = declined
+        results, accepted = self._screen(unique, on_error)
         memory, stored = self._probe(accepted, tokens, unanswered, counted=True)
         results.update(memory)
         results.update(stored)

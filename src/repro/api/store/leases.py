@@ -13,7 +13,7 @@ keyed by the point's token.  Every transition is a guard plus an action
 written as **one statement**, so SQLite's write lock makes it atomic across
 threads, processes and store objects — there is no read-then-write window
 for a peer to slip into.  Claim and release take a whole slice of tokens
-in that one statement:
+in that one statement, and so does each heartbeat's renewal:
 
 * **Claim** — insert each row, or overwrite it *only where* the current
   owner's lease has expired or the owner is this worker; the tokens the
@@ -66,9 +66,10 @@ WHERE leases.expires_at < ?2 OR leases.worker = ?1
 RETURNING token
 """
 
+#: Parameters: ``?1`` worker, ``?2`` now, ``?3`` expiry, then one per token.
 _RENEW = """
-UPDATE leases SET renewed = :now, expires_at = :expires_at
-WHERE token = :token AND worker = :me RETURNING token
+UPDATE leases SET renewed = ?2, expires_at = ?3
+WHERE worker = ?1 AND token IN ({tokens}) RETURNING token
 """
 
 _RELEASE = "DELETE FROM leases WHERE worker = ? AND token IN ({tokens})"
@@ -173,27 +174,33 @@ class LeaseManager:
         """Claim one point (:meth:`claim_many` of one); ``True`` iff won."""
         return token in self.claim_many([token])
 
-    def renew(self, token: str) -> bool:
-        """Refresh one held lease's TTL; ``False`` when the lease was lost.
+    def renew_many(self, tokens: Iterable[str]) -> set[str]:
+        """Refresh held leases' TTL in one statement; the tokens renewed.
 
         A lease can be lost when this worker stalled past its TTL and a peer
-        took the claim over (or ``store gc`` reaped it); the loser must
-        treat the point as no longer its own (the token lands in
-        :attr:`lost`).
+        took the claim over (or ``store gc`` reaped it): a held token the
+        statement does not return moves to :attr:`lost`, and the loser must
+        treat the point as no longer its own.  Tokens not held are ignored.
         """
         with self._lock:
-            if token not in self._held:
-                return False
+            mine = [token for token in dict.fromkeys(tokens) if token in self._held]
+        if not mine:
+            return set()
         now = time.time()
-        params = {"token": token, "me": self.worker_id, "now": now, "expires_at": now + self.ttl}
-        if not self._store._write(_RENEW, params):
+        marks = ", ".join(f"?{n}" for n in range(4, 4 + len(mine)))
+        params = (self.worker_id, now, now + self.ttl, *mine)
+        renewed = {row[0] for row in self._store._write(_RENEW.format(tokens=marks), params)}
+        for token in set(mine) - renewed:
             self._mark_lost(token)
-            return False
-        return True
+        return renewed
+
+    def renew(self, token: str) -> bool:
+        """Refresh one held lease (:meth:`renew_many` of one); ``False`` when lost."""
+        return token in self.renew_many([token])
 
     def renew_all(self) -> int:
-        """Refresh every held lease; returns how many renewals succeeded."""
-        return sum(1 for token in self.held() if self.renew(token))
+        """Refresh every held lease in one statement; how many were renewed."""
+        return len(self.renew_many(self.held()))
 
     def release_many(self, tokens: Iterable[str]) -> None:
         """Drop held leases in one statement (after their results are stored).

@@ -39,13 +39,13 @@ workers.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from ..exceptions import ValidationError
 from .resilience import RetryPolicy
 from .results import FailedResult, PredictionResult
-from .scenario import ScenarioResolver, ScenarioSuite
+from .scenario import Scenario, ScenarioResolver, ScenarioSuite
 from .service import PredictionService, ServiceStats, SuiteResult
 from .store import SqliteResultStore, TokenMemo
 from .store.leases import LeaseManager
@@ -71,6 +71,11 @@ def _slices(points: Sequence[SweepPoint], limit: int) -> Iterator[list[SweepPoin
         chunk.append(point)
     if chunk:
         yield chunk
+
+
+def _keyed(suite: ScenarioSuite, points: Iterable[SweepPoint]) -> dict[tuple[str, str], Scenario]:
+    """``(cache key, backend) -> scenario`` of ``(scenario index, backend)`` points."""
+    return {(suite.scenarios[i].cache_key(), name): suite.scenarios[i] for i, name in points}
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,6 @@ class SweepScheduler:
         backends: Sequence[str] | None = None,
         leases: LeaseManager | None = None,
         *,
-        keys: Sequence[str] | None = None,
         tokens: TokenMemo | None = None,
     ) -> SweepPlan:
         """Compute which points of ``suite`` × ``backends`` still need work.
@@ -211,14 +215,12 @@ class SweepScheduler:
         happens through :meth:`~repro.api.store.leases.LeaseManager.claim_many`
         at evaluation time.
 
-        A caller that goes on to evaluate the suite passes each scenario's
-        cache key (``keys``, in suite order) and a store-token memo
-        (``tokens``) it will hand to the evaluation too, so neither is
+        A caller that goes on to evaluate the suite passes a store-token
+        memo (``tokens``) it will hand to the evaluation too, so no token is
         computed twice.
         """
         names = self._resolve_backends(backends)
-        if keys is None:
-            keys = [scenario.cache_key() for scenario in suite.scenarios]
+        keys = [scenario.cache_key() for scenario in suite.scenarios]
         unique_points = list(
             dict.fromkeys((key, name) for key in keys for name in names)
         )
@@ -284,18 +286,16 @@ class SweepScheduler:
         (and, say, printed) the plan passes it in, so what was announced is
         exactly what executes — no second store probe between the two.
         """
-        keys = [scenario.cache_key() for scenario in suite.scenarios]
         tokens: TokenMemo = {}
         if plan is None:
-            plan = self.plan(suite, backends, keys=keys, tokens=tokens)
+            plan = self.plan(suite, backends, tokens=tokens)
         before = self._service.stats()
         result = self._service.evaluate_suite(
             suite,
             plan.backends,
             on_error=on_error,
-            keys=keys,
             tokens=tokens,
-            unanswered={(keys[index], name) for index, name in plan.missing},
+            unanswered=_keyed(suite, plan.missing).keys(),
         )
         after = self._service.stats()
         return SweepOutcome(plan=plan, result=result, stats=after.delta(before))
@@ -355,12 +355,11 @@ class SweepScheduler:
         before = self._service.stats()
         failed_locally: set[SweepPoint] = set()
         claimed = evaluated = waits = rounds = 0
-        keys = [scenario.cache_key() for scenario in suite.scenarios]
         tokens: TokenMemo = {}
         with leases.heartbeat():
             try:
                 while True:
-                    plan = self.plan(suite, backends, leases=leases, keys=keys, tokens=tokens)
+                    plan = self.plan(suite, backends, leases=leases, tokens=tokens)
                     todo = [p for p in plan.missing if p not in failed_locally]
                     rounds += not todo
                     if not todo and not plan.leased:
@@ -368,7 +367,7 @@ class SweepScheduler:
                     settled = False
                     for points in _slices(todo, limit):
                         rounds += 1
-                        unique = {(keys[i], name): suite.scenarios[i] for i, name in points}
+                        unique = _keyed(suite, points)
                         named = {self._service.point_token(*point): point for point in unique}
                         claims = leases.claim_many(named)
                         won = {point: token for token, point in named.items() if token in claims}
@@ -394,7 +393,9 @@ class SweepScheduler:
                             leases.release_many(won.values())
                         failed = {p for p in won if not getattr(results.get(p), "ok", False)}
                         evaluated += len(won) - len(failed)
-                        failed_locally.update(p for p in points if (keys[p[0]], p[1]) in failed)
+                        for index, name in points:
+                            if (suite.scenarios[index].cache_key(), name) in failed:
+                                failed_locally.add((index, name))
                     if not settled:
                         # Everything unanswered is leased to live peers: wait
                         # for them to finish (or their leases to expire).
@@ -403,7 +404,7 @@ class SweepScheduler:
             finally:
                 leases.release_all()
         result = self._service.evaluate_suite(
-            suite, plan.backends, on_error=on_error, keys=keys, tokens=tokens
+            suite, plan.backends, on_error=on_error, tokens=tokens
         )
         after = self._service.stats()
         return CooperativeOutcome(
@@ -449,19 +450,18 @@ class SweepScheduler:
         early (a disconnected client) evaluates nothing more; every settled
         slice is already in cache and store, so a re-run resumes from it.
         """
-        keys = [scenario.cache_key() for scenario in suite.scenarios]
         tokens: TokenMemo = {}
         if plan is None:
-            plan = self.plan(suite, backends, keys=keys, tokens=tokens)
+            plan = self.plan(suite, backends, tokens=tokens)
         mode = self._service._resolve_on_error(on_error)
-        unanswered = {(keys[index], name) for index, name in plan.missing}
+        unanswered = set(_keyed(suite, plan.missing))
         hits = [*plan.memory_hits, *plan.store_hits]
         for points in (hits, *_slices(plan.missing, SLICE_SCENARIOS)):
-            unique = {(keys[index], name): suite.scenarios[index] for index, name in points}
+            unique = _keyed(suite, points)
             with ScenarioResolver.dispatch():
                 results = self._service._evaluate_points(
                     unique, mode, tokens, unanswered, retry, timeout
                 )
             unanswered.difference_update(results)
             for index, name in points:
-                yield index, name, results.get((keys[index], name))
+                yield index, name, results.get((suite.scenarios[index].cache_key(), name))

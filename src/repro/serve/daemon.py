@@ -11,9 +11,12 @@ Serving semantics:
 * **Admission.** POST work passes a bounded admission gate: at most
   ``max_inflight`` requests execute concurrently and at most ``queue_depth``
   more wait; beyond that the daemon answers ``429`` with ``Retry-After``
-  instead of buffering unbounded work.  ``GET /stats`` and ``GET /healthz``
-  bypass admission — observability must keep answering exactly when the
-  daemon is saturated.
+  instead of buffering unbounded work.  A ``/predict`` point the service
+  already holds in memory (cached or declined) is not work: it is answered
+  on the event loop, takes no slot and no pool thread, and so is never
+  answered ``429`` — only ``503`` while draining.  ``GET /stats`` and
+  ``GET /healthz`` bypass admission — observability must keep answering
+  exactly when the daemon is saturated.
 * **Coalescing.** Concurrent identical requests — same
   ``(Scenario.cache_key(), backend)`` — share one evaluation through the
   service's in-flight registry; joins surface in ``/stats`` as the
@@ -166,6 +169,16 @@ def _result_dict(result: PredictionResult | FailedResult | None) -> dict | None:
     return None if result is None else result.to_dict()
 
 
+def _result_json(result: PredictionResult | FailedResult | None) -> str:
+    return "null" if result is None else result.canonical_json()
+
+
+def _predict_body(backend: str, result_json: str) -> bytes:
+    """A ``/predict`` 200 body around an already-encoded result: the same
+    bytes ``json_body({"backend": backend, "result": ...})`` gives."""
+    return f'{{"backend": {json.dumps(backend)}, "result": {result_json}}}'.encode("utf-8")
+
+
 class PredictionDaemon:
     """One resident service behind an asyncio HTTP front end."""
 
@@ -209,18 +222,21 @@ class PredictionDaemon:
         """Whether shutdown has begun (new work is rejected)."""
         return self._draining
 
-    async def _admit(self) -> None:
-        """Take one execution slot, waiting in the bounded queue if needed.
-
-        All admission state lives on the event loop thread, so the
-        check-then-act sequences here are atomic without a lock.
-        """
+    def _refuse_if_draining(self) -> None:
         if self._draining:
             raise HttpError(
                 503,
                 "daemon is draining; not accepting new work",
                 headers={"retry-after": retry_after_value(self.config.retry_after)},
             )
+
+    async def _admit(self) -> None:
+        """Take one execution slot, waiting in the bounded queue if needed.
+
+        All admission state lives on the event loop thread, so the
+        check-then-act sequences here are atomic without a lock.
+        """
+        self._refuse_if_draining()
         if self._inflight < self.config.max_inflight:
             self._inflight += 1
             return
@@ -440,23 +456,25 @@ class PredictionDaemon:
         retries, timeout, on_error = resolve_policy(
             payload.get("policy"), self.config
         )
-        work = partial(
-            self.service.evaluate_point,
-            scenario,
-            backend,
-            on_error=on_error,
-            retry=retries,
-            timeout=timeout,
-        )
+        self._refuse_if_draining()
+
+        def work() -> str:
+            # Encoded on the pool thread, so the loop only concatenates.
+            return _result_json(
+                self.service.evaluate_point(
+                    scenario, backend, on_error=on_error, retry=retries, timeout=timeout
+                )
+            )
+
         try:
-            result = await self._run_admitted(work)
+            # A point already in memory is answered here, on the loop: no
+            # admission slot, no pool hop.  Only a miss is work.
+            answered, result = self.service.recall_point(scenario, backend, on_error=on_error)
+            encoded = _result_json(result) if answered else await self._run_admitted(work)
         except ReproError as exc:
             raise self._map_service_error(exc) from exc
-        await self._respond(
-            writer,
-            200,
-            {"backend": backend, "result": _result_dict(result)},
-        )
+        writer.write(encode_response(200, _predict_body(backend, encoded)))
+        await writer.drain()
 
     async def _handle_compare(
         self, request: Request, writer: asyncio.StreamWriter

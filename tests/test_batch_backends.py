@@ -177,14 +177,23 @@ class TestScenarioResolver:
 
     def test_cold_sweep_run_derives_each_key_and_token_once(self, tmp_path, monkeypatch):
         calls: Counter = Counter()
-        monkeypatch.setattr(Scenario, "cache_key", _counted(calls, "key", Scenario.cache_key))
+        cache_key = Scenario.cache_key
+
+        def deriving(scenario):
+            # Count derivations, not calls: a key is memoised on its scenario.
+            if "_cache_key" not in vars(scenario):
+                calls["key"] += 1
+            return cache_key(scenario)
+
+        monkeypatch.setattr(Scenario, "cache_key", deriving)
         monkeypatch.setattr(
             sqlite_store,
             "point_token",
             _counted(calls, "token", sqlite_store.point_token),
         )
         service = PredictionService(backends=list(BATCH_BACKENDS), store=tmp_path)
-        outcome = SweepScheduler(service).run(ScenarioSuite("product", PRODUCT), BATCH_BACKENDS)
+        fresh = [Scenario.from_dict(scenario.to_dict()) for scenario in PRODUCT]
+        outcome = SweepScheduler(service).run(ScenarioSuite("product", fresh), BATCH_BACKENDS)
         assert outcome.evaluated_points == len(PRODUCT) * len(BATCH_BACKENDS)
         assert calls == {
             "key": len(PRODUCT),

@@ -238,6 +238,23 @@ class TestLeaseManager:
         assert beats[0] == "lease-heartbeat-owner"
         assert owner.held() == [TOKEN]
 
+    def test_a_beat_is_one_statement_and_loses_taken_over_tokens(self, store, clock):
+        owner = store.lease_manager("owner", ttl=1.0)
+        tokens = [f"{index:064x}" for index in range(40)]
+        assert owner.claim_many(tokens) == set(tokens)
+        clock.advance(2.0)
+        taker = store.lease_manager("taker", ttl=60.0)
+        assert taker.claim_many(tokens[:3]) == set(tokens[:3])
+        statements: list[str] = []
+        store._connect().set_trace_callback(statements.append)
+        assert owner.renew_all() == 37
+        on_leases = [sql.lstrip().split()[0] for sql in statements if "leases" in sql]
+        assert on_leases == ["UPDATE"]
+        assert owner.lost == set(tokens[:3])
+        assert owner.held() == sorted(tokens[3:])
+        assert {info.token for info in owner.scan() if info.worker == "owner"} == set(tokens[3:])
+        assert all(not info.expired() for info in owner.scan())
+
     def test_scan_reports_every_claim(self, store):
         first = store.lease_manager("w1", ttl=60.0)
         second = store.lease_manager("w2", ttl=60.0)
@@ -333,6 +350,17 @@ class LeaseMachine(RuleBasedStateMachine):
             self._lose(worker, token)
         return wins
 
+    def _renew(self, worker: str, token: str) -> bool:
+        """The renew guard and action on the model; whether the renewal holds."""
+        now = self.clock.now
+        row = self.table.get(token)
+        renews = token in self.held[worker] and row is not None and row[0] == worker
+        if renews:
+            self.table[token] = (worker, row[1], now, now + self.TTLS[worker])
+        else:
+            self._lose(worker, token)
+        return renews
+
     def _release(self, worker: str, token: str) -> None:
         row = self.table.get(token)
         if token in self.held[worker]:
@@ -358,16 +386,25 @@ class LeaseMachine(RuleBasedStateMachine):
 
     @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))
     def renew(self, worker, token):
-        now = self.clock.now
-        row = self.table.get(token)
-        renews = token in self.held[worker] and row is not None and row[0] == worker
-        if renews:
-            self.table[token] = (worker, row[1], now, now + self.TTLS[worker])
-        else:
-            self._lose(worker, token)
+        renews = self._renew(worker, token)
         renewed = self.managers[worker].renew(token)
         assert renewed == renews
         if renewed:
+            self._grant(worker, token)
+
+    @rule(worker=st.sampled_from(WORKERS), tokens=st.lists(st.sampled_from(TOKENS), max_size=4))
+    def renew_many(self, worker, tokens):
+        renews = {token for token in dict.fromkeys(tokens) if self._renew(worker, token)}
+        renewed = self.managers[worker].renew_many(tokens)
+        assert renewed == renews
+        for token in sorted(renewed):
+            self._grant(worker, token)
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def renew_all(self, worker):
+        renews = {token for token in sorted(self.held[worker]) if self._renew(worker, token)}
+        assert self.managers[worker].renew_all() == len(renews)
+        for token in sorted(renews):
             self._grant(worker, token)
 
     @rule(worker=st.sampled_from(WORKERS), token=st.sampled_from(TOKENS))

@@ -10,6 +10,9 @@ Covers the PR's acceptance semantics end to end:
 * admission control — queue-full answers 429 with ``Retry-After``, and
   observability endpoints bypass the gate so they keep answering while the
   daemon is saturated;
+* memory hits — a ``/predict`` point already in memory is answered on the
+  event loop (no slot, no pool thread, body bytes equal to ``json_body``),
+  and ``Scenario.cache_key`` memoises without touching eq, hash or pickle;
 * streaming sweeps — NDJSON point-by-point delivery, and a mid-stream client
   disconnect that neither poisons the scheduler nor duplicates evaluations
   nor leaves the store inconsistent;
@@ -19,9 +22,11 @@ Covers the PR's acceptance semantics end to end:
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -40,13 +45,20 @@ from repro.api import (
     ServiceStats,
     open_store,
 )
-from repro.api.backends import _REGISTRY
+from repro.api.backends import _REGISTRY, backend_names
+from repro.api.dashboard import dashboard_grid
 from repro.api.resilience import BREAKER_OPEN, BreakerSnapshot
 from repro.api.results import PredictionResult
 from repro.exceptions import TransientError, ValidationError
 from repro.serve import ServeConfig, daemon_in_thread, resolve_policy
-from repro.serve.daemon import retry_after_value
-from repro.serve.http import HttpError
+from repro.serve.daemon import (
+    PredictionDaemon,
+    _predict_body,
+    _result_dict,
+    _result_json,
+    retry_after_value,
+)
+from repro.serve.http import HttpError, Request, json_body
 from repro.serve.loadgen import DaemonClient, percentile, run_predict_load
 from repro.units import megabytes
 
@@ -658,6 +670,158 @@ class TestDaemonEndpoints:
         assert "drained:" in stderr
         # The store was flushed: the predict's record is on disk.
         assert open_store(store).refresh().loaded == 1
+
+
+class TestMemoryHits:
+    """A ``/predict`` point already in memory is answered on the event loop.
+
+    No sleeps: the held slot is observed through the gated backend's
+    ``entered`` event, and the drain is checked on the handler itself.
+    """
+
+    @staticmethod
+    def _gate_on(nodes: int):
+        """A backend that blocks only the scenario with ``nodes`` nodes."""
+
+        class GateOnNodes:
+            entered = threading.Event()
+            release = threading.Event()
+
+            def predict(self, scenario):
+                if scenario.num_nodes == nodes:
+                    type(self).entered.set()
+                    if not type(self).release.wait(timeout=30.0):
+                        raise TransientError("gate never released")
+                return _result_for(type(self).name, scenario)
+
+        return GateOnNodes
+
+    @staticmethod
+    def _post(daemon, scenario: Scenario, backend: str) -> tuple[int, bytes]:
+        connection = http.client.HTTPConnection(daemon.host, daemon.port, timeout=30.0)
+        try:
+            body = json.dumps({"scenario": scenario.to_dict(), "backend": backend})
+            connection.request(
+                "POST", "/predict", body=body, headers={"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            return response.status, response.read()
+        finally:
+            connection.close()
+
+    def test_a_repeat_is_answered_while_the_only_slot_is_held(self, temporary_backend):
+        gated = temporary_backend("serve-hit", self._gate_on(nodes=3))
+        service = PredictionService(backends=["serve-hit"])
+        config = ServeConfig(port=0, max_inflight=1, queue_depth=0)
+        with daemon_in_thread(service, config) as daemon:
+            status, first = self._post(daemon, SMALL, "serve-hit")
+            assert status == 200
+            held: list[tuple[int, bytes]] = []
+            holder = threading.Thread(
+                target=lambda: held.append(
+                    self._post(daemon, SMALL.with_updates(num_nodes=3), "serve-hit")
+                )
+            )
+            holder.start()
+            try:
+                assert gated.entered.wait(timeout=30.0)
+                assert daemon.inflight == 1 and daemon.queued == 0
+                before = service.stats().memory_hits
+                # The answered point: 200 with the first answer's bytes.
+                assert self._post(daemon, SMALL, "serve-hit") == (200, first)
+                assert service.stats().memory_hits == before + 1
+                # A first-time point is work, and there is no room for it.
+                status, body = self._post(daemon, SMALL.with_updates(num_nodes=4), "serve-hit")
+                assert status == 429
+                assert "queue is full" in json.loads(body)["error"]
+            finally:
+                gated.release.set()
+                holder.join(timeout=30.0)
+            assert [status for status, _ in held] == [200]
+        assert service.stats().evaluations == 2
+
+    def test_a_draining_daemon_answers_503_to_a_hit(self, temporary_backend):
+        temporary_backend("serve-drain-hit", _counting_backend_class())
+        service = PredictionService(backends=["serve-drain-hit"])
+        service.evaluate_point(SMALL, "serve-drain-hit")
+        daemon = PredictionDaemon(service, ServeConfig(port=0, retry_after=2.0))
+        try:
+            daemon.request_shutdown()
+            body = json.dumps({"scenario": SMALL.to_dict(), "backend": "serve-drain-hit"})
+            request = Request("POST", "/predict", "", body=body.encode())
+            with pytest.raises(HttpError) as refused:
+                asyncio.run(daemon._dispatch(request, writer=None))
+        finally:
+            daemon._pool.shutdown()
+        assert refused.value.status == 503
+        assert refused.value.headers == {"retry-after": "2"}
+        assert service.stats().memory_hits == 0
+
+    def test_a_hit_never_reaches_the_pool(self, temporary_backend):
+        temporary_backend("serve-pool", _counting_backend_class())
+        service = PredictionService(backends=["serve-pool"])
+        with daemon_in_thread(service, ServeConfig(port=0)) as daemon:
+            submitted: list[object] = []
+            submit = daemon._pool.submit
+
+            def counted(fn, *args, **kwargs):
+                submitted.append(fn)
+                return submit(fn, *args, **kwargs)
+
+            daemon._pool.submit = counted
+            answers = {self._post(daemon, SMALL, "serve-pool") for _ in range(5)}
+        assert len(answers) == 1 and next(iter(answers))[0] == 200
+        assert len(submitted) == 1
+        stats = service.stats()
+        assert (stats.evaluations, stats.memory_hits) == (1, 4)
+
+    @pytest.mark.parametrize("grid", ["smoke", "failure"])
+    def test_the_concatenated_body_is_json_body(self, grid, tmp_path):
+        suite = dashboard_grid(grid)
+        names = backend_names()
+        computed = PredictionService(backends=names, store=tmp_path / "store")
+        loaded = PredictionService(backends=names, store=tmp_path / "store")
+        answers = []
+        for scenario in suite.scenarios:
+            for name in names:
+                answers.append((name, computed.evaluate_point(scenario, name, on_error="record")))
+                answers.append((name, computed.evaluate_point(scenario, name, on_error="skip")))
+                answers.append((name, loaded.evaluate_point(scenario, name, on_error="record")))
+        assert loaded.stats().store_hits > 0
+        kinds = {type(result).__name__ for _, result in answers}
+        declines = {"FailedResult", "NoneType"} if grid == "failure" else set()
+        assert kinds == {"PredictionResult", *declines}
+        for name, result in answers:
+            expected = json_body({"backend": name, "result": _result_dict(result)})
+            assert _predict_body(name, _result_json(result)) == expected
+            # The memo answers the same bytes again.
+            assert _predict_body(name, _result_json(result)) == expected
+
+
+class TestScenarioKeyMemo:
+    def test_with_updates_gets_a_fresh_key(self):
+        key = SMALL.cache_key()
+        other = SMALL.with_updates(num_nodes=5)
+        assert other.cache_key() != key
+        assert other.cache_key() == Scenario.from_dict(other.to_dict()).cache_key()
+        assert SMALL.cache_key() == key
+
+    def test_the_memo_leaves_eq_and_hash_alone(self):
+        fresh = Scenario.from_dict(SMALL.to_dict())
+        before = hash(fresh)
+        assert fresh == SMALL
+        fresh.cache_key()
+        assert hash(fresh) == before
+        assert fresh == Scenario.from_dict(SMALL.to_dict())
+        assert fresh != SMALL.with_updates(seed=12)
+
+    def test_pickle_round_trips(self):
+        SMALL.cache_key()
+        restored = pickle.loads(pickle.dumps(SMALL))
+        assert restored == SMALL and hash(restored) == hash(SMALL)
+        assert restored.cache_key() == SMALL.cache_key()
+        cold = pickle.loads(pickle.dumps(Scenario.from_dict(SMALL.to_dict())))
+        assert cold.cache_key() == SMALL.cache_key()
 
 
 class TestLoadgen:
