@@ -13,8 +13,7 @@ literal fork/join premium) is no more accurate than the new fork/join model.
 
 from __future__ import annotations
 
-from repro.analysis import summarize_errors
-from repro.core import EstimatorKind
+from repro.analysis import relative_error, summarize_errors
 from repro.static_models import ViannaHadoop1Model
 from repro.units import gigabytes, megabytes
 from repro.workloads import model_input_from_profile, paper_cluster, wordcount_profile
@@ -29,11 +28,16 @@ def collect_errors():
     vianna_errors: list[float] = []
     profile = wordcount_profile()
     for figure_id, input_bytes in (("figure10", gigabytes(1)), ("figure12", gigabytes(5))):
-        series = regenerate_figure(figure_id)
-        forkjoin_errors.extend(series.errors(EstimatorKind.FORK_JOIN))
-        tripathi_errors.extend(series.errors(EstimatorKind.TRIPATHI))
-        for point in series.points:
-            cluster = paper_cluster(point.num_nodes)
+        run = regenerate_figure(figure_id)
+        measured = run.outcome.result.series("simulator")
+        for name, errors in (
+            ("mva-forkjoin", forkjoin_errors),
+            ("mva-tripathi", tripathi_errors),
+        ):
+            estimates = run.outcome.result.series(name)
+            errors.extend(map(relative_error, estimates, measured))
+        for scenario, measured_seconds in zip(run.suite.scenarios, measured):
+            cluster = paper_cluster(scenario.num_nodes)
             job_config = profile.job_config(input_bytes, megabytes(128), 4)
             model_input = model_input_from_profile(profile, cluster, job_config, num_jobs=1)
             baseline = ViannaHadoop1Model(
@@ -42,7 +46,7 @@ def collect_errors():
                 reduce_slots_per_node=2,
             ).predict()
             vianna_errors.append(
-                (baseline.job_response_time - point.measured_seconds) / point.measured_seconds
+                (baseline.job_response_time - measured_seconds) / measured_seconds
             )
     return forkjoin_errors, tripathi_errors, vianna_errors
 

@@ -9,6 +9,6 @@ DESCRIPTION = "Input: 5GB; #jobs: 1"
 
 
 def test_bench_figure12(benchmark):
-    series = benchmark(regenerate_figure, FIGURE_ID)
-    print_figure(FIGURE_ID, DESCRIPTION, series)
-    assert_figure_shape(series)
+    run = benchmark(regenerate_figure, FIGURE_ID)
+    print_figure(FIGURE_ID, DESCRIPTION, run)
+    assert_figure_shape(run)

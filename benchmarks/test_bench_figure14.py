@@ -9,9 +9,9 @@ DESCRIPTION = "#Nodes: 4; Input: 5GB"
 
 
 def test_bench_figure14(benchmark):
-    series = benchmark(regenerate_figure, FIGURE_ID)
-    print_figure(FIGURE_ID, DESCRIPTION, series)
-    assert_figure_shape(series)
+    run = benchmark(regenerate_figure, FIGURE_ID)
+    print_figure(FIGURE_ID, DESCRIPTION, run)
+    assert_figure_shape(run)
     # Response time rises steeply from 1 to 4 concurrent jobs (paper Figure 14).
-    measured = [point.measured_seconds for point in series.points]
+    measured = run.outcome.result.series("simulator")
     assert measured[-1] > measured[0] * 1.4

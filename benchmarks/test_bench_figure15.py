@@ -7,9 +7,6 @@ the estimation error growing relative to the 128 MB configuration
 
 from __future__ import annotations
 
-from repro.core import EstimatorKind
-from repro.analysis import summarize_errors
-
 from .figure_harness import assert_figure_shape, print_figure, regenerate_figure
 
 FIGURE_ID = "figure15"
@@ -17,12 +14,11 @@ DESCRIPTION = "Block: 64MB; Input: 5GB; #jobs: 1"
 
 
 def test_bench_figure15(benchmark):
-    series = benchmark(regenerate_figure, FIGURE_ID)
-    print_figure(FIGURE_ID, DESCRIPTION, series)
-    assert_figure_shape(series, max_mean_abs_error=0.6)
+    run = benchmark(regenerate_figure, FIGURE_ID)
+    print_figure(FIGURE_ID, DESCRIPTION, run)
+    assert_figure_shape(run, max_mean_abs_error=0.6)
     # Compare against the 128 MB configuration (Figure 12): the mean signed
     # error must not shrink when the block size is halved.
-    reference = regenerate_figure("figure12")
-    fine = summarize_errors(series.errors(EstimatorKind.FORK_JOIN))
-    coarse = summarize_errors(reference.errors(EstimatorKind.FORK_JOIN))
+    fine = run.report.backend("mva-forkjoin")
+    coarse = regenerate_figure("figure12").report.backend("mva-forkjoin")
     assert fine.mean_signed >= coarse.mean_signed - 0.05

@@ -14,8 +14,9 @@ The package is organised in layers (see DESIGN.md):
 * :mod:`repro.workloads` — job profiles and workload generators;
 * :mod:`repro.api` — the unified prediction-backend API (scenario specs,
   backend registry, batch :class:`~repro.api.PredictionService`);
-* :mod:`repro.experiments` / :mod:`repro.analysis` — the evaluation harness
-  regenerating every figure of the paper.
+* :mod:`repro.analysis` — error statistics, accuracy reports, tables and
+  plots; every figure of the paper is regenerated by running its grid
+  (:mod:`repro.api.figures`) through :mod:`repro.api.dashboard`.
 
 The most common entry points are re-exported here, lazily (PEP 562):
 ``import repro`` imports none of them until one is first read.

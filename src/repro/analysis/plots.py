@@ -8,6 +8,7 @@ a plotting library.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from ..exceptions import ValidationError
@@ -19,12 +20,17 @@ def ascii_series_plot(
     width: int = 60,
     height: int = 12,
 ) -> str:
-    """Render one or more series as a crude ASCII scatter/line plot."""
+    """Render one or more series as a crude ASCII scatter/line plot.
+
+    A NaN value (a point that was never measured) is left out of the plot.
+    """
     if not series:
         raise ValidationError("at least one series is required")
     if width < 10 or height < 4:
         raise ValidationError("plot must be at least 10x4 characters")
-    all_values = [value for values in series.values() for value in values]
+    all_values = [
+        value for values in series.values() for value in values if not math.isnan(value)
+    ]
     if not all_values:
         raise ValidationError("series contain no values")
     minimum = min(all_values)
@@ -41,6 +47,8 @@ def ascii_series_plot(
     for series_index, (name, values) in enumerate(series.items()):
         marker = markers[series_index % len(markers)]
         for x_value, y_value in zip(x_values, values):
+            if math.isnan(y_value):
+                continue
             column = int(round((x_value - x_min) / (x_max - x_min) * (width - 1)))
             row = int(round((y_value - minimum) / (maximum - minimum) * (height - 1)))
             grid[height - 1 - row][column] = marker

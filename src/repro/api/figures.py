@@ -9,9 +9,12 @@ Each :class:`FigureDefinition` records the workload grid of one figure:
 * Figure 14 — 5 GB input, 4 nodes, 1..4 jobs;
 * Figure 15 — 5 GB input, 1 job, 64 MB blocks, 4/6/8 nodes.
 
-:func:`figure_suite` turns one into a :class:`~repro.api.ScenarioSuite`; the
-dashboard's ``paper`` grid is their union, and
-:func:`repro.experiments.run_figure` regenerates a figure's series.
+:func:`figure_suite` turns one into a :class:`~repro.api.ScenarioSuite`, and
+the dashboard's ``paper`` grid is their union.  ``repro figure`` and the
+figure benches regenerate a figure by running its suite through
+:func:`repro.api.dashboard.run_dashboard` over the backends of
+:data:`FIGURE_SERIES`: the series come from the sweep's rows, the errors of
+both estimators from the dashboard's accuracy report.
 """
 
 from __future__ import annotations
@@ -22,10 +25,18 @@ from ..exceptions import ExperimentError
 from ..units import MiB, gigabytes, megabytes
 from .scenario import Scenario, ScenarioSuite
 
-#: Seed of the evaluation grids' scenarios (and of the experiment runner).
+#: Seed of the evaluation grids' scenarios.
 DEFAULT_BASE_SEED = 1234
 #: Default number of reduce tasks per WordCount job in the evaluation grid.
 DEFAULT_REDUCES = 4
+
+#: The series a figure plots, by label, and the backend behind each: the
+#: simulator's measurement, then the fork/join and Tripathi estimates.
+FIGURE_SERIES = {
+    "HadoopSetup": "simulator",
+    "Fork/join": "mva-forkjoin",
+    "Tripathi": "mva-tripathi",
+}
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 from pathlib import Path
@@ -92,7 +93,7 @@ from .api.dashboard import (
     run_dashboard,
     write_artifacts,
 )
-from .api.figures import FIGURE_DEFINITIONS
+from .api.figures import FIGURE_DEFINITIONS, FIGURE_SERIES, figure_suite
 from .api.service import DEFAULT_EXECUTION
 from .config import FailureSpec
 from .exceptions import BackendCapabilityError, ReproError, ValidationError
@@ -349,27 +350,39 @@ def _command_list(_: argparse.Namespace) -> int:
 
 def _command_figure(args: argparse.Namespace) -> int:
     from .core.estimators import EstimatorKind
-    from .experiments.figures import run_figure
-    from .experiments.runner import POINT_BACKENDS
 
-    service = _service_from_args(args, list(POINT_BACKENDS))
-    series = run_figure(
-        args.figure_id,
-        repetitions=args.repetitions,
-        base_seed=args.seed,
+    definition = FIGURE_DEFINITIONS[args.figure_id]
+    backends = tuple(FIGURE_SERIES.values())
+    service = _service_from_args(args, backends)
+    run = run_dashboard(
+        figure_suite(args.figure_id, repetitions=args.repetitions, base_seed=args.seed),
+        backends=backends,
         service=service,
     )
-    print(FIGURE_DEFINITIONS[args.figure_id].description)
-    print(format_series_table(series.x_label, series.x_values, series.series()))
+    # A point that failed (--on-error skip/record) reads NaN in its series.
+    series = {
+        label: run.outcome.result.series(name) for label, name in FIGURE_SERIES.items()
+    }
+    print(definition.description)
+    print(format_series_table(definition.x_label, definition.x_values(), series))
     if args.plot:
         print()
-        print(ascii_series_plot(series.x_values, series.series()))
-    for kind in (EstimatorKind.FORK_JOIN, EstimatorKind.TRIPATHI):
-        errors = [abs(error) for error in series.errors(kind)]
-        print(
-            f"{kind.value}: mean |error| = {100 * sum(errors) / len(errors):.1f}%, "
-            f"max |error| = {100 * max(errors):.1f}%"
-        )
+        print(ascii_series_plot(definition.x_values(), series))
+    # FIGURE_SERIES lists the measurement first, then the estimators in
+    # EstimatorKind order.
+    for kind, name in zip(EstimatorKind, backends[1:]):
+        entry = run.report.backend(name)
+        if entry.comparable:
+            print(
+                f"{kind.value}: mean |error| = {100 * entry.mean_abs:.1f}%, "
+                f"max |error| = {100 * entry.max_abs:.1f}%"
+            )
+        else:
+            print(f"{kind.value}: no comparable point")
+    missing = sum(math.isnan(value) for values in series.values() for value in values)
+    if missing:
+        cells = len(backends) * len(run.suite.scenarios)
+        print(f"incomplete: {missing} of {cells} points missing")
     _print_store_summary(args, service)
     return 0
 

@@ -17,10 +17,7 @@ performance model is constructed from:
   (Varki 1999), used by the fork/join job-response-time estimator;
 * :mod:`repro.queueing.distributions` — Erlang and hyperexponential response
   time distributions, CV-based fitting, and max/sum composition used by the
-  Tripathi estimator;
-* :mod:`repro.queueing.markov` — an exact continuous-time Markov-chain solver
-  for tiny networks, used in tests as ground truth and to illustrate the
-  state-space explosion discussed in Section 2.2 of the paper.
+  Tripathi estimator.
 """
 
 from .service_center import CenterKind, ServiceCenter, ServiceDemand
@@ -38,7 +35,6 @@ from .distributions import (
     maximum_of,
     sum_of,
 )
-from .markov import CTMCSolution, solve_ctmc_closed_network, state_space_size
 
 __all__ = [
     "CenterKind",
@@ -59,7 +55,4 @@ __all__ = [
     "fit_distribution",
     "maximum_of",
     "sum_of",
-    "CTMCSolution",
-    "solve_ctmc_closed_network",
-    "state_space_size",
 ]

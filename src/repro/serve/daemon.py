@@ -36,8 +36,9 @@ Serving semantics:
   :class:`~repro.plan.PlanReport` envelope — identical to ``repro plan
   --json`` for the same spec.
 * **Lifecycle.** SIGTERM/SIGINT stop the listener, answer new work ``503``,
-  drain the admitted + queued requests, flush the result store, and return
-  — the CLI exits 0.
+  drain the admitted + queued requests, and return — the CLI exits 0.  Each
+  result was committed to the store when it was written, so the drain
+  neither flushes nor rescans it.
 """
 
 from __future__ import annotations
@@ -693,7 +694,7 @@ class PredictionDaemon:
             self._loop.call_soon_threadsafe(self.request_shutdown)
 
     async def run(self, ready: Callable[[], None] | None = None) -> None:
-        """Serve until a shutdown signal, then drain and flush.
+        """Serve until a shutdown signal, then drain.
 
         ``ready`` (if given) is called once the socket is bound — by then
         :attr:`port` holds the real port, so an ephemeral-port daemon can
@@ -731,8 +732,6 @@ class PredictionDaemon:
             for signum in signals_installed:
                 self._loop.remove_signal_handler(signum)
             self._pool.shutdown(wait=True)
-            if self.service.store is not None:
-                self.service.store.refresh()
             self._loop = None
 
 

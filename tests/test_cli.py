@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import inspect
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.api import PredictionService, ScenarioSuite, Scenario, backend_names
+from repro.api.figures import figure_suite
 from repro.api.service import DEFAULT_EXECUTION
 from repro.cli import build_parser, main
+from repro.exceptions import TransientError
+from repro.testing.faults import FaultInjector, FaultSpec, inject_backend_faults
 from repro.units import megabytes
+
+DATA = Path(__file__).parent / "data"
 
 #: Arguments of a small, fast scenario shared by the CLI tests.
 SMALL_ARGS = [
@@ -19,6 +25,19 @@ SMALL_ARGS = [
     "--reduces", "2",
     "--repetitions", "1",
 ]
+
+
+
+class _FailOnePoint(FaultInjector):
+    """Fails every attempt at one ``backend:cache_key`` point, and no other."""
+
+    def __init__(self, point: str) -> None:
+        super().__init__(FaultSpec())
+        self.point = point
+
+    def fault_point(self, key: str) -> None:
+        if key == self.point:
+            raise TransientError(f"injected failure for {key!r}")
 
 
 class TestList:
@@ -398,6 +417,39 @@ class TestFigure:
         warm = capsys.readouterr()
         assert "9 store hits" in warm.err and "0 evaluated" in warm.err
         assert warm.out == cold.out
+
+    @pytest.mark.parametrize("figure_id", ["figure10", "figure14"])
+    def test_figure_prints_the_recorded_bytes(self, figure_id, capsys):
+        """The table, plot and error lines are the committed ones, byte for byte."""
+        args = ["figure", figure_id, "--repetitions", "1", "--seed", "3", "--plot"]
+        assert main(args) == 0
+        expected = (DATA / f"{figure_id}_plot.txt").read_text()
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("on_error", ["skip", "record"])
+    def test_a_failed_point_leaves_a_gap_and_is_counted(self, on_error, capsys):
+        """One simulator point fails: the figure prints what it has."""
+        target = figure_suite("figure10", repetitions=1, base_seed=3).scenarios[0]
+        injector = _FailOnePoint(f"simulator:{target.cache_key()}")
+        args = [
+            "figure", "figure10", "--repetitions", "1", "--seed", "3",
+            "--plot", "--on-error", on_error,
+        ]
+        with inject_backend_faults("simulator", injector):
+            assert main(args) == 0
+        output = capsys.readouterr().out
+        expected = (DATA / "figure10_plot.txt").read_text().splitlines()
+        lines = output.splitlines()
+        # The failed measurement reads nan; every other cell is as recorded.
+        assert lines[3].split() == ["4.0", "nan", *expected[3].split()[2:]]
+        assert lines[:3] + lines[4:6] == expected[:3] + expected[4:6]
+        assert "".join(lines[8:20]).count("o") == 2  # the plot's grid rows
+        # Both estimators are scored on the two measured points.
+        assert lines[-3:] == [
+            "fork-join: mean |error| = 18.6%, max |error| = 19.4%",
+            "tripathi: mean |error| = 14.1%, max |error| = 15.0%",
+            "incomplete: 1 of 9 points missing",
+        ]
 
 
 class TestPlan:

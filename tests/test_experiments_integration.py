@@ -1,14 +1,19 @@
-"""End-to-end tests: the experiment runner ties simulator and model together."""
+"""End-to-end tests: the paper's figure grids through simulator and model."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import EstimatorKind
-from repro.experiments import FIGURE_DEFINITIONS, figure_definition, run_experiment_point, run_figure
+from repro.api import PredictionService, Scenario
+from repro.api.dashboard import run_dashboard
+from repro.api.figures import (
+    FIGURE_DEFINITIONS,
+    FIGURE_SERIES,
+    figure_definition,
+    figure_suite,
+)
 from repro.exceptions import ExperimentError
 from repro.units import gigabytes, megabytes
-from repro.workloads import WorkloadSpec
 
 
 class TestFigureDefinitions:
@@ -38,40 +43,31 @@ class TestFigureDefinitions:
 
 
 class TestExperimentPoint:
-    def test_custom_profile_rejected_loudly(self):
-        from dataclasses import replace
-        from repro.workloads import wordcount_profile
-
-        tweaked = replace(wordcount_profile(), map_cpu_seconds_per_mib=0.5)
-        workload = WorkloadSpec(profile=tweaked, input_size_bytes=gigabytes(1))
-        with pytest.raises(ExperimentError, match="not reconstructible"):
-            run_experiment_point(workload, num_nodes=2, repetitions=1)
-
     def test_point_produces_measurement_and_estimates(self):
-        workload = WorkloadSpec.wordcount(gigabytes(1), num_jobs=1, num_reduces=2)
-        point = run_experiment_point(workload, num_nodes=4, repetitions=1, base_seed=5)
-        assert point.measured_seconds > 0
-        assert point.forkjoin_seconds > 0
-        assert point.tripathi_seconds > 0
+        scenario = Scenario(
+            input_size_bytes=gigabytes(1), num_nodes=4, num_reduces=2, repetitions=1, seed=5
+        )
+        service = PredictionService(backends=list(FIGURE_SERIES.values()))
+        results = service.evaluate_many(scenario, list(FIGURE_SERIES.values()))
+        measured = results["simulator"].total_seconds
+        forkjoin = results["mva-forkjoin"].total_seconds
+        tripathi = results["mva-tripathi"].total_seconds
+        assert measured > 0 and forkjoin > 0 and tripathi > 0
         # Both estimates stay within a factor of two of the measurement
         # (the paper's errors are far smaller; this is a sanity band).
-        assert abs(point.forkjoin_error) < 1.0
-        assert abs(point.tripathi_error) < 1.0
-
-    def test_tripathi_above_forkjoin(self):
-        workload = WorkloadSpec.wordcount(gigabytes(1), num_jobs=1, num_reduces=2)
-        point = run_experiment_point(workload, num_nodes=4, repetitions=1, base_seed=5)
-        assert point.tripathi_seconds >= point.forkjoin_seconds
+        assert abs(forkjoin - measured) < measured
+        assert abs(tripathi - measured) < measured
+        assert tripathi >= forkjoin
 
 
 class TestFigureRun:
     def test_figure10_series_shape(self):
-        series = run_figure("figure10", repetitions=1, base_seed=3)
-        data = series.series()
-        assert set(data) == {"HadoopSetup", "Fork/join", "Tripathi"}
-        assert len(data["HadoopSetup"]) == 3
+        run = run_dashboard(
+            figure_suite("figure10", repetitions=1, base_seed=3),
+            backends=tuple(FIGURE_SERIES.values()),
+        )
+        measured = run.outcome.result.series("simulator")
+        assert len(measured) == 3
         # Response times must not grow when nodes are added.
-        measured = data["HadoopSetup"]
         assert measured[-1] <= measured[0] * 1.10
-        errors = series.errors(EstimatorKind.FORK_JOIN)
-        assert all(abs(error) < 0.6 for error in errors)
+        assert run.report.backend("mva-forkjoin").max_abs < 0.6

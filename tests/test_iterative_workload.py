@@ -3,7 +3,7 @@
 The profile is registered through the public
 :func:`repro.api.register_workload_profile` path, so these tests double as
 coverage for custom-workload registration end to end: registry → scenario →
-every backend → experiment runner.
+every backend.
 """
 
 from __future__ import annotations
@@ -11,9 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.api import WORKLOAD_PROFILES, Scenario, backend_names, create_backend
-from repro.experiments.runner import scenario_for_workload
 from repro.units import megabytes
-from repro.workloads import WorkloadSpec, iterative_profile, wordcount_profile
+from repro.workloads import iterative_profile, wordcount_profile
 
 SMALL = Scenario(
     workload="iterative-ml",
@@ -59,13 +58,5 @@ class TestIterativeProfile:
         )
         assert iterative.phases["shuffle-sort"] < wordcount.phases["shuffle-sort"]
 
-    def test_runner_reconstructs_registered_profile(self):
-        workload = WorkloadSpec(
-            profile=iterative_profile(),
-            input_size_bytes=megabytes(256),
-            block_size_bytes=megabytes(128),
-            num_reduces=2,
-        )
-        scenario = scenario_for_workload(workload, num_nodes=2, repetitions=1)
-        assert scenario.workload == "iterative-ml"
-        assert scenario.profile() == iterative_profile()
+    def test_scenario_reconstructs_registered_profile(self):
+        assert SMALL.profile() == iterative_profile()

@@ -1,4 +1,4 @@
-"""Tests for the MVA solvers and the CTMC oracle."""
+"""Tests for the MVA solvers."""
 
 from __future__ import annotations
 
@@ -15,11 +15,9 @@ from repro.queueing import (
     ServiceDemand,
     forkjoin_response_time,
     harmonic_number,
-    solve_ctmc_closed_network,
     solve_mva_approximate,
     solve_mva_exact,
     solve_mva_with_overlaps,
-    state_space_size,
 )
 
 
@@ -341,28 +339,3 @@ class TestForkJoin:
         bumped = forkjoin_response_time([value + 1.0 for value in values])
         assert bumped >= base
         assert base >= max(values)
-
-
-class TestCTMCOracle:
-    def test_state_space_size(self):
-        network = two_class_network()
-        # 3 customers over 2 centers: C(4,1)=4 ways; 2 customers: 3 ways.
-        assert state_space_size(network) == 4 * 3
-
-    def test_matches_mva_for_single_class(self):
-        network = single_class_network(3, demand=2.0)
-        ctmc = solve_ctmc_closed_network(network)
-        exact = solve_mva_exact(network)
-        assert ctmc.response_time("task") == pytest.approx(
-            exact.response_time("task"), rel=0.05
-        )
-
-    def test_refuses_large_state_spaces(self):
-        network = ClosedNetwork(
-            centers=[ServiceCenter(name=f"c{i}") for i in range(6)],
-            class_names=["a", "b"],
-            populations=[30, 30],
-            demands=[ServiceDemand("a", "c0", 1.0), ServiceDemand("b", "c1", 1.0)],
-        )
-        with pytest.raises(ModelError):
-            solve_ctmc_closed_network(network, max_states=1000)

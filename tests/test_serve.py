@@ -16,8 +16,9 @@ Covers the PR's acceptance semantics end to end:
 * streaming sweeps — NDJSON point-by-point delivery, and a mid-stream client
   disconnect that neither poisons the scheduler nor duplicates evaluations
   nor leaves the store inconsistent;
-* lifecycle — drain rejects new work, completes in-flight requests, and a
-  real SIGTERM to a ``repro serve`` subprocess exits 0 after flushing.
+* lifecycle — drain rejects new work, completes in-flight requests, decodes
+  no stored row, and a real SIGTERM to a ``repro serve`` subprocess exits 0
+  with the answered point on disk.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ from repro.api import (
     Scenario,
     ScenarioSuite,
     ServiceStats,
+    SweepScheduler,
     open_store,
 )
 from repro.api.backends import _REGISTRY, backend_names
 from repro.api.dashboard import dashboard_grid
 from repro.api.resilience import BREAKER_OPEN, BreakerSnapshot
+from repro.api.store import SqliteResultStore
 from repro.api.results import PredictionResult
 from repro.exceptions import TransientError, ValidationError
 from repro.serve import ServeConfig, daemon_in_thread, resolve_policy
@@ -668,8 +671,26 @@ class TestDaemonEndpoints:
                 process.communicate()
         assert process.returncode == 0
         assert "drained:" in stderr
-        # The store was flushed: the predict's record is on disk.
+        # The predict's record is on disk.
         assert open_store(store).refresh().loaded == 1
+
+    def test_the_drain_decodes_no_stored_row(self, tmp_path, monkeypatch):
+        """Each put is committed as it is written; the drain never rescans."""
+        service = PredictionService(backends=["aria"], store=tmp_path / "store")
+        suite = ScenarioSuite.from_sweep("seeded", SMALL, num_nodes=[2, 3, 4, 5, 6])
+        SweepScheduler(service).run(suite, ["aria"])
+        decoded: list[str] = []
+        load_row = SqliteResultStore._load_row
+
+        def counting_load_row(self, row, *args, **kwargs):
+            decoded.append(row[0])
+            return load_row(self, row, *args, **kwargs)
+
+        with daemon_in_thread(service, ServeConfig(port=0)):
+            monkeypatch.setattr(SqliteResultStore, "_load_row", counting_load_row)
+        assert decoded == []
+        monkeypatch.undo()
+        assert open_store(tmp_path / "store").refresh().loaded == 5
 
 
 class TestMemoryHits:
