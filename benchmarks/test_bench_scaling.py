@@ -220,7 +220,7 @@ def test_bench_store_warm_restart():
             "warm_seconds": warm_seconds,
             "cold_evaluations": cold_service.stats().evaluations,
             "warm_evaluations": warm_service.stats().evaluations,
-            "store_records": len(cold_service.store),
+            "store_records": cold_service.store.refresh().loaded,
         }
     print()
     _emit(record)

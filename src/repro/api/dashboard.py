@@ -264,7 +264,8 @@ def run_dashboard(
         return DashboardRun(
             suite=suite, backends=names, report=report, outcome=outcome
         )
-    # Store-only mode: replay the answered points, leave the rest missing.
+    # Store-only mode: replay the answered points from the plan's probe, one
+    # cell at a time (a repeated cell is a memory hit), leave the rest missing.
     plan = SweepScheduler(service).plan(suite, names)
     answered = {*plan.memory_hits, *plan.store_hits}
     rows: list[dict[str, object]] = []
@@ -272,7 +273,8 @@ def run_dashboard(
         row: dict[str, object] = {}
         for name in names:
             if (index, name) in answered:
-                row[name] = service.evaluate(scenario, name)
+                point = (scenario.cache_key(), name)
+                row[name] = service._evaluate_points({point: scenario}, probed=plan.probed)[point]
         rows.append(row)
     report = _report_from_rows(suite, names, rows, baseline)
     return DashboardRun(suite=suite, backends=names, report=report, outcome=None)

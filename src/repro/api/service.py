@@ -47,7 +47,7 @@ import os
 import sys
 import threading
 import time
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -80,6 +80,9 @@ from .scenario import Scenario, ScenarioResolver, ScenarioSuite
 from .store import BaseResultStore, TokenMemo, open_store
 
 logger = logging.getLogger(__name__)
+
+#: A store probe's outcome per ``(cache key, backend)`` point (``None``: a miss).
+Probed = Mapping[tuple[str, str], PredictionResult | None]
 
 #: Default baseline backend for comparisons (the "measured" series).
 DEFAULT_BASELINE = "simulator"
@@ -779,13 +782,23 @@ class PredictionService:
         )
 
     def evaluate_many(
-        self, scenario: Scenario, backends: Sequence[str] | None = None
+        self,
+        scenario: Scenario,
+        backends: Sequence[str] | None = None,
+        *,
+        retry: "RetryPolicy | int | None" = None,
+        timeout: float | None = None,
     ) -> dict[str, PredictionResult]:
-        """Evaluate one scenario with several backends (per the execution mode)."""
+        """Evaluate one scenario with several backends in one dispatch.
+
+        ``retry`` and ``timeout`` override the service policies as in :meth:`evaluate`.
+        """
         names = list(backends) if backends is not None else self.backends()
         key = scenario.cache_key()
         with ScenarioResolver.dispatch():
-            results = self._evaluate_points({(key, name): scenario for name in names})
+            results = self._evaluate_points(
+                {(key, name): scenario for name in names}, retry=retry, timeout=timeout
+            )
         return {name: results[(key, name)] for name in names}
 
     def _resolve_on_error(self, on_error: str | None) -> str:
@@ -804,7 +817,7 @@ class PredictionService:
         on_error: str | None = None,
         *,
         tokens: TokenMemo | None = None,
-        unanswered: Collection[tuple[str, str]] = (),
+        probed: Probed | None = None,
     ) -> SuiteResult:
         """Evaluate every (scenario, backend) pair of a suite.
 
@@ -826,11 +839,10 @@ class PredictionService:
         points follow it before anything is dispatched, so under ``"raise"``
         the first one aborts the suite up front.
 
-        A caller that already holds the store tokens (a
-        :meth:`probe_points` memo) passes them as ``tokens``, so none is
-        computed twice.  The ``(cache key, backend)`` points its probe found
-        unanswered go in ``unanswered``: the store is not probed for them a
-        second time.
+        A caller that already probed the store (a sweep plan) passes its
+        token memo as ``tokens`` and what the probe read as ``probed``
+        (``point -> result``, ``None`` for a miss): those points are
+        answered from it, and the store is not read for them again.
         """
         mode = self._resolve_on_error(on_error)
         names = tuple(backends) if backends is not None else tuple(self.backends())
@@ -852,7 +864,7 @@ class PredictionService:
         # One resolver for the whole dispatch: the batch paths and every
         # scalar task (threads included) share its views and MVA trajectories.
         with ScenarioResolver.dispatch():
-            results = self._evaluate_points(unique, mode, tokens, unanswered)
+            results = self._evaluate_points(unique, mode, tokens, probed)
         rows = tuple(
             {
                 name: results[(keys[index], name)]
@@ -867,21 +879,19 @@ class PredictionService:
 
     def probe_points(
         self, points: Sequence[tuple[str, str]], tokens: TokenMemo | None = None
-    ) -> dict[tuple[str, str], str]:
-        """Peek which ``(cache key, backend)`` points are already answered.
+    ) -> tuple[dict[tuple[str, str], PredictionResult], dict[tuple[str, str], PredictionResult]]:
+        """The results already answering ``(cache key, backend)`` points.
 
-        Returns ``point -> "memory" | "store"`` for every answered point
-        (one cache pass, one bulk store probe); unanswered points are
-        absent.  Unlike :meth:`evaluate`, this never counts hits in
-        :meth:`stats` — it exists for planners
-        (:class:`~repro.api.sweep.SweepScheduler`) that want to know what a
-        sweep would cost before running it.  Store records found here stay
-        loaded in the store's index, so the subsequent evaluation pays no
-        second disk read for them; the store tokens of the probed points
-        are recorded in ``tokens`` for that evaluation to reuse.
+        Returns ``(memory hits, store hits)`` from one cache pass and one
+        bulk store probe; a point answered by neither is a miss.  Unlike
+        :meth:`evaluate`, this never counts hits in :meth:`stats` — it
+        exists for planners (:class:`~repro.api.sweep.SweepScheduler`) that
+        want to know what a sweep would cost before running it.  A planner
+        hands the store hits (and its misses) to the evaluation as
+        ``probed``, so no row is read twice; the store tokens of the probed
+        points are recorded in ``tokens`` for that evaluation to reuse.
         """
-        memory, stored = self._probe(points, tokens)
-        return {**dict.fromkeys(memory, "memory"), **dict.fromkeys(stored, "store")}
+        return self._probe(points, tokens)
 
     def _recall(
         self, points: Collection[tuple[str, str]], counted: bool = False
@@ -897,23 +907,25 @@ class PredictionService:
         self,
         points: Collection[tuple[str, str]],
         tokens: TokenMemo | None,
-        unanswered: Collection[tuple[str, str]] = (),
+        probed: Probed | None = None,
         counted: bool = False,
     ) -> tuple[dict[tuple[str, str], PredictionResult], dict[tuple[str, str], PredictionResult]]:
         """One memory pass, then one bulk store probe: ``(memory hits, store hits)``.
 
-        Points in ``unanswered`` skip the store (a probe just missed them).
-        A ``counted`` probe (the partition's) counts its hits and caches
-        what the store answered; :meth:`probe_points`' only looks.
+        Points in ``probed`` are answered from it (a plan's probe just read
+        them) instead of the store.  A ``counted`` probe (the partition's)
+        counts its hits and caches what the store answered;
+        :meth:`probe_points`' only looks.
         """
         memory = self._recall(points, counted)
-        probe = [point for point in points if point not in memory and point not in unanswered]
-        if self._store is None or not probe:
-            return memory, {}
-        stored = self._store.get_many(
-            [(key, backend, self._backend_options.get(backend, {})) for key, backend in probe],
-            tokens,
-        )
+        rest = [point for point in points if point not in memory]
+        probed = probed or {}
+        stored = {point: hit for point in rest if (hit := probed.get(point)) is not None}
+        unread = [point for point in rest if point not in probed]
+        if self._store is not None and unread:
+            options = self._backend_options
+            found = self._store.get_many([(*p, options.get(p[1], {})) for p in unread], tokens)
+            stored.update(found)
         if counted and stored:
             with self._lock:
                 self._counts["store_hits"] += len(stored)
@@ -926,19 +938,20 @@ class PredictionService:
         unique: dict[tuple[str, str], Scenario],
         on_error: str = "raise",
         tokens: TokenMemo | None = None,
-        unanswered: Collection[tuple[str, str]] = (),
+        probed: Probed | None = None,
         retry: "RetryPolicy | int | None" = None,
         timeout: float | None = None,
     ) -> dict[tuple[str, str], PredictionResult | FailedResult]:
         """Settle unique points: declined, memory hit, store hit, batch or scalar task.
 
         Every entry point comes through here, so each point is checked
-        against ``declines`` and probed once.  A point absent from the
-        result was skipped under ``on_error="skip"``.
+        against ``declines`` and probed once (not at all when ``probed``
+        holds it).  A point absent from the result was skipped under
+        ``on_error="skip"``.
         """
         tokens = {} if tokens is None else tokens  # shared by the probe and the write
         results, accepted = self._screen(unique, on_error)
-        memory, stored = self._probe(accepted, tokens, unanswered, counted=True)
+        memory, stored = self._probe(accepted, tokens, probed, counted=True)
         results.update(memory)
         results.update(stored)
         batch_groups: dict[str, list[tuple[tuple[str, str], Scenario]]] = {}
@@ -1117,10 +1130,13 @@ class PredictionService:
         scenario: Scenario,
         backends: Sequence[str] | None = None,
         baseline: str = DEFAULT_BASELINE,
+        *,
+        retry: "RetryPolicy | int | None" = None,
+        timeout: float | None = None,
     ) -> BackendComparison:
-        """Evaluate several backends side by side against a baseline."""
+        """Evaluate several backends side by side against a baseline (:meth:`evaluate_many`)."""
         names = list(backends) if backends is not None else self.backends()
         if baseline not in names:
             names = [baseline, *names]
-        results = self.evaluate_many(scenario, names)
+        results = self.evaluate_many(scenario, names, retry=retry, timeout=timeout)
         return BackendComparison(scenario=scenario, baseline=baseline, results=results)

@@ -3,7 +3,8 @@
 ``repro.api.store`` is a package of four layers:
 
 * :mod:`~repro.api.store.base` — the :class:`BaseResultStore` contract
-  (versioning, corruption/quarantine, the index) and shared helpers;
+  (versioning, corruption/quarantine) and shared helpers; a store keeps no
+  record in memory, so every lookup reads the engine;
 * :mod:`~repro.api.store.sqlite_store` — :class:`SqliteResultStore`, the
   single-file WAL-mode SQLite engine every store is written with, and home
   of the lease table;

@@ -135,10 +135,11 @@ class GcStats:
 class BaseResultStore(abc.ABC):
     """Disk-backed ``(cache key, backend, options) -> PredictionResult`` mapping.
 
-    Subclasses provide the storage engine; the in-memory index and the
-    directory-level checks live here.  All index access
-    happens under ``self._lock``; engine-level synchronisation (SQLite
-    transactions) is the subclass's business.
+    Subclasses provide the storage engine; the directory-level checks live
+    here.  A store holds no records in memory: every lookup reads the
+    engine, and the service's cache is the one in-memory copy of a result.
+    Engine-level synchronisation (SQLite transactions) happens under
+    ``self._lock``.
     """
 
     #: Short name of the on-disk layout (``"sqlite"``, or ``"json"`` for the
@@ -152,50 +153,15 @@ class BaseResultStore(abc.ABC):
                 f"store path {str(self._path)!r} exists and is not a directory"
             )
         self._lock = threading.Lock()
-        # Populated lazily: get_many() probes exactly the records it needs, so
-        # opening a store stays O(1) however many records it has grown to.
-        # refresh() performs the full scan when a complete view is wanted.
-        self._index: dict[tuple[str, str, str], PredictionResult] = {}
-        self.stats = StoreStats()
 
     @property
     def path(self) -> Path:
         """Root directory of the store."""
         return self._path
 
-    def __len__(self) -> int:
-        """Number of *indexed* records (run :meth:`refresh` for the disk total)."""
-        with self._lock:
-            return len(self._index)
-
-    def keys(self) -> list[tuple[str, str, str]]:
-        """All indexed ``(cache key, backend, canonical options)`` triples."""
-        with self._lock:
-            return list(self._index)
-
     def point_token(self, key: str, backend: str, options: dict | None = None) -> str:
         """The digest naming this point's record slot and lease."""
         return point_token(key, backend, _canonical_options(options))
-
-    def _publish_refresh(
-        self, index: dict[tuple[str, str, str], "PredictionResult"], stats: StoreStats
-    ) -> StoreStats:
-        """Install a completed scan, *merging* entries indexed since it began.
-
-        A ``put()`` racing the scan publishes its record to disk and to
-        ``self._index`` after the scan already passed that slot; wholesale
-        replacement would drop it from memory even though it is durably on
-        disk (the lost-index-entry race).  Merging keeps such entries.  The
-        flip side — an entry whose record was deleted mid-scan survives in
-        memory — is resolved by :meth:`gc`, which drops the entries it
-        purges explicitly.
-        """
-        with self._lock:
-            for index_key, result in self._index.items():
-                index.setdefault(index_key, result)
-            self._index = index
-            self.stats = stats
-        return stats
 
     # -- engine contract -------------------------------------------------------
 
@@ -239,7 +205,7 @@ class BaseResultStore(abc.ABC):
 
     @abc.abstractmethod
     def refresh(self) -> StoreStats:
-        """Rescan the engine, merging the result into the in-memory index."""
+        """Scan every record and count the usable, stale and corrupt ones."""
 
     @abc.abstractmethod
     def gc(

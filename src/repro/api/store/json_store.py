@@ -76,20 +76,13 @@ class ResultStore(BaseResultStore):
         self, key: str, backend: str, options: dict | None = None
     ) -> PredictionResult | None:
         """The stored result of one point, or ``None``."""
-        options_key = _canonical_options(options)
-        index_key = (key, backend, options_key)
-        with self._lock:
-            hit = self._index.get(index_key)
-        if hit is not None:
-            return hit
-        token = point_token(key, backend, options_key)
+        point = (key, backend, _canonical_options(options))
+        token = point_token(*point)
         loaded = self._read_record(
             self._records_dir / token[:2] / f"{token}.json", StoreStats()
         )
-        if loaded is None or loaded[:3] != index_key:
+        if loaded is None or loaded[:3] != point:
             return None
-        with self._lock:
-            self._index[index_key] = loaded[3]
         return loaded[3]
 
     def get_many(
@@ -121,10 +114,8 @@ class ResultStore(BaseResultStore):
         return records, stats
 
     def refresh(self) -> StoreStats:
-        """Rescan the directory, merged over the live index."""
-        records, stats = self.scan()
-        index = {record[:3]: record[3] for record in records}
-        return self._publish_refresh(index, stats)
+        """Rescan the directory and count its records."""
+        return self.scan()[1]
 
     # -- writes are retired ----------------------------------------------------
 

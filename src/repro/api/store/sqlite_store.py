@@ -21,9 +21,8 @@ fatal, at two granularities:
   place.  A *locked* database is not a corrupt one: a busy timeout raises
   :class:`~repro.exceptions.StoreError` and leaves the file alone.
 
-Unusable probe outcomes are memoised by the row's ``created`` stamp: a
-stale or corrupt row is decoded once, not on every probe, while a peer
-overwriting the row (which rewrites ``created``) is still seen at once.
+A stale row is recognised by its three version columns before its
+payload is decoded, so skipping one costs a comparison, not a parse.
 
 The same file holds the cooperative-sweep ``leases`` table
 (:mod:`repro.api.store.leases`): :meth:`SqliteResultStore.lease_manager`
@@ -212,11 +211,6 @@ class SqliteResultStore(BaseResultStore):
         super().__init__(path)
         self._db_path = self._path / DB_FILENAME
         self._conn: sqlite3.Connection | None = None
-        # Unusable-probe memo: token -> ``created`` stamp the row was last
-        # found stale/corrupt at.  A peer overwriting the row rewrites
-        # ``created``, so the memo never hides a fresh record.  Guarded by
-        # ``self._lock``; invalidated by put() and cleared by refresh().
-        self._stale_rows: dict[str, float] = {}
         _OPEN_STORES.add(self)
 
     def __del__(self, _orphans: list = _ORPHANS) -> None:
@@ -301,48 +295,34 @@ class SqliteResultStore(BaseResultStore):
         points: Sequence[tuple[str, str, dict | None]],
         tokens: TokenMemo | None = None,
     ) -> dict[tuple[str, str], PredictionResult]:
-        """Bulk lookup; misses are resolved with batched indexed ``SELECT``\\ s.
+        """Bulk lookup: one indexed ``SELECT`` per 500 points.
 
-        A point missing from the index is looked up in the database before
-        it counts as a miss, so rows committed by a concurrent process are
-        picked up without an explicit :meth:`refresh`.  ``tokens`` (see
+        Every point is read from the database, so rows committed by a
+        concurrent process are seen at once.  ``tokens`` (see
         :data:`~repro.api.store.base.TokenMemo`) supplies known point tokens
         and records the ones computed here.
         """
         found: dict[tuple[str, str], PredictionResult] = {}
         tokens = {} if tokens is None else tokens
+        wanted: dict[str, tuple[str, str, str]] = {}
+        for key, backend, options in points:
+            point = (key, backend, _canonical_options(options))
+            token = tokens.get(point)
+            if token is None:
+                token = tokens[point] = point_token(*point)
+            wanted[token] = point
+        if not wanted:
+            return found
+        order = list(wanted)
+        stats = StoreStats()
         with self._lock:
-            misses: dict[str, tuple[str, str, str]] = {}
-            for key, backend, options in points:
-                options_key = _canonical_options(options)
-                index_key = (key, backend, options_key)
-                hit = self._index.get(index_key)
-                if hit is not None:
-                    found[(key, backend)] = hit
-                    continue
-                token = tokens.get(index_key)
-                if token is None:
-                    token = tokens[index_key] = point_token(*index_key)
-                misses[token] = index_key
-            if not misses:
-                return found
-            wanted = list(misses)
-            stats = StoreStats()
-            for start in range(0, len(wanted), _LOOKUP_CHUNK):
-                chunk = wanted[start : start + _LOOKUP_CHUNK]
-                rows = self._execute(_select_tokens(len(chunk)), chunk).fetchall()
-                for row in rows:
-                    token = row[0]
-                    index_key = misses[token]
-                    if self._stale_rows.get(token) == row[8]:
-                        continue  # unchanged since it was last found unusable
+            for start in range(0, len(order), _LOOKUP_CHUNK):
+                chunk = order[start : start + _LOOKUP_CHUNK]
+                for row in self._execute(_select_tokens(len(chunk)), chunk).fetchall():
+                    point = wanted[row[0]]
                     loaded = self._load_row(row, stats)
-                    if loaded is None or loaded[:3] != index_key:
-                        self._stale_rows[token] = row[8]
-                        continue
-                    self._stale_rows.pop(token, None)
-                    self._index[index_key] = loaded[3]
-                    found[(index_key[0], index_key[1])] = loaded[3]
+                    if loaded is not None and loaded[:3] == point:
+                        found[point[:2]] = loaded[3]
         return found
 
     # -- writes ---------------------------------------------------------------
@@ -362,13 +342,12 @@ class SqliteResultStore(BaseResultStore):
         if not records:
             return
         rows = []
-        indexed = []
         stamps = created if created is not None else [time.time()] * len(records)
         tokens = {} if tokens is None else tokens
         for record, stamp in zip(records, stamps, strict=True):
             key, backend, result, options = record
             options_key = _canonical_options(options)
-            index_key = (key, backend, options_key)
+            point = (key, backend, options_key)
             try:
                 payload = json.dumps(result.to_dict(), sort_keys=True)
             except (TypeError, ValueError) as exc:
@@ -377,7 +356,7 @@ class SqliteResultStore(BaseResultStore):
                 ) from exc
             rows.append(
                 (
-                    tokens.get(index_key) or point_token(*index_key),
+                    tokens.get(point) or point_token(*point),
                     STORE_FORMAT_VERSION,
                     SCENARIO_SPEC_VERSION,
                     backend,
@@ -388,7 +367,6 @@ class SqliteResultStore(BaseResultStore):
                     stamp,
                 )
             )
-            indexed.append((index_key, result))
         with self._lock:
             conn = self._connect()
             try:
@@ -402,10 +380,6 @@ class SqliteResultStore(BaseResultStore):
                 raise StoreError(
                     f"cannot write store records to {str(self._db_path)!r}: {exc}"
                 ) from exc
-            for index_key, result in indexed:
-                self._index[index_key] = result
-            for row in rows:
-                self._stale_rows.pop(row[0], None)
 
     def lease_manager(self, worker_id: str, ttl: float | None = None) -> LeaseManager:
         """A claim/lease manager over this store's ``leases`` table.
@@ -419,24 +393,17 @@ class SqliteResultStore(BaseResultStore):
     # -- maintenance ----------------------------------------------------------
 
     def refresh(self) -> StoreStats:
-        """Full table scan, merged over the live index.
+        """Full table scan: decode every row and count what it holds.
 
-        Merging (rather than wholesale replacement) closes the race where a
-        concurrent ``put`` commits after the scan already read the table:
-        its index entry must survive — see
-        :meth:`BaseResultStore._publish_refresh`.
+        Corrupt rows are quarantined and deleted on the way, as a lookup
+        would; nothing is kept in memory.
         """
         stats = StoreStats()
-        index: dict[tuple[str, str, str], PredictionResult] = {}
         with self._lock:
-            self._stale_rows.clear()
             if self._db_path.exists() or self._conn is not None:
                 for row in self._execute(f"{_SELECT} ORDER BY token").fetchall():
-                    loaded = self._load_row(row, stats)
-                    if loaded is not None:
-                        key, backend, options_key, result = loaded
-                        index[(key, backend, options_key)] = result
-        return self._publish_refresh(index, stats)
+                    self._load_row(row, stats)
+        return stats
 
     def gc(
         self,
@@ -452,7 +419,6 @@ class SqliteResultStore(BaseResultStore):
         """
         stats = GcStats(dry_run=dry_run)
         now = time.time()
-        purged_keys: list[tuple[str, str, str]] = []
         with self._lock:
             if not self._db_path.exists() and self._conn is None:
                 return stats
@@ -478,15 +444,13 @@ class SqliteResultStore(BaseResultStore):
                 if ttl is not None and now - created > ttl:
                     stats.expired += 1
                     doomed.append(token)
-                    purged_keys.append(loaded[:3])
                     continue
-                survivors.append((created, token, loaded[:3]))
+                survivors.append((created, token))
             if max_records is not None and len(survivors) > max_records:
                 excess = len(survivors) - max_records
-                for _created, token, index_key in survivors[:excess]:
+                for _created, token in survivors[:excess]:
                     stats.evicted += 1
                     doomed.append(token)
-                    purged_keys.append(index_key)
                 survivors = survivors[excess:]
             stats.remaining = len(survivors)
             if not dry_run and doomed:
@@ -513,15 +477,8 @@ class SqliteResultStore(BaseResultStore):
                     stats.reclaimed_bytes = int(
                         size_before * len(doomed) / stats.examined
                     )
-        self._drop_indexed(purged_keys)
         stats.leases_removed = self.lease_manager("gc").reap_expired(dry_run)
         return stats
-
-    def _drop_indexed(self, index_keys: Sequence[tuple[str, str, str]]) -> None:
-        """Forget purged records in memory so gc and the index agree."""
-        with self._lock:
-            for index_key in index_keys:
-                self._index.pop(index_key, None)
 
     # -- internals ------------------------------------------------------------
 

@@ -10,12 +10,14 @@ makes that explicit:
   store hits, and missing ``(scenario, backend)`` points — without
   evaluating anything (the store is bulk-probed with
   :meth:`~repro.api.store.SqliteResultStore.get_many`, one indexed
-  ``SELECT`` per 500 missing points);
+  ``SELECT`` per 500 points not in memory).  The plan keeps what that
+  probe read (:attr:`SweepPlan.probed`);
 * :meth:`SweepScheduler.run` executes the plan through
   :meth:`~repro.api.service.PredictionService.evaluate_suite` — cached
-  points replay from memory/store, missing points fan out per the service's
-  execution mode with batch-capable backends dispatched in one
-  ``predict_batch`` call — and reports what was actually evaluated.
+  points replay from memory and from the plan's probe, so the store is
+  not read twice; missing points fan out per the service's execution mode
+  with batch-capable backends dispatched in one ``predict_batch`` call —
+  and reports what was actually evaluated.
 
 Interrupting a store-backed sweep and re-running it therefore re-executes
 only the remainder: every completed point was persisted when it finished.
@@ -46,7 +48,7 @@ from ..exceptions import ValidationError
 from .resilience import RetryPolicy
 from .results import FailedResult, PredictionResult
 from .scenario import Scenario, ScenarioResolver, ScenarioSuite
-from .service import PredictionService, ServiceStats, SuiteResult
+from .service import PredictionService, Probed, ServiceStats, SuiteResult
 from .store import SqliteResultStore, TokenMemo
 from .store.leases import LeaseManager
 
@@ -95,6 +97,10 @@ class SweepPlan:
     #: are excluded from :attr:`missing` — a cooperative worker neither
     #: evaluates nor waits on a point a peer is already computing.
     leased: tuple[SweepPoint, ...] = field(default=())
+    #: What the plan's store probe read, per ``(cache key, backend)`` point
+    #: not in memory: the stored result, or ``None`` for a miss.  Running
+    #: the plan answers its store hits from here instead of the store.
+    probed: Probed = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def total_points(self) -> int:
@@ -217,14 +223,18 @@ class SweepScheduler:
 
         A caller that goes on to evaluate the suite passes a store-token
         memo (``tokens``) it will hand to the evaluation too, so no token is
-        computed twice.
+        computed twice; the rows the probe read travel in
+        :attr:`SweepPlan.probed`.
         """
         names = self._resolve_backends(backends)
         keys = [scenario.cache_key() for scenario in suite.scenarios]
         unique_points = list(
             dict.fromkeys((key, name) for key in keys for name in names)
         )
-        sources = self._service.probe_points(unique_points, tokens)
+        memory_found, stored_found = self._service.probe_points(unique_points, tokens)
+        probed = {
+            point: stored_found.get(point) for point in unique_points if point not in memory_found
+        }
         memory: list[SweepPoint] = []
         stored: list[SweepPoint] = []
         missing: list[SweepPoint] = []
@@ -239,17 +249,15 @@ class SweepScheduler:
             if peer_tokens:
                 peer_held = {
                     point
-                    for point in unique_points
-                    if point not in sources
-                    and self._service.point_token(*point) in peer_tokens
+                    for point, result in probed.items()
+                    if result is None and self._service.point_token(*point) in peer_tokens
                 }
         for index, key in enumerate(keys):
             for name in names:
                 point = (index, name)
-                source = sources.get((key, name))
-                if source == "memory":
+                if (key, name) in memory_found:
                     memory.append(point)
-                elif source == "store":
+                elif (key, name) in stored_found:
                     stored.append(point)
                 elif (key, name) in peer_held:
                     leased.append(point)
@@ -262,6 +270,7 @@ class SweepScheduler:
             store_hits=tuple(stored),
             missing=tuple(missing),
             leased=tuple(leased),
+            probed=probed,
         )
 
     def run(
@@ -284,7 +293,8 @@ class SweepScheduler:
 
         ``plan`` short-circuits the probe: a caller that already computed
         (and, say, printed) the plan passes it in, so what was announced is
-        exactly what executes — no second store probe between the two.
+        exactly what executes.  Either way the run answers the plan's store
+        hits from :attr:`SweepPlan.probed`: no second store probe.
         """
         tokens: TokenMemo = {}
         if plan is None:
@@ -295,7 +305,7 @@ class SweepScheduler:
             plan.backends,
             on_error=on_error,
             tokens=tokens,
-            unanswered=_keyed(suite, plan.missing).keys(),
+            probed=plan.probed,
         )
         after = self._service.stats()
         return SweepOutcome(plan=plan, result=result, stats=after.delta(before))
@@ -315,7 +325,7 @@ class SweepScheduler:
 
         Each pass plans once against the shared store (points peers
         completed become store hits), then works through the plan's
-        unanswered points slice by slice: it claims the slice with one
+        missing points slice by slice: it claims the slice with one
         guarded statement, probes the won points once, releases those a
         peer already answered, settles the rest in one batch, and releases
         the slice once the results are durably in the store.  Points a peer
@@ -336,8 +346,9 @@ class SweepScheduler:
         terminally never reaches the store; such points are remembered
         locally and not re-claimed, so a failing backend cannot livelock
         the loop.  The returned outcome replays the full grid (one final
-        :meth:`~PredictionService.evaluate_suite`, all store hits) and
-        reports this worker's share of the work.
+        :meth:`~PredictionService.evaluate_suite` over the last plan's
+        probe, reading no row again) and reports this worker's share of
+        the work.
         """
         if not isinstance(self._service.store, SqliteResultStore):
             raise ValidationError(
@@ -376,7 +387,7 @@ class SweepScheduler:
                         # holding the lease makes this probe definitive: yield
                         # such points back instead of counting them as ours.
                         answered = self._service.probe_points(list(won), tokens)
-                        leases.release_many([won.pop(point) for point in answered])
+                        leases.release_many([won.pop(p) for found in answered for p in found])
                         claimed += len(won)
                         if not won:
                             continue
@@ -384,7 +395,7 @@ class SweepScheduler:
                         try:
                             with ScenarioResolver.dispatch():
                                 results = self._service._evaluate_points(
-                                    {point: unique[point] for point in won}, mode, tokens, won
+                                    {p: unique[p] for p in won}, mode, tokens, dict.fromkeys(won)
                                 )
                         finally:
                             # Successes are durably stored before this release;
@@ -397,14 +408,14 @@ class SweepScheduler:
                             if (suite.scenarios[index].cache_key(), name) in failed:
                                 failed_locally.add((index, name))
                     if not settled:
-                        # Everything unanswered is leased to live peers: wait
+                        # Every missing point is leased to live peers: wait
                         # for them to finish (or their leases to expire).
                         waits += 1
                         time.sleep(wait)
             finally:
                 leases.release_all()
         result = self._service.evaluate_suite(
-            suite, plan.backends, on_error=on_error, tokens=tokens
+            suite, plan.backends, on_error=on_error, tokens=tokens, probed=plan.probed
         )
         after = self._service.stats()
         return CooperativeOutcome(
@@ -454,14 +465,16 @@ class SweepScheduler:
         if plan is None:
             plan = self.plan(suite, backends, tokens=tokens)
         mode = self._service._resolve_on_error(on_error)
-        unanswered = set(_keyed(suite, plan.missing))
+        probed = dict(plan.probed)
         hits = [*plan.memory_hits, *plan.store_hits]
         for points in (hits, *_slices(plan.missing, SLICE_SCENARIOS)):
             unique = _keyed(suite, points)
             with ScenarioResolver.dispatch():
                 results = self._service._evaluate_points(
-                    unique, mode, tokens, unanswered, retry, timeout
+                    unique, mode, tokens, probed, retry, timeout
                 )
-            unanswered.difference_update(results)
+            for point in results:
+                # Settled now, so a later duplicate of it reads cache or store.
+                probed.pop(point, None)
             for index, name in points:
                 yield index, name, results.get((suite.scenarios[index].cache_key(), name))

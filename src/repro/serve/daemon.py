@@ -60,7 +60,7 @@ from ..api.resilience import (
     ON_ERROR_MODES,
     BreakerSnapshot,
 )
-from ..api.results import BackendComparison, FailedResult, PredictionResult
+from ..api.results import FailedResult, PredictionResult
 from ..api.scenario import Scenario, ScenarioSuite
 from ..api.service import PredictionService
 from ..api.sweep import SweepScheduler
@@ -401,7 +401,6 @@ class PredictionDaemon:
                 else {
                     "format": self.service.store.format_name,
                     "path": str(self.service.store.path),
-                    "indexed_records": len(self.service.store),
                 }
             ),
         }
@@ -492,21 +491,11 @@ class PredictionDaemon:
             raise HttpError(400, "backends must be a JSON array of backend names")
         baseline = payload.get("baseline", names[0] if names else None)
         baseline = self._check_backend(baseline)
-        if baseline not in names:
-            names = [baseline, *names]
         retries, timeout, _ = resolve_policy(payload.get("policy"), self.config)
-
-        def work() -> BackendComparison:
-            results = {
-                name: self.service.evaluate(
-                    scenario, name, retry=retries, timeout=timeout
-                )
-                for name in names
-            }
-            return BackendComparison(
-                scenario=scenario, baseline=baseline, results=results
-            )
-
+        # One service call, so every backend shares one resolver dispatch.
+        work = partial(
+            self.service.compare, scenario, names, baseline, retry=retries, timeout=timeout
+        )
         try:
             comparison = await self._run_admitted(work)
         except ReproError as exc:

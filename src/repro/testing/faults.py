@@ -267,7 +267,7 @@ class FaultyStore(SqliteResultStore):
     def put_many(self, records, created=None, tokens=None) -> None:
         super().put_many(records, created, tokens)
         torn = [
-            (key, backend, _canonical_options(options))
+            (point_token(key, backend, _canonical_options(options)),)
             for key, backend, _, options in records
             if self._injector.corrupt_write(f"{backend}:{key}")
         ]
@@ -277,8 +277,5 @@ class FaultyStore(SqliteResultStore):
             conn = self._connect()
             with conn:
                 conn.executemany(
-                    "UPDATE records SET result = substr(result, 1, 40) WHERE token = ?",
-                    [(point_token(*index_key),) for index_key in torn],
+                    "UPDATE records SET result = substr(result, 1, 40) WHERE token = ?", torn
                 )
-            for index_key in torn:
-                self._index.pop(index_key, None)

@@ -523,6 +523,8 @@ class TestDaemonEndpoints:
             lines = list(client.stream_ndjson("/sweep", payload))
             assert lines[0]["plan"]["missing"] == 0
             assert ServiceStats.from_dict(lines[-1]["stats"]).evaluations == 0
+            store = {"format": "sqlite", "path": str(tmp_path / "store")}
+            assert client.get_json("/stats")[1]["store"] == store  # no record count
 
     def test_plan_endpoint_matches_direct_planner(self):
         from repro.plan import CapacityPlanner, Constraint, PlanSpec, SearchSpace
@@ -691,6 +693,42 @@ class TestDaemonEndpoints:
         assert decoded == []
         monkeypatch.undo()
         assert open_store(tmp_path / "store").refresh().loaded == 5
+
+
+class TestCompare:
+    """``POST /compare`` is one :meth:`PredictionService.compare` call."""
+
+    def test_body_default_baseline_and_unknown_backends(self):
+        service = PredictionService(backends=["aria", "herodotou"])
+        payload = {"scenario": SMALL.to_dict(), "backends": ["herodotou", "aria"]}
+        with daemon_in_thread(service, ServeConfig(port=0)) as daemon:
+            client = DaemonClient(daemon.host, daemon.port)
+            status, body = client.post_json("/compare", payload)
+            assert client.post_json("/compare", {**payload, "backends": ["bogus"]})[0] == 400
+            assert client.post_json("/compare", {**payload, "baseline": "bogus"})[0] == 400
+        comparison = service.compare(SMALL, ["herodotou", "aria"], "herodotou")
+        expected = {
+            "baseline": "herodotou",  # the first named backend
+            "results": {name: result.to_dict() for name, result in comparison.results.items()},
+            "relative_errors": comparison.relative_errors(),
+        }
+        assert status == 200
+        assert body == json.loads(json.dumps(expected))
+
+    def test_one_trajectory_per_request(self, monkeypatch):
+        from repro.core import mva_solver
+
+        created: list[int] = []
+        init = mva_solver.Trajectory.__init__
+        monkeypatch.setattr(
+            mva_solver.Trajectory, "__init__", lambda *a, **k: created.append(1) or init(*a, **k)
+        )
+        service = PredictionService(backends=["mva-forkjoin", "mva-tripathi"])
+        with daemon_in_thread(service, ServeConfig(port=0)) as daemon:
+            client = DaemonClient(daemon.host, daemon.port)
+            status, body = client.post_json("/compare", {"scenario": SMALL.to_dict()})
+        assert (status, body["baseline"]) == (200, "mva-forkjoin")
+        assert len(created) == 1
 
 
 class TestMemoryHits:

@@ -175,7 +175,6 @@ class TestStoreContract:
         # first through a lazy get() probe, then through a full scan.
         reopened = open_store(tmp_path / "store")
         assert reopened.get(SMALL.cache_key(), "aria") == result
-        assert len(reopened) == 1
         assert reopened.refresh().loaded == 1
 
     def test_get_misses_are_none(self, tmp_path):
@@ -234,43 +233,6 @@ class TestStoreContract:
         assert reopened.refresh().loaded == len(scenarios)
         for scenario in scenarios:
             assert reopened.get(scenario.cache_key(), "aria") is not None
-
-    def test_put_racing_refresh_keeps_index_entries(self, tmp_path):
-        """Regression: a ``put`` landing mid-``refresh`` must survive the scan.
-
-        A scan that began before the put cannot have seen its record; naive
-        wholesale index replacement on publish dropped such entries from
-        memory even though they were durably on disk.  The refresh loop here
-        races every put, and every put must still be indexed afterwards.
-        """
-        store = open_store(tmp_path / "store")
-        scenarios = [SMALL.with_updates(num_nodes=nodes) for nodes in range(2, 34)]
-        backend = create_backend("aria")
-        results = {s.cache_key(): backend.predict(s) for s in scenarios}
-        stop = threading.Event()
-        errors: list[BaseException] = []
-
-        def refresher() -> None:
-            try:
-                while not stop.is_set():
-                    store.refresh()
-            except BaseException as exc:  # noqa: BLE001 — surfaced via the list
-                errors.append(exc)
-
-        thread = threading.Thread(target=refresher)
-        thread.start()
-        try:
-            for scenario in scenarios:
-                store.put(scenario.cache_key(), "aria", results[scenario.cache_key()])
-        finally:
-            stop.set()
-            thread.join()
-        assert not errors
-        # Merge semantics: the in-memory index kept every put, no matter how
-        # the scans interleaved with the writes.
-        assert len(store) == len(scenarios)
-        for scenario in scenarios:
-            assert store.get(scenario.cache_key(), "aria") == results[scenario.cache_key()]
 
 
 def test_canonical_options_fast_path_is_identical():
@@ -454,7 +416,6 @@ class TestServiceWithStore:
         scan = merged.refresh()
         assert scan.loaded == len(scenarios)
         assert scan.corrupt == 0
-        assert len(merged) == len(scenarios)
         for scenario in scenarios:
             stored = merged.get(scenario.cache_key(), "counting-stub")
             assert stored.total_seconds == float(scenario.num_nodes)
@@ -724,60 +685,53 @@ class TestVersioning:
         assert reopened.get(SMALL.cache_key(), "counting-stub") is None
 
 
-class TestProbeMemo:
-    """Unusable probes cost one indexed read, not a parse.
+class TestStaleRows:
+    """A stale row costs one indexed read and a version compare, not a parse.
 
-    Regression for the hot-path waste where every ``get`` of a point whose
-    record was stale re-read and re-JSON-decoded it — and proof
-    that memoisation does *not* sacrifice cross-process visibility.
+    Its three version columns reject it before its payload is decoded, and
+    a fresh record written over it is seen at once.
     """
 
-    def _count_reads(self, store):
-        """Instrument the engine's record-decode path with a call counter."""
-        calls: list = []
-        original = store._load_row
-
-        def counting(row, stats, quarantine_and_delete=True):
-            calls.append(row[0])
-            return original(row, stats, quarantine_and_delete)
-
-        store._load_row = counting
-        return calls
-
-    def test_stale_record_is_parsed_once(self, tmp_path):
+    def test_stale_row_is_not_decoded(self, tmp_path, monkeypatch):
         store_path = tmp_path / "store"
         service = PredictionService(backends=["aria"], store=store_path)
         service.evaluate(SMALL, "aria")
         _set_version_field(store_path, "backend_version", 999)
         reopened = open_store(store_path)
-        reads = self._count_reads(reopened)
+        decodes: list[str] = []
+
+        def loads(text, *args, **kwargs):
+            decodes.append(text)
+            return json.loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.api.store.sqlite_store.json", SimpleNamespace(loads=loads, dumps=json.dumps)
+        )
         for _ in range(5):
             assert reopened.get(SMALL.cache_key(), "aria") is None
-        # One parse classified the record stale; the other four lookups hit
-        # the memo (an indexed fetch, but no decode).
-        assert len(reads) == 1
+        assert decodes == []
 
-    def test_memo_yields_to_a_peer_overwrite(self, tmp_path):
+    def test_peer_overwrite_of_a_stale_row_is_seen(self, tmp_path):
         """A peer rewriting the slot with a valid record is seen immediately."""
         store_path = tmp_path / "store"
         service = PredictionService(backends=["aria"], store=store_path)
         original = service.evaluate(SMALL, "aria")
         _set_version_field(store_path, "backend_version", 999)
         reopened = open_store(store_path)
-        assert reopened.get(SMALL.cache_key(), "aria") is None  # memoised as stale
-        # A concurrent process heals the slot (a row upsert with a fresh
-        # write stamp): the memo must not mask it.
+        assert reopened.get(SMALL.cache_key(), "aria") is None  # stale
+        # A concurrent process heals the slot (a row upsert): the next
+        # lookup reads it.
         peer = open_store(store_path)
         peer.put(SMALL.cache_key(), "aria", original)
         assert reopened.get(SMALL.cache_key(), "aria") == original
 
-    def test_memo_invalidated_by_local_put(self, tmp_path):
+    def test_local_put_over_a_stale_row_is_seen(self, tmp_path):
         store_path = tmp_path / "store"
         service = PredictionService(backends=["aria"], store=store_path)
         original = service.evaluate(SMALL, "aria")
         _set_version_field(store_path, "backend_version", 999)
         reopened = open_store(store_path)
-        assert reopened.get(SMALL.cache_key(), "aria") is None  # memoised as stale
+        assert reopened.get(SMALL.cache_key(), "aria") is None  # stale
         reopened.put(SMALL.cache_key(), "aria", original)
         assert reopened.get(SMALL.cache_key(), "aria") == original
 
@@ -1077,7 +1031,6 @@ class TestLegacyReader:
         # A second reader finds it through a lazy probe, then a full scan.
         reopened = ResultStore(tmp_path / "store")
         assert reopened.get(SMALL.cache_key(), "aria") == result
-        assert len(reopened) == 1
         assert reopened.refresh().loaded == 1
 
     def test_get_misses_are_none(self, tmp_path):

@@ -23,7 +23,7 @@ from repro.api import (
     open_store,
 )
 from repro.api.backends import _REGISTRY
-from repro.api.dashboard import smoke_grid
+from repro.api.dashboard import run_dashboard, smoke_grid
 from repro.api.results import PredictionResult
 from repro.api.store import DB_FILENAME
 from repro.api.sweep import SLICE_SCENARIOS, _slices
@@ -193,6 +193,65 @@ class TestSweepRun:
         outcome = SweepScheduler(service).run(SUITE, ["aria"])
         assert outcome.stats.batch_calls == 1
         assert outcome.stats.batch_points == 4
+
+
+class TestOneRead:
+    """A plan hands the rows its probe read to the run: none is read twice."""
+
+    NAMES = ("aria", "herodotou")
+    GRID = ScenarioSuite.from_sweep("warm", SMALL, num_nodes=[2, 3, 4, 5, 6, 7])
+
+    def _warm(self, tmp_path, monkeypatch, seeded: int = 6):
+        """A fresh service over a store holding ``seeded`` scenarios, its lookups logged."""
+        seed = ScenarioSuite("seed", self.GRID.scenarios[:seeded])
+        PredictionService(backends=self.NAMES, store=tmp_path / "s").evaluate_suite(seed)
+        service = PredictionService(backends=self.NAMES, store=tmp_path / "s")
+        calls: list = []
+        get_many = service.store.get_many
+        monkeypatch.setattr(
+            service.store, "get_many", lambda *args: calls.append(args[0]) or get_many(*args)
+        )
+        return service, calls
+
+    def test_a_warm_plan_and_run_read_each_row_once(self, tmp_path, monkeypatch):
+        service, calls = self._warm(tmp_path, monkeypatch)
+        decodes: list[str] = []
+        load = service.store._load_row
+        monkeypatch.setattr(
+            service.store, "_load_row", lambda row, *a: decodes.append(row[0]) or load(row, *a)
+        )
+        outcome = SweepScheduler(service).run(self.GRID, self.NAMES)
+        assert len(calls) == 1
+        assert len(decodes) == len(set(decodes)) == 12
+        assert (outcome.stats.store_hits, outcome.stats.evaluations) == (12, 0)
+
+    def test_a_store_only_dashboard_reads_the_store_once(self, tmp_path, monkeypatch):
+        service, calls = self._warm(tmp_path, monkeypatch)
+        run_dashboard(
+            self.GRID, backends=self.NAMES, baseline="aria", service=service, evaluate=False
+        )
+        assert len(calls) == 1
+        assert (service.stats().store_hits, service.stats().evaluations) == (12, 0)
+
+    def test_a_warm_stream_reads_nothing_after_its_plan(self, tmp_path, monkeypatch):
+        service, calls = self._warm(tmp_path, monkeypatch)
+        scheduler = SweepScheduler(service)
+        plan = scheduler.plan(self.GRID, self.NAMES)
+        assert len(list(scheduler.iter_results(self.GRID, self.NAMES, plan=plan))) == 12
+        assert len(calls) == 1
+        assert service.stats().store_hits == 12
+
+    def test_the_cooperative_replay_rereads_no_row(self, tmp_path, monkeypatch):
+        service, calls = self._warm(tmp_path, monkeypatch, seeded=3)
+        scheduler = SweepScheduler(service)
+        plan = scheduler.plan
+        monkeypatch.setattr(
+            scheduler, "plan", lambda *a, **k: calls.append("plan") or plan(*a, **k)
+        )
+        outcome = scheduler.run_cooperative(self.GRID, self.NAMES, worker_id="solo")
+        assert outcome.evaluated == 6
+        last_plan = len(calls) - 1 - calls[::-1].index("plan")
+        assert len(calls[last_plan + 1 :]) == 1  # the plan's own probe, then no replay read
 
 
 class TestSlices:
