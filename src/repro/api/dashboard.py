@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -188,22 +188,6 @@ class DashboardRun:
     outcome: SweepOutcome | None = None
 
 
-def _report_from_rows(
-    suite: ScenarioSuite,
-    backends: Sequence[str],
-    rows: Sequence[Mapping[str, object]],
-    baseline: str,
-) -> AccuracyReport:
-    return compute_accuracy(
-        grid=suite.name,
-        rows=rows,
-        backends=backends,
-        scenario_labels=[scenario.describe() for scenario in suite.scenarios],
-        baseline=baseline,
-        phases={name: backend_phases(name) for name in backends},
-    )
-
-
 def run_dashboard(
     grid: str | ScenarioSuite = "smoke",
     *,
@@ -251,33 +235,30 @@ def run_dashboard(
             store=store,
             execution=execution or DEFAULT_EXECUTION,
         )
+    scheduler = SweepScheduler(service)
+    outcome = None
     if evaluate:
-        outcome = SweepScheduler(service).run(suite, names, on_error=on_error)
-        # Failed cells (on_error="record") carry no estimate; dropping them
-        # here turns them into missing points, which compute_accuracy
-        # degrades to status="incomplete" per backend.
-        rows = [
-            {name: result for name, result in row.items() if result.ok}
-            for row in outcome.result.rows
-        ]
-        report = _report_from_rows(suite, names, rows, baseline)
-        return DashboardRun(
-            suite=suite, backends=names, report=report, outcome=outcome
-        )
-    # Store-only mode: replay the answered points from the plan's probe, one
-    # cell at a time (a repeated cell is a memory hit), leave the rest missing.
-    plan = SweepScheduler(service).plan(suite, names)
-    answered = {*plan.memory_hits, *plan.store_hits}
-    rows: list[dict[str, object]] = []
-    for index, scenario in enumerate(suite.scenarios):
-        row: dict[str, object] = {}
-        for name in names:
-            if (index, name) in answered:
-                point = (scenario.cache_key(), name)
-                row[name] = service._evaluate_points({point: scenario}, probed=plan.probed)[point]
-        rows.append(row)
-    report = _report_from_rows(suite, names, rows, baseline)
-    return DashboardRun(suite=suite, backends=names, report=report, outcome=None)
+        outcome = scheduler.run(suite, names, on_error=on_error)
+        found = outcome.result.rows
+    else:
+        # Store-only mode: stream the plan's answered cells, leave the rest missing.
+        plan = replace(scheduler.plan(suite, names), missing=())
+        found = [{} for _ in suite.scenarios]
+        for index, name, result in scheduler.iter_results(suite, names, plan=plan):
+            found[index][name] = result
+    # Failed cells (on_error="record") carry no estimate; dropping them here
+    # turns them into missing points, which compute_accuracy degrades to
+    # status="incomplete" per backend.
+    rows = [{name: result for name, result in row.items() if result.ok} for row in found]
+    report = compute_accuracy(
+        grid=suite.name,
+        rows=rows,
+        backends=names,
+        scenario_labels=[scenario.describe() for scenario in suite.scenarios],
+        baseline=baseline,
+        phases={name: backend_phases(name) for name in names},
+    )
+    return DashboardRun(suite=suite, backends=names, report=report, outcome=outcome)
 
 
 # -- artifact rendering --------------------------------------------------------

@@ -224,7 +224,7 @@ class Scenario:
         return self.workload_spec().job_configs()
 
     def model_input(self) -> ModelInput:
-        """Analytic-model input built exactly as the experiment runner does."""
+        """Analytic-model input, as the analytic backends build it (one per dispatch)."""
         return ScenarioResolver.current().model_input(self)
 
     def with_updates(self, **changes) -> "Scenario":
@@ -361,16 +361,16 @@ class ScenarioResolver:
 
     One resolver serves one dispatch and is then dropped: nothing is cached
     on a scenario or across dispatches, so a cold evaluation stays cold.
-    The service opens it (:meth:`dispatch`) around the evaluation of
-    ``evaluate_suite`` and ``evaluate_many``, and a streaming or cooperative
-    sweep opens one per scenario slice (a scenario's backends always share
-    a slice); backends read it through :meth:`current`, which outside a
-    dispatch returns a fresh resolver.  It travels in a context variable:
-    the service's thread pool runs every task in a copy of the dispatching
-    context, so thread-mode workers inherit the dispatch's resolver, while
-    process-pool workers start from an empty context and build their own
-    (they share nothing, and give the same bits).  Views and trajectories
-    are safe to read from several threads.
+    The service opens it (:meth:`dispatch`) around ``evaluate_many`` and
+    each slice a grid run settles (the whole grid for ``evaluate_suite``,
+    scenario slices for a stream or a cooperative worker; a scenario's
+    backends always share a slice); backends read it through
+    :meth:`current`, which outside a dispatch returns a fresh resolver.  It
+    travels in a context variable: the service's thread pool runs every task
+    in a copy of the dispatching context, so thread-mode workers inherit the
+    dispatch's resolver, while process-pool workers start from an empty
+    context and build their own (they share nothing, and give the same
+    bits).  Views and trajectories are safe to read from several threads.
     """
 
     def __init__(self) -> None:

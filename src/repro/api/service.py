@@ -1,7 +1,7 @@
 """Batch prediction service: suites × backends with caching and parallelism.
 
-:class:`PredictionService` is the one entry point the CLI, the experiment
-runner, and library users share.  It
+:class:`PredictionService` is the one entry point the CLI, the daemon, the
+dashboard and library users share.  It
 
 * resolves backend names through the registry and shares the (stateless)
   backend instances across calls;
@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import itertools
 import logging
 import multiprocessing
 import os
 import sys
 import threading
 import time
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
@@ -151,10 +152,11 @@ class ServiceStats:
     store_hits: int = 0
     #: Actual backend evaluations (cache and store both missed).
     evaluations: int = 0
-    #: Requests that joined an identical in-flight evaluation instead of
-    #: evaluating again: concurrent ``evaluate`` calls for one point share
-    #: the first caller's outcome, and duplicate grid cells of one suite
-    #: collapse onto a single evaluation.
+    #: Requests answered by another's outcome: concurrent ``evaluate`` calls
+    #: for one point share the first caller's, and a *repeat* — a grid cell
+    #: whose ``(cache key, backend)`` point an earlier cell of the same grid
+    #: run settled, in any slice — shares that cell's answer.  Every grid
+    #: entry point counts a repeat here once, never as a memory or store hit.
     coalesced: int = 0
     #: ``predict_batch`` dispatches performed by suite evaluation.
     batch_calls: int = 0
@@ -273,6 +275,77 @@ class SuiteResult:
                 for row in self.rows
             ],
         }
+
+
+#: :meth:`_GridRun.settle`'s mark for a cell whose point another worker won.
+_LEFT_OUT = object()
+
+
+@dataclass
+class _GridRun:
+    """One run over a suite x backends grid; :meth:`settle` is the one step answering its cells.
+
+    ``evaluate_suite`` feeds it the whole grid as one slice, a stream or a
+    cooperative worker many.  :attr:`settled` (point -> answer, ``None`` if
+    skipped) persists across slices; :attr:`rows` holds every cell answered.
+    """
+
+    service: "PredictionService"
+    suite: ScenarioSuite
+    on_error: str | None
+    tokens: TokenMemo | None = None
+    retry: "RetryPolicy | int | None" = None
+    timeout: float | None = None
+
+    def __post_init__(self) -> None:
+        self.on_error = self.service._resolve_on_error(self.on_error)
+        self.keys = [scenario.cache_key() for scenario in self.suite.scenarios]
+        self.settled: dict[tuple[str, str], PredictionResult | FailedResult | None] = {}
+        self.rows: list[dict] = [{} for _ in self.keys]
+
+    def settle(
+        self,
+        cells: Sequence[tuple[int, str]],
+        probed: Probed | None = None,
+        claim: "Callable[[dict], contextlib.AbstractContextManager[dict]] | None" = None,
+    ) -> None:
+        """Answer ``(scenario index, backend)`` cells into :attr:`rows`.
+
+        The points not yet settled go to ``_evaluate_points`` in one resolver
+        dispatch.  Every other cell is a repeat, answered from
+        :attr:`settled` and counted once as ``coalesced``.  ``claim`` maps
+        the new points to a context yielding those this worker won (and
+        giving them up on exit); cells of the other points are left out.
+        """
+        keys, settled, scenarios = self.keys, self.settled, self.suite.scenarios
+        fresh: dict[tuple[str, str], Scenario] = {}
+        for index, name in cells:
+            point = (keys[index], name)
+            if point not in fresh and point not in settled:
+                fresh[point] = scenarios[index]
+        with contextlib.nullcontext(fresh) if claim is None else claim(fresh) as won:
+            if won:
+                with ScenarioResolver.dispatch():
+                    results = self.service._evaluate_points(
+                        won, self.on_error, self.tokens, probed, self.retry, self.timeout
+                    )
+                settled.update(dict.fromkeys(won))  # None: skipped under on_error="skip"
+                settled.update(results)
+        rows, left_out = self.rows, 0
+        for index, name in cells:
+            if (answer := settled.get((keys[index], name), _LEFT_OUT)) is _LEFT_OUT:
+                left_out += 1
+            else:
+                rows[index][name] = answer
+        if repeats := len(cells) - left_out - len(won):
+            self.service._count("coalesced", repeats)
+
+    def result(self, backends: Sequence[str]) -> SuiteResult:
+        """The cells answered so far, a skipped one left out of its row."""
+        rows = self.rows
+        if self.on_error == "skip":
+            rows = [{name: a for name, a in row.items() if a is not None} for row in rows]
+        return SuiteResult(suite=self.suite, backends=tuple(backends), rows=tuple(rows))
 
 
 class PredictionService:
@@ -821,14 +894,13 @@ class PredictionService:
     ) -> SuiteResult:
         """Evaluate every (scenario, backend) pair of a suite.
 
-        Duplicate sweep points share one evaluation (each extra cell counts
-        as one ``coalesced`` join in :meth:`stats`).  The unique points are
-        partitioned into memory hits, store hits (bulk-probed through
-        :meth:`SqliteResultStore.get_many`), and misses; misses of batch-capable
-        backends are grouped per backend and dispatched in one
-        ``predict_batch`` call, the rest fan out per the service's
-        ``execution`` mode.  The partition is independent of the execution
-        mode, so serial/thread/process sweeps stay numerically identical.
+        The whole grid is one slice of the settle step (:class:`_GridRun`):
+        a repeated cell counts as one ``coalesced`` join in :meth:`stats`.
+        The unique points are partitioned into memory hits, store hits
+        (one bulk :meth:`SqliteResultStore.get_many` probe), and misses;
+        each batch-capable backend's misses go to one ``predict_batch``
+        call, the rest fan out per the ``execution`` mode, so
+        serial/thread/process sweeps stay numerically identical.
 
         ``on_error`` (default: the service's configured mode) sets the
         partial-results contract for points that fail terminally after the
@@ -844,36 +916,10 @@ class PredictionService:
         (``point -> result``, ``None`` for a miss): those points are
         answered from it, and the store is not read for them again.
         """
-        mode = self._resolve_on_error(on_error)
         names = tuple(backends) if backends is not None else tuple(self.backends())
-        keys = [scenario.cache_key() for scenario in suite.scenarios]
-        unique: dict[tuple[str, str], Scenario] = {}
-        duplicates = 0
-        for index, scenario in enumerate(suite.scenarios):
-            for name in names:
-                point = (keys[index], name)
-                if point in unique:
-                    duplicates += 1
-                else:
-                    unique[point] = scenario
-        if duplicates:
-            # Duplicate grid cells share one evaluation — the suite-level
-            # face of the same coalescing the in-flight registry provides
-            # across concurrent calls, and counted under the same counter.
-            self._count("coalesced", duplicates)
-        # One resolver for the whole dispatch: the batch paths and every
-        # scalar task (threads included) share its views and MVA trajectories.
-        with ScenarioResolver.dispatch():
-            results = self._evaluate_points(unique, mode, tokens, probed)
-        rows = tuple(
-            {
-                name: results[(keys[index], name)]
-                for name in names
-                if (keys[index], name) in results
-            }
-            for index in range(len(suite.scenarios))
-        )
-        return SuiteResult(suite=suite, backends=names, rows=rows)
+        grid = _GridRun(self, suite, on_error, tokens)
+        grid.settle(list(itertools.product(range(len(suite.scenarios)), names)), probed)
+        return grid.result(names)
 
     # -- point partitioning ---------------------------------------------------
 

@@ -15,8 +15,8 @@ class SimulatorBackend:
     """Discrete-event YARN simulator — the evaluation's "measured" series.
 
     Runs ``scenario.repetitions`` simulations with seeds ``seed + i`` and
-    reports the median of the per-run mean job response times, exactly as the
-    experiment runner has always derived the measurement.
+    reports the median of the per-run mean job response times: the
+    measurement every figure and dashboard compares the models against.
     """
 
     #: Failure counters surfaced in result metadata (summed over repetitions).

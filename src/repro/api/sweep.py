@@ -17,38 +17,36 @@ makes that explicit:
   points replay from memory and from the plan's probe, so the store is
   not read twice; missing points fan out per the service's execution mode
   with batch-capable backends dispatched in one ``predict_batch`` call —
-  and reports what was actually evaluated.
-
-Interrupting a store-backed sweep and re-running it therefore re-executes
-only the remainder: every completed point was persisted when it finished.
+  and reports what was actually evaluated.  Every completed point is
+  persisted when it finishes, so re-running an interrupted sweep
+  re-executes only the remainder.
 
 :meth:`SweepScheduler.iter_results` (the daemon's streaming sweep) and
 :meth:`SweepScheduler.run_cooperative` (*k concurrent workers* draining one
 grid against one shared store) settle the missing points in **scenario
-slices** of 1, 2, 4, ... up to :data:`SLICE_SCENARIOS` scenarios.  A
-scenario's backends always share a slice, and each slice is one
-``_evaluate_points`` call in a resolver dispatch of its own: one
+slices** of 1, 2, 4, ... up to :data:`SLICE_SCENARIOS` scenarios, each one
 ``predict_batch`` and one store transaction per batch backend.  A stream
-yields each slice as soon as it is settled.  A cooperative worker claims a
-slice through the store's lease namespace (:mod:`repro.api.store.leases`)
-with one guarded statement, heartbeats the claims while it works, and
-releases the slice with one more once its results are stored.  A crashed
-worker's leases expire and its points are re-claimed by the survivors, so
-the grid always completes — with zero duplicate evaluations among live
-workers.
+yields each slice as soon as it is settled; a cooperative worker claims each
+slice through the store's lease namespace (:mod:`repro.api.store.leases`),
+and a crashed worker's leases expire so survivors finish its points.
+
+Every entry point answers its cells through one settle step (the service's
+``_GridRun``), which counts a repeated cell once as ``coalesced``: one grid
+gives the same rows and counters whichever entry point runs it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from ..exceptions import ValidationError
 from .resilience import RetryPolicy
 from .results import FailedResult, PredictionResult
-from .scenario import Scenario, ScenarioResolver, ScenarioSuite
-from .service import PredictionService, Probed, ServiceStats, SuiteResult
+from .scenario import Scenario, ScenarioSuite
+from .service import PredictionService, Probed, ServiceStats, SuiteResult, _GridRun
 from .store import SqliteResultStore, TokenMemo
 from .store.leases import LeaseManager
 
@@ -73,11 +71,6 @@ def _slices(points: Sequence[SweepPoint], limit: int) -> Iterator[list[SweepPoin
         chunk.append(point)
     if chunk:
         yield chunk
-
-
-def _keyed(suite: ScenarioSuite, points: Iterable[SweepPoint]) -> dict[tuple[str, str], Scenario]:
-    """``(cache key, backend) -> scenario`` of ``(scenario index, backend)`` points."""
-    return {(suite.scenarios[i].cache_key(), name): suite.scenarios[i] for i, name in points}
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ class SweepOutcome:
     result: SuiteResult
     #: Service counters accumulated by this run (after minus before).
     #: Exact for a service driven by one sweep at a time — the CLI and the
-    #: experiment runner; a service shared by *concurrent* sweep runs
+    #: dashboard; a service shared by *concurrent* sweep runs
     #: interleaves counter updates between the two snapshots, so these
     #: deltas then include the other runs' work (use :attr:`plan` for the
     #: per-run intent in that case).
@@ -154,10 +147,11 @@ class SweepOutcome:
 class CooperativeOutcome(SweepOutcome):
     """One worker's share of a cooperatively drained sweep.
 
-    :attr:`SweepOutcome.result` holds the *complete* grid (replayed from the
-    shared store after the drain), while the counters below describe what
-    this worker itself did — summed across workers, ``evaluated`` equals the
-    number of unique missing points when no worker crashed mid-claim.
+    :attr:`SweepOutcome.result` holds the cells this worker settled — the
+    *complete* grid once drained, peers' points read back as store hits —
+    while the counters below describe what this worker itself did: summed
+    across workers, ``evaluated`` equals the number of unique missing
+    points when no worker crashed mid-claim.
     """
 
     worker_id: str = "?"
@@ -169,7 +163,7 @@ class CooperativeOutcome(SweepOutcome):
     evaluated: int = 0
     #: Rounds spent sleeping because live peers held every remaining point.
     waits: int = 0
-    #: Points that failed terminally for this worker (not re-claimed by it).
+    #: Points that failed terminally for this worker (never taken up again by it).
     failed: int = 0
     #: Leases this worker lost to peer takeover (it stalled past the TTL).
     lost: int = 0
@@ -323,32 +317,27 @@ class SweepScheduler:
     ) -> "CooperativeOutcome":
         """Drain the grid cooperatively with every peer sharing the store.
 
-        Each pass plans once against the shared store (points peers
-        completed become store hits), then works through the plan's
-        missing points slice by slice: it claims the slice with one
-        guarded statement, probes the won points once, releases those a
-        peer already answered, settles the rest in one batch, and releases
-        the slice once the results are durably in the store.  Points a peer
-        claimed first are skipped, not waited on.  Slices grow 1, 2, 4, ...
-        scenarios, so even without a cap late-starting peers find work;
-        ``claim_limit=n`` caps a slice at ``n`` scenarios.  The worker
-        re-plans only when the pass runs out, to pick up peer results and
-        expired leases.  A background heartbeat renews held claims, so one
-        slow slice cannot expire its own leases; when every remaining point
-        is leased to live peers the worker sleeps ``poll_interval`` (default
-        ``lease_ttl / 10``) and re-plans — a *crashed* peer's claims expire
-        within one TTL and are taken over, so the sweep always completes.
-
         Requires a store-backed service (the store carries both the results
-        and the claim namespace).  Under ``on_error="raise"`` a failing
-        slice raises with the points it evaluated persisted and its claims
-        released.  Under ``"skip"``/``"record"`` a point that fails
-        terminally never reaches the store; such points are remembered
-        locally and not re-claimed, so a failing backend cannot livelock
-        the loop.  The returned outcome replays the full grid (one final
-        :meth:`~PredictionService.evaluate_suite` over the last plan's
-        probe, reading no row again) and reports this worker's share of
-        the work.
+        and the claim namespace).  Each pass plans once against the shared
+        store (points peers completed become store hits) and settles the
+        plan's cells this worker has not settled yet: the answered ones in
+        one slice, then the missing ones slice by slice with the claim as
+        the settle step's hook.  It claims a slice with one guarded
+        statement, probes the won points once, gives back those a peer
+        already answered, and releases the rest once their results are
+        durably stored.  Points a peer claimed first are skipped, not
+        waited on; ``claim_limit=n`` caps a slice at ``n`` scenarios.  A
+        background heartbeat renews held claims; when every remaining point
+        is leased to live peers the worker sleeps ``poll_interval`` (default
+        ``lease_ttl / 10``) and re-plans, and a *crashed* peer's claims
+        expire within one TTL and are taken over.
+
+        A settled cell is never taken up again: a point that failed
+        terminally (``on_error="skip"``/``"record"``) is attempted once, and
+        under ``"raise"`` a failing slice raises with the points it
+        evaluated persisted and its claims released.  The outcome holds the
+        cells this worker settled (the whole grid, with no replay) and its
+        share of the work.
         """
         if not isinstance(self._service.store, SqliteResultStore):
             raise ValidationError(
@@ -361,73 +350,64 @@ class SweepScheduler:
             raise ValidationError(f"poll_interval must be positive, got {wait}")
         if claim_limit is not None and claim_limit < 1:
             raise ValidationError(f"claim_limit must be at least 1, got {claim_limit}")
-        mode = self._service._resolve_on_error(on_error)
         limit = min(claim_limit or SLICE_SCENARIOS, SLICE_SCENARIOS)
         before = self._service.stats()
-        failed_locally: set[SweepPoint] = set()
-        claimed = evaluated = waits = rounds = 0
         tokens: TokenMemo = {}
+        grid = _GridRun(self._service, suite, on_error, tokens)
+        taken: list[tuple[str, str]] = []  # every point this worker won
+        waits = rounds = 0
+
+        @contextlib.contextmanager
+        def claim(fresh: dict[tuple[str, str], Scenario]) -> Iterator[dict]:
+            named = {self._service.point_token(*point): point for point in fresh}
+            claims = leases.claim_many(named)
+            won = {point: token for token, point in named.items() if token in claims}
+            # A peer may have answered a point between our plan and our claim.
+            # Peers persist *before* releasing, so holding the lease makes this
+            # probe definitive: give such points back (the next plan reads them).
+            answered = self._service.probe_points(list(won), tokens)
+            leases.release_many([won.pop(p) for found in answered for p in found])
+            taken.extend(won)
+            try:
+                yield {point: fresh[point] for point in won}
+            finally:
+                # Successes are durably stored before this release; a failed
+                # point's release lets a peer retry it.
+                leases.release_many(won.values())
+
+        def unsettled(cells: Sequence[SweepPoint]) -> list[SweepPoint]:
+            return [(index, name) for index, name in cells if name not in grid.rows[index]]
+
         with leases.heartbeat():
             try:
                 while True:
                     plan = self.plan(suite, backends, leases=leases, tokens=tokens)
-                    todo = [p for p in plan.missing if p not in failed_locally]
+                    grid.settle(unsettled([*plan.memory_hits, *plan.store_hits]), plan.probed)
+                    todo = unsettled(plan.missing)
                     rounds += not todo
-                    if not todo and not plan.leased:
-                        break  # grid complete (or only locally-failed points left)
-                    settled = False
-                    for points in _slices(todo, limit):
+                    if not todo and not unsettled(plan.leased):
+                        break  # every cell is settled
+                    for cells in _slices(todo, limit):
                         rounds += 1
-                        unique = _keyed(suite, points)
-                        named = {self._service.point_token(*point): point for point in unique}
-                        claims = leases.claim_many(named)
-                        won = {point: token for token, point in named.items() if token in claims}
-                        # A peer may have answered a point between our plan and
-                        # our claim.  Peers persist *before* releasing, so
-                        # holding the lease makes this probe definitive: yield
-                        # such points back instead of counting them as ours.
-                        answered = self._service.probe_points(list(won), tokens)
-                        leases.release_many([won.pop(p) for found in answered for p in found])
-                        claimed += len(won)
-                        if not won:
-                            continue
-                        settled = True
-                        try:
-                            with ScenarioResolver.dispatch():
-                                results = self._service._evaluate_points(
-                                    {p: unique[p] for p in won}, mode, tokens, dict.fromkeys(won)
-                                )
-                        finally:
-                            # Successes are durably stored before this release;
-                            # a failed point's release lets a peer retry it —
-                            # this worker won't (failed_locally).
-                            leases.release_many(won.values())
-                        failed = {p for p in won if not getattr(results.get(p), "ok", False)}
-                        evaluated += len(won) - len(failed)
-                        for index, name in points:
-                            if (suite.scenarios[index].cache_key(), name) in failed:
-                                failed_locally.add((index, name))
-                    if not settled:
+                        grid.settle(cells, plan.probed, claim)
+                    if len(unsettled(todo)) == len(todo):
                         # Every missing point is leased to live peers: wait
                         # for them to finish (or their leases to expire).
                         waits += 1
                         time.sleep(wait)
             finally:
                 leases.release_all()
-        result = self._service.evaluate_suite(
-            suite, plan.backends, on_error=on_error, tokens=tokens, probed=plan.probed
-        )
-        after = self._service.stats()
+        evaluated = sum(getattr(grid.settled.get(point), "ok", False) for point in taken)
         return CooperativeOutcome(
             plan=plan,
-            result=result,
-            stats=after.delta(before),
+            result=grid.result(plan.backends),
+            stats=self._service.stats().delta(before),
             worker_id=worker_id,
             rounds=rounds,
-            claimed=claimed,
+            claimed=len(taken),
             evaluated=evaluated,
             waits=waits,
-            failed=len(failed_locally),
+            failed=len(taken) - evaluated,
             lost=len(leases.lost),
         )
 
@@ -464,17 +444,9 @@ class SweepScheduler:
         tokens: TokenMemo = {}
         if plan is None:
             plan = self.plan(suite, backends, tokens=tokens)
-        mode = self._service._resolve_on_error(on_error)
-        probed = dict(plan.probed)
+        grid = _GridRun(self._service, suite, on_error, tokens, retry, timeout)
         hits = [*plan.memory_hits, *plan.store_hits]
-        for points in (hits, *_slices(plan.missing, SLICE_SCENARIOS)):
-            unique = _keyed(suite, points)
-            with ScenarioResolver.dispatch():
-                results = self._service._evaluate_points(
-                    unique, mode, tokens, probed, retry, timeout
-                )
-            for point in results:
-                # Settled now, so a later duplicate of it reads cache or store.
-                probed.pop(point, None)
-            for index, name in points:
-                yield index, name, results.get((suite.scenarios[index].cache_key(), name))
+        for cells in (hits, *_slices(plan.missing, SLICE_SCENARIOS)):
+            grid.settle(cells, plan.probed)
+            for index, name in cells:
+                yield index, name, grid.rows[index][name]

@@ -241,17 +241,22 @@ class TestOneRead:
         assert len(calls) == 1
         assert service.stats().store_hits == 12
 
-    def test_the_cooperative_replay_rereads_no_row(self, tmp_path, monkeypatch):
+    def test_a_cooperative_drain_reads_nothing_after_its_last_plan(self, tmp_path, monkeypatch):
         service, calls = self._warm(tmp_path, monkeypatch, seeded=3)
         scheduler = SweepScheduler(service)
         plan = scheduler.plan
-        monkeypatch.setattr(
-            scheduler, "plan", lambda *a, **k: calls.append("plan") or plan(*a, **k)
-        )
+
+        def logged(*args, **kwargs):
+            calls.append("plan")
+            planned = plan(*args, **kwargs)
+            calls.append("planned")
+            return planned
+
+        monkeypatch.setattr(scheduler, "plan", logged)
         outcome = scheduler.run_cooperative(self.GRID, self.NAMES, worker_id="solo")
         assert outcome.evaluated == 6
-        last_plan = len(calls) - 1 - calls[::-1].index("plan")
-        assert len(calls[last_plan + 1 :]) == 1  # the plan's own probe, then no replay read
+        assert calls[-1] == "planned"  # no replay: the last plan's probe is the last read
+        assert (outcome.stats.store_hits, outcome.stats.evaluations) == (6, 6)
 
 
 class TestSlices:
